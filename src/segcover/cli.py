@@ -58,8 +58,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("SEGCOVER_THREADS", "1"))
+def _default_threads() -> str:
+    """``SEGCOVER_THREADS`` unparsed: argparse converts a string default only
+    when the flag is absent, so a bad value becomes a usage error (exit 3)."""
+    return os.environ.get("SEGCOVER_THREADS", "1")
 
 
 def _parse_file(path: Path, fmt: str, rail_layout: str) -> Instance:
@@ -341,7 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", parents=[], help="solve one instance file")
     solve.add_argument("--input", required=True)
     solve.add_argument("--algorithm", choices=ALGORITHMS, default="grasp")
-    solve.add_argument("--threads", type=int, default=_default_threads())
+    solve.add_argument(
+        "--threads", type=int, default=_default_threads(),
+        help="worker count (default: $SEGCOVER_THREADS, else 1)",
+    )
     solve.add_argument("--bks", type=int, default=None)
     _add_common_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
@@ -361,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms", default="greedy,grasp-uf", help="comma-separated tags"
     )
     bench.add_argument(
-        "--threads", default=str(_default_threads()),
-        help="comma-separated worker counts",
+        "--threads", default=_default_threads(),
+        help="comma-separated worker counts (default: $SEGCOVER_THREADS, else 1)",
     )
     _add_common_solver_flags(bench)
     bench.set_defaults(func=_cmd_bench)

@@ -6,6 +6,20 @@ from typing import Iterable, Iterator, List, Sequence
 WORD_BITS = 64
 
 
+def iter_bits(bits: int) -> Iterator[int]:
+    """Ascending positions of the set bits of a non-negative int.
+
+    The int is shifted down past each bit found, so a step costs the length
+    of what is left of it rather than of the full-width int.
+    """
+    position = -1
+    while bits:
+        step = (bits & -bits).bit_length()
+        position += step
+        yield position
+        bits >>= step
+
+
 class SuccinctSet:
     """Fixed-capacity set of small integers backed by a single big-int bitmask.
 
@@ -65,11 +79,7 @@ class SuccinctSet:
         return 0 <= index < self.capacity and (self._bits >> index) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter_bits(self._bits)
 
     def __bool__(self) -> bool:
         return self._bits != 0
@@ -187,13 +197,16 @@ class Instance:
 class Cover:
     """A (partial) cover: ordered chosen subset ids plus their coverage mask.
 
-    Single-owner mutable state; transfer between workers, never share.
+    ``add`` is the only way to grow ``chosen``: it keeps the id set beside it
+    that makes the duplicate check O(1).  Single-owner mutable state;
+    transfer between workers, never share.
     """
 
-    __slots__ = ("chosen", "covered")
+    __slots__ = ("chosen", "covered", "_ids")
 
     def __init__(self, chosen: Sequence[int], covered: SuccinctSet) -> None:
-        if len(set(chosen)) != len(chosen):
+        self._ids = set(chosen)
+        if len(self._ids) != len(chosen):
             raise ValueError("cover contains duplicate subset ids")
         self.chosen = list(chosen)
         self.covered = covered
@@ -203,8 +216,9 @@ class Cover:
         return cls([], SuccinctSet(capacity))
 
     def add(self, subset_id: int, members: SuccinctSet) -> None:
-        if subset_id in self.chosen:
+        if subset_id in self._ids:
             raise ValueError(f"subset {subset_id} already chosen")
+        self._ids.add(subset_id)
         self.chosen.append(subset_id)
         self.covered.union_inplace(members)
 

@@ -1,37 +1,39 @@
 """Deterministic greedy baseline: always take the largest marginal gain."""
 from __future__ import annotations
 
-from .core import Cover, Instance, SuccinctSet
+from heapq import heapify, heappop, heapreplace
+
+from .core import Cover, Instance
 
 
 def greedy_solve(inst: Instance) -> Cover:
     """Pick the subset covering the most uncovered elements until feasible.
 
-    Ties break toward the lowest subset id.  Gains are recomputed each pick
-    with word-parallel intersection counts; subsets are visited in descending
-    cardinality so the scan can stop once no remaining subset can beat the
-    incumbent gain (a subset never gains more than its size).
+    Ties break toward the lowest subset id.  Gains are evaluated lazily
+    (Minoux's accelerated greedy): a heap holds ``(-bound, id)`` where the
+    bound is a gain the subset had earlier, seeded with its size.  Gains
+    only shrink as elements get covered, so when the top entry's fresh gain
+    still equals its bound no other subset can beat it, and the heap order
+    has already put any equal-gain subset with a lower id above it.  A stale
+    top is pushed back with its fresh gain, or dropped once the gain is 0.
     """
     cover = Cover.empty(inst.n)
-    if inst.n == 0:
-        return cover
-    uncovered = SuccinctSet.full(inst.n)
-    order = sorted(range(inst.m), key=lambda sid: (-inst.subsets[sid].cardinality(), sid))
-    cards = [inst.subsets[sid].cardinality() for sid in order]
     subsets = inst.subsets
+    uncovered = (1 << inst.n) - 1
+    heap = [(-s.cardinality(), sid) for sid, s in enumerate(subsets)]
+    heapify(heap)
     while uncovered:
-        ubits = uncovered._bits
-        best_gain = 0
-        best_sid = -1
-        for sid, card in zip(order, cards):
-            if card < best_gain:
-                break
-            gain = (subsets[sid]._bits & ubits).bit_count()
-            if gain > best_gain or (gain == best_gain and 0 < gain and sid < best_sid):
-                best_gain = gain
-                best_sid = sid
-        if best_sid < 0:
+        if not heap:
             raise RuntimeError("no subset covers a remaining element")
-        cover.add(best_sid, subsets[best_sid])
-        uncovered.difference_inplace(subsets[best_sid])
+        bound, sid = heap[0]
+        bits = subsets[sid]._bits
+        gain = (bits & uncovered).bit_count()
+        if gain == -bound:
+            heappop(heap)
+            cover.add(sid, subsets[sid])
+            uncovered &= ~bits
+        elif gain:
+            heapreplace(heap, (-gain, sid))
+        else:
+            heappop(heap)
     return cover

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import Cover, Instance, SuccinctSet
+from .core import Cover, Instance, SuccinctSet, iter_bits
 from .grasp import remove_redundant_sets
 from .segmentation import Component, UnionFind
 
@@ -74,11 +74,7 @@ def _side_component(inst: Instance, elements: List[int]) -> Component:
         restricted = s._bits & side_bits
         if restricted == 0:
             continue
-        members = []
-        while restricted:
-            low = restricted & -restricted
-            members.append(local_of[low.bit_length() - 1])
-            restricted ^= low
+        members = [local_of[e] for e in iter_bits(restricted)]
         subsets.append(SuccinctSet.from_indices(sub_n, members))
         family.append(sid)
     return Component(

@@ -13,10 +13,11 @@ modes preserve feasibility and the optimal cardinality.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .core import Cover, Instance, SuccinctSet
+from .core import Cover, Instance, SuccinctSet, iter_bits
 
 
 @dataclass(frozen=True)
@@ -59,77 +60,119 @@ class ReductionReport:
 
 
 def _force_unique_coverers(
-    inst: Instance,
+    bits: Sequence[int],
     active: List[bool],
     forced: List[int],
-    covered: SuccinctSet,
-) -> bool:
-    """One forcing sweep over uncovered elements; returns True if anything fired."""
-    degree = [0] * inst.n
-    last = [-1] * inst.n
-    for sid, s in enumerate(inst.subsets):
-        if not active[sid]:
-            continue
-        for e in s:
-            degree[e] += 1
-            last[e] = sid
-    fired = False
-    for e in range(inst.n):
-        if e in covered:
-            continue
-        if degree[e] == 1:
-            sid = last[e]
-            if active[sid]:
-                active[sid] = False
-                forced.append(sid)
-                covered.union_inplace(inst.subsets[sid])
-                fired = True
-    return fired
+    covered: int,
+) -> int:
+    """One forcing sweep; returns the new covered mask.
 
-
-def _dominated(
-    inst: Instance,
-    candidates: Sequence[int],
-    restrict_mask: int,
-) -> List[int]:
-    """Ids whose (masked) element set is inside another candidate's set.
-
-    Equal sets keep the lowest id.  The predicate only quantifies over other
-    candidates, so it is order-free and deterministic; supersets of a subset
-    are found through the coverer list of its lowest-degree element.
+    Word-parallel ``once``/``twice`` masks over the active subsets give the
+    uncovered elements with exactly one active coverer.  Their coverers are
+    forced in ascending order of their lowest such element.
     """
-    masked = {sid: inst.subsets[sid]._bits & restrict_mask for sid in candidates}
-    coverers: dict[int, List[int]] = {}
-    for sid in candidates:
-        bits = masked[sid]
-        while bits:
-            low = bits & -bits
-            coverers.setdefault(low.bit_length() - 1, []).append(sid)
-            bits ^= low
-    dominated = []
-    for sid in candidates:
-        bits = masked[sid]
-        if bits == 0:
-            continue
-        rarest = min(
-            (low.bit_length() - 1 for low in _iter_low_bits(bits)),
-            key=lambda e: len(coverers[e]),
+    once = twice = 0
+    for sid, b in enumerate(bits):
+        if active[sid]:
+            twice |= once & b
+            once |= b
+    unique = once & ~twice & ~covered
+    if not unique:
+        return covered
+    firsts = []
+    for sid, b in enumerate(bits):
+        hit = b & unique
+        if hit and active[sid]:
+            firsts.append(((hit & -hit).bit_length(), sid))
+    for _, sid in sorted(firsts):
+        active[sid] = False
+        forced.append(sid)
+        covered |= bits[sid]
+    return covered
+
+
+def _column(positions: array) -> int:
+    """Bitmask with bit ``hi - p`` set for each ``p`` in the ascending
+    ``positions``, where ``hi`` is the highest of them."""
+    hi = positions[-1]
+    buf = bytearray(((hi - positions[0]) >> 3) + 1)
+    for p in positions:
+        p = hi - p
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _dominated(n: int, masked: Dict[int, int]) -> List[int]:
+    """Ids whose element set, ``masked[id]``, is inside another candidate's.
+
+    Equal sets keep the lowest id.  Candidates are ranked by
+    ``(lowest element, -size, id)``.  A superset of S has a lowest element no
+    higher than S's and, when that ties, more elements unless it equals S,
+    in which case the lower id ranks first.  So everything that dominates S
+    ranks before S, and anything ranked before S that contains S dominates
+    it: S is dominated iff some position before S's lies in the column of
+    every element of S, where an element's column is the bitmask of the
+    positions of the candidates holding it.  Columns are stored reversed
+    from their highest position, so one right shift keeps just the
+    positions before S's and aligns them on the position just before it.
+    The AND starts from the rarest column and stops once it is zero.  Empty
+    sets are neither dominated nor dominators.
+    """
+    ranked = [
+        sid
+        for _, _, sid in sorted(
+            ((b & -b).bit_length(), -b.bit_count(), sid) for sid, b in masked.items() if b
         )
-        for other in coverers[rarest]:
-            if other == sid:
-                continue
-            other_bits = masked[other]
-            if bits & ~other_bits == 0 and (bits != other_bits or other < sid):
-                dominated.append(sid)
+    ]
+
+    members = array("I")
+    ends = array("I")
+    holders = [array("I") for _ in range(n)]
+    for pos, sid in enumerate(ranked):
+        elements = list(iter_bits(masked[sid]))
+        members.extend(elements)
+        ends.append(len(members))
+        for e in elements:
+            holders[e].append(pos)
+    count = [len(h) for h in holders]
+    hi = [h[-1] if h else 0 for h in holders]
+    columns = [_column(h) if h else 0 for h in holders]
+    del holders
+
+    dominated = []
+    start = 0
+    for pos, sid in enumerate(ranked):
+        elements = sorted(members[start:ends[pos]], key=count.__getitem__)
+        start = ends[pos]
+        common = -1
+        for e in elements:
+            common &= columns[e] >> (hi[e] - pos + 1)
+            if not common:
                 break
+        else:
+            dominated.append(sid)
     return dominated
 
 
-def _iter_low_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low
-        bits ^= low
+def _residual_subsets(bits: Sequence[int], uncovered: int, n: int) -> Tuple[List[int], List[int]]:
+    """The uncovered elements and each subset renumbered onto them.
+
+    When nothing is covered the original ints are returned unchanged;
+    otherwise each subset is rebuilt member by member.
+    """
+    if uncovered == (1 << n) - 1:
+        return list(range(n)), list(bits)
+    element_map = list(iter_bits(uncovered))
+    local = [0] * n
+    for i, e in enumerate(element_map):
+        local[e] = i
+    compressed = []
+    for b in bits:
+        r = 0
+        for e in iter_bits(b & uncovered):
+            r |= 1 << local[e]
+        compressed.append(r)
+    return element_map, compressed
 
 
 def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
@@ -137,49 +180,46 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
 
     Always succeeds; a fully reducible instance yields an empty residual.
     """
+    bits = [s._bits for s in inst.subsets]
     active = [True] * inst.m
     forced: List[int] = []
     excluded: List[int] = []
-    covered = SuccinctSet(inst.n)
     universe = (1 << inst.n) - 1
 
-    _force_unique_coverers(inst, active, forced, covered)
+    covered = _force_unique_coverers(bits, active, forced, 0)
     while True:
         remaining = [sid for sid in range(inst.m) if active[sid]]
-        restrict = universe & ~covered._bits if fixpoint else universe
-        for sid in _dominated(inst, remaining, restrict):
+        if fixpoint and covered:
+            masked = {sid: bits[sid] & ~covered for sid in remaining}
+        else:
+            masked = {sid: bits[sid] for sid in remaining}
+        for sid in _dominated(inst.n, masked):
             active[sid] = False
             excluded.append(sid)
         for sid in remaining:
-            if active[sid] and inst.subsets[sid]._bits & ~covered._bits == 0:
+            if active[sid] and bits[sid] & ~covered == 0:
                 active[sid] = False
                 excluded.append(sid)
         if not fixpoint:
             break
-        if not _force_unique_coverers(inst, active, forced, covered):
+        before = len(forced)
+        covered = _force_unique_coverers(bits, active, forced, covered)
+        if len(forced) == before:
             break
 
-    element_map = [e for e in range(inst.n) if e not in covered]
-    local_of = {e: i for i, e in enumerate(element_map)}
     subset_map = [sid for sid in range(inst.m) if active[sid]]
+    element_map, residual_bits = _residual_subsets(
+        [bits[sid] for sid in subset_map], universe & ~covered, inst.n
+    )
     residual_n = len(element_map)
-    residual_subsets = []
-    for sid in subset_map:
-        bits = inst.subsets[sid]._bits & ~covered._bits
-        members = []
-        while bits:
-            low = bits & -bits
-            members.append(local_of[low.bit_length() - 1])
-            bits ^= low
-        residual_subsets.append(SuccinctSet.from_indices(residual_n, members))
-    residual = Instance(residual_n, residual_subsets)
+    residual = Instance(residual_n, [SuccinctSet(residual_n, b) for b in residual_bits])
 
     excluded.sort()
     return ReductionReport(
         original=inst,
         forced=tuple(forced),
         excluded=tuple(excluded),
-        covered=covered,
+        covered=SuccinctSet(inst.n, covered),
         residual=residual,
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here works on plain Python sets/lists and stays deliberately
-naive: these are the oracles, not the code under test.
+naive: these are the oracles, not the code under test.  The ``reference_*``
+functions are the earlier, slower library implementations, kept as
+references for the rewrites that must return identical results.
 """
 from __future__ import annotations
 
@@ -9,7 +11,8 @@ import random
 from itertools import combinations
 from typing import List, Sequence, Set, Tuple
 
-from segcover.core import Instance, SuccinctSet
+from segcover.core import Cover, Instance, SuccinctSet
+from segcover.preprocess import ReductionReport
 
 
 def harmonic(k: int) -> float:
@@ -104,6 +107,26 @@ def random_covering_family(
     return subsets
 
 
+def tie_rich_family(rng: random.Random, n_max: int = 24, m_max: int = 14) -> Tuple[int, List[Set[int]]]:
+    """A covering family rich in ties, duplicate and nested subsets and
+    elements with a single coverer, for comparing implementations."""
+    n = rng.randint(1, n_max)
+    max_size = rng.choice((2, 3, max(1, n // 2), n))
+    subsets = random_covering_family(rng, n, rng.randint(1, m_max), max_size)
+    for _ in range(rng.randint(0, 6)):
+        copy = set(rng.choice(subsets))
+        if rng.random() < 0.5 and len(copy) > 1:
+            copy.remove(rng.choice(sorted(copy)))
+        subsets.insert(rng.randrange(len(subsets) + 1), copy)
+    for e in rng.sample(range(n), rng.randint(0, min(4, n))):
+        holders = [s for s in subsets if e in s]
+        keep = rng.choice(holders)
+        for s in holders:
+            if s is not keep and len(s) > 1:
+                s.discard(e)
+    return n, subsets
+
+
 def to_instance(n: int, subsets: Sequence[Set[int]]) -> Instance:
     return Instance(n, [SuccinctSet.from_indices(n, s) for s in subsets])
 
@@ -113,3 +136,130 @@ def random_instance(rng: random.Random, n_max: int = 12, m_max: int = 8) -> Tupl
     m = rng.randint(1, m_max)
     subsets = random_covering_family(rng, n, m)
     return to_instance(n, subsets), n, subsets
+
+
+def reference_greedy(inst: Instance) -> Cover:
+    """The full-rescan greedy that ``greedy_solve`` replaced.
+
+    Every pick rescans the subsets in descending cardinality, stopping once
+    no remaining subset can beat the incumbent gain; ties go to the lowest id.
+    """
+    cover = Cover.empty(inst.n)
+    if inst.n == 0:
+        return cover
+    uncovered = SuccinctSet.full(inst.n)
+    order = sorted(range(inst.m), key=lambda sid: (-inst.subsets[sid].cardinality(), sid))
+    cards = [inst.subsets[sid].cardinality() for sid in order]
+    subsets = inst.subsets
+    while uncovered:
+        ubits = uncovered._bits
+        best_gain = 0
+        best_sid = -1
+        for sid, card in zip(order, cards):
+            if card < best_gain:
+                break
+            gain = (subsets[sid]._bits & ubits).bit_count()
+            if gain > best_gain or (gain == best_gain and 0 < gain and sid < best_sid):
+                best_gain = gain
+                best_sid = sid
+        if best_sid < 0:
+            raise RuntimeError("no subset covers a remaining element")
+        cover.add(best_sid, subsets[best_sid])
+        uncovered.difference_inplace(subsets[best_sid])
+    return cover
+
+
+def _reference_force(inst: Instance, active: List[bool], forced: List[int], covered: SuccinctSet) -> bool:
+    degree = [0] * inst.n
+    last = [-1] * inst.n
+    for sid, s in enumerate(inst.subsets):
+        if not active[sid]:
+            continue
+        for e in s:
+            degree[e] += 1
+            last[e] = sid
+    fired = False
+    for e in range(inst.n):
+        if e in covered:
+            continue
+        if degree[e] == 1:
+            sid = last[e]
+            if active[sid]:
+                active[sid] = False
+                forced.append(sid)
+                covered.union_inplace(inst.subsets[sid])
+                fired = True
+    return fired
+
+
+def _reference_dominated(inst: Instance, candidates: Sequence[int], restrict_mask: int) -> List[int]:
+    masked = {sid: inst.subsets[sid]._bits & restrict_mask for sid in candidates}
+    coverers: dict = {}
+    for sid in candidates:
+        for e in SuccinctSet(inst.n, masked[sid]):
+            coverers.setdefault(e, []).append(sid)
+    dominated = []
+    for sid in candidates:
+        bits = masked[sid]
+        if bits == 0:
+            continue
+        rarest = min(SuccinctSet(inst.n, bits), key=lambda e: len(coverers[e]))
+        for other in coverers[rarest]:
+            if other == sid:
+                continue
+            other_bits = masked[other]
+            if bits & ~other_bits == 0 and (bits != other_bits or other < sid):
+                dominated.append(sid)
+                break
+    return dominated
+
+
+def reference_reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
+    """The per-element ``reduce`` that ``segcover.preprocess.reduce`` replaced.
+
+    Forcing counts coverers element by element; dominance tests each subset
+    against every coverer of its rarest element; the residual is rebuilt
+    member by member.
+    """
+    active = [True] * inst.m
+    forced: List[int] = []
+    excluded: List[int] = []
+    covered = SuccinctSet(inst.n)
+    universe = (1 << inst.n) - 1
+
+    _reference_force(inst, active, forced, covered)
+    while True:
+        remaining = [sid for sid in range(inst.m) if active[sid]]
+        restrict = universe & ~covered._bits if fixpoint else universe
+        for sid in _reference_dominated(inst, remaining, restrict):
+            active[sid] = False
+            excluded.append(sid)
+        for sid in remaining:
+            if active[sid] and inst.subsets[sid]._bits & ~covered._bits == 0:
+                active[sid] = False
+                excluded.append(sid)
+        if not fixpoint:
+            break
+        if not _reference_force(inst, active, forced, covered):
+            break
+
+    element_map = [e for e in range(inst.n) if e not in covered]
+    local_of = {e: i for i, e in enumerate(element_map)}
+    subset_map = [sid for sid in range(inst.m) if active[sid]]
+    residual_subsets = [
+        SuccinctSet.from_indices(
+            len(element_map),
+            (local_of[e] for e in SuccinctSet(inst.n, inst.subsets[sid]._bits & ~covered._bits)),
+        )
+        for sid in subset_map
+    ]
+    excluded.sort()
+    return ReductionReport(
+        original=inst,
+        forced=tuple(forced),
+        excluded=tuple(excluded),
+        covered=covered,
+        residual=Instance(len(element_map), residual_subsets),
+        element_to_original=tuple(element_map),
+        subset_to_original=tuple(subset_map),
+    )

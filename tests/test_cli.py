@@ -201,3 +201,27 @@ def test_threads_default_from_environment(monkeypatch, capsys):
     )
     assert code == EXIT_OK
     assert out.strip().splitlines()[1].split(",")[3] == "3"
+
+
+def test_non_integer_threads_environment_is_usage_error(monkeypatch, capsys, tmp_path):
+    monkeypatch.setenv("SEGCOVER_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", FIXTURE])
+    assert exc.value.code == EXIT_USAGE_ERROR
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+    manifest = tmp_path / "bench.manifest"
+    manifest.write_text(f"{FIXTURE}\n")
+    code, _, err = run(capsys, "bench", "--manifest", str(manifest), "--format", "scp")
+    assert code == EXIT_USAGE_ERROR
+    assert "'abc'" in err
+
+
+def test_explicit_threads_overrides_bad_environment(monkeypatch, capsys):
+    monkeypatch.setenv("SEGCOVER_THREADS", "abc")
+    code, out, _ = run(
+        capsys, "solve", "--input", FIXTURE, "--format", "scp",
+        "--algorithm", "greedy", "--threads", "2",
+    )
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[1].split(",")[3] == "2"

@@ -10,6 +10,7 @@ from segcover.core import (
     SuccinctSet,
     cover_is_feasible,
     is_subset,
+    iter_bits,
     set_difference_inplace,
     set_intersection_count,
 )
@@ -158,6 +159,11 @@ def test_iteration_is_ascending():
     assert list(s) == [0, 2, 16, 49]
 
 
+@given(st.integers(min_value=0, max_value=(1 << 300) - 1))
+def test_iter_bits_lists_set_positions_ascending(b):
+    assert list(iter_bits(b)) == [i for i in range(b.bit_length()) if b >> i & 1]
+
+
 def test_from_indices_rejects_out_of_range():
     with pytest.raises(ValueError, match="outside universe"):
         SuccinctSet.from_indices(10, [10])
@@ -178,3 +184,15 @@ def test_cover_rejects_duplicates(twelve):
     cover.add(0, twelve.subsets[0])
     with pytest.raises(ValueError, match="already chosen"):
         cover.add(0, twelve.subsets[0])
+
+
+def test_constructed_and_copied_covers_reject_duplicates(twelve):
+    cover = Cover([0, 3], SuccinctSet(12, twelve.subsets[0]._bits | twelve.subsets[3]._bits))
+    with pytest.raises(ValueError, match="already chosen"):
+        cover.add(3, twelve.subsets[3])
+    copy = cover.copy()
+    copy.add(1, twelve.subsets[1])
+    with pytest.raises(ValueError, match="already chosen"):
+        copy.add(0, twelve.subsets[0])
+    assert cover.chosen == [0, 3]
+    cover.add(1, twelve.subsets[1])

@@ -4,10 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover.core import Cover, SuccinctSet, cover_is_feasible
+from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.preprocess import format_reduction_table, reduce
 
 from conftest import make_instance
-from oracles import brute_force_min_cover, random_covering_family, to_instance
+from oracles import (
+    brute_force_min_cover,
+    random_covering_family,
+    reference_reduce,
+    tie_rich_family,
+    to_instance,
+)
 
 
 class TestWorkedInstance:
@@ -143,3 +150,41 @@ def test_table_columns(twelve):
         "instance", "|X|", "X_cov", "X_uncov", "|F|", "F_inc", "F_exc", "F_left",
     ]
     assert row.split() == ["twelve", "12", "4", "8", "7", "1", "1", "5"]
+
+
+REPORT_FIELDS = (
+    "forced", "excluded", "covered", "residual", "element_to_original", "subset_to_original",
+)
+
+
+def assert_same_reduction(inst):
+    for fixpoint in (False, True):
+        report = reduce(inst, fixpoint=fixpoint)
+        expected = reference_reduce(inst, fixpoint=fixpoint)
+        for field in REPORT_FIELDS:
+            assert getattr(report, field) == getattr(expected, field), (fixpoint, field)
+
+
+@given(seeds)
+@settings(max_examples=300, deadline=None)
+def test_matches_reference_reduce(seed):
+    assert_same_reduction(to_instance(*tie_rich_family(random.Random(seed))))
+
+
+def test_matches_reference_reduce_on_segmentable():
+    assert_same_reduction(
+        generate_segmentable(GeneratorConfig(n=120, m=200, groups=4, density=0.1, seed=7))
+    )
+
+
+def test_residual_renumbers_across_scattered_covered_elements():
+    # elements 3, 6 and 9 each have one coverer, leaving three uncovered runs
+    inst = make_instance(
+        9, ((1, 2, 4, 5), (1, 4, 7, 8), (3,), (6,), (9,), (2, 5, 7, 8), (1, 2))
+    )
+    report = reduce(inst)
+    assert report.forced == (2, 3, 4)
+    assert report.excluded == (6,)
+    assert report.element_to_original == (0, 1, 3, 4, 6, 7)
+    assert [list(s) for s in report.residual.subsets] == [[0, 1, 2, 3], [0, 2, 4, 5], [1, 3, 4, 5]]
+    assert report == reference_reduce(inst)
