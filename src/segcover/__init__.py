@@ -16,7 +16,6 @@ from .grasp import (
     GraspParams,
     RowMap,
     create_row_map,
-    find_best_candidate,
     grasp_solve,
     rand_construct,
     remove_redundant_sets,
@@ -69,7 +68,6 @@ __all__ = [
     "cover_is_feasible",
     "create_row_map",
     "emit_results_csv",
-    "find_best_candidate",
     "find_groups",
     "format_reduction_table",
     "generate_segmentable",

@@ -22,6 +22,7 @@ from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
 from .preprocess import ReductionReport, reduce
+from .segmentation import Segmentation, find_groups
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -79,6 +80,7 @@ def _solve_reduced(
     params: GraspParams,
     threads: int,
     phase: Dict[str, float],
+    seg: Optional[Segmentation],
 ) -> Cover:
     if work.n == 0:
         return Cover.empty(0)
@@ -88,7 +90,7 @@ def _solve_reduced(
         return grasp_solve(work, params)
     source = "union-find" if algorithm == "grasp-uf" else "mst-bipartition"
     su = SuParams(grasp=params, threads=threads, segmentation_source=source)
-    return grasp_su_solve(work, su, phase_times=phase)
+    return grasp_su_solve(work, su, phase_times=phase, segmentation=seg)
 
 
 def run_algorithm(
@@ -128,12 +130,18 @@ def run_algorithm(
     best_cover: Optional[Cover] = None
     best_seed = seed
     phase_sums = {"segment_ms": 0.0, "solve_ms": 0.0, "merge_ms": 0.0}
+    seg: Optional[Segmentation] = None
+    if algorithm == "grasp-uf" and work.n > 0:
+        # Components depend on the instance alone: every restart shares them.
+        t0 = time.perf_counter()
+        seg = find_groups(work)
+        phase_sums["segment_ms"] = (time.perf_counter() - t0) * 1e3
     for k in range(restarts):
         run_seed = seed + k
         params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=run_seed)
         phase: Dict[str, float] = {}
         t1 = time.perf_counter()
-        cover = _solve_reduced(work, algorithm, params, threads, phase)
+        cover = _solve_reduced(work, algorithm, params, threads, phase, seg)
         elapsed_ms = (time.perf_counter() - t1) * 1e3
         if phase:
             for key in phase_sums:

@@ -190,16 +190,26 @@ class Instance:
             return NotImplemented
         return self.n == other.n and self.subsets == other.subsets
 
+    def __reduce__(self):
+        # Pickled as n and the subsets' int masks: a fraction of the bytes
+        # and time of one pickled object per subset, which pool workers pay
+        # for every subinstance they receive.
+        return _instance_from_masks, (self.n, tuple(s._bits for s in self.subsets))
+
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, m={self.m})"
+
+
+def _instance_from_masks(n: int, masks: Sequence[int]) -> Instance:
+    return Instance(n, (SuccinctSet(n, bits) for bits in masks))
 
 
 class Cover:
     """A (partial) cover: ordered chosen subset ids plus their coverage mask.
 
     ``add`` is the only way to grow ``chosen``: it keeps the id set beside it
-    that makes the duplicate check O(1).  Single-owner mutable state;
-    transfer between workers, never share.
+    that makes the duplicate check and ``in`` O(1).  Single-owner mutable
+    state; transfer between workers, never share.
     """
 
     __slots__ = ("chosen", "covered", "_ids")
@@ -227,6 +237,9 @@ class Cover:
 
     def __len__(self) -> int:
         return len(self.chosen)
+
+    def __contains__(self, subset_id: int) -> bool:
+        return subset_id in self._ids
 
     def __repr__(self) -> str:
         return f"Cover(size={len(self.chosen)}, covered={self.covered.cardinality()})"

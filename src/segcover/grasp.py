@@ -6,19 +6,23 @@ score functions of the candidate's fresh-coverage count ranks it.  In
 intensification mode the best-scored candidate wins deterministically; in
 diversification mode candidates are drawn with probability proportional to
 one minus their score, clamped below by a tiny epsilon so ill-scaled scores
-(above one) still leave a valid distribution.
+(above one) still leave a valid distribution.  Scores and weights are looked
+up in per-function tables indexed by the count, so a pick costs one
+AND-and-popcount per candidate on the subsets' raw int masks.
 
 The improvement loop repeatedly deletes a fixed fraction of the incumbent,
 rebuilds with the construction procedure, prunes redundant picks, and keeps
 the result only on strict improvement; the intensify/diversify flag simply
-records whether the previous iteration improved.
+records whether the previous iteration improved.  Pruning tests each subset
+against the union of the kept subsets before it and of every subset after it
+(a suffix OR), so it costs O(k) big-int operations for a k-subset cover.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import Cover, Instance, SuccinctSet, cover_is_feasible
 
@@ -73,30 +77,60 @@ class GraspParams:
             raise ValueError("eval_set must not be empty")
 
 
+ScoreTables = Tuple[Tuple[List[Optional[float]], List[Optional[float]]], ...]
+
+
 @dataclass(frozen=True)
 class RowMap:
     """Per-element coverage index, sorted ascending by degree then element id.
 
-    Each entry is ``(element, degree, covering subset ids)``.  Degrees count
-    covering subsets of the instance and never change during construction,
-    so one sorted index serves a whole solve; covered elements are skipped
-    with a monotone cursor.
+    Each entry is ``(element, degree, covering subset ids)``, the ids
+    ascending.  Degrees count covering subsets of the instance and never
+    change during construction, so one sorted index serves a whole solve;
+    covered elements are skipped with a monotone cursor.  ``bits`` holds
+    each subset's int mask and ``max_size`` the largest subset's size, which
+    bounds every fresh-coverage count.
     """
 
     instance: Instance
     entries: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    bits: Tuple[int, ...]
+    max_size: int
+    _tables: Dict[Tuple[EvalFunction, ...], ScoreTables] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def next_uncovered(
-        self, uncovered: SuccinctSet, cursor: int
+        self, uncovered: int, cursor: int
     ) -> Tuple[int, int, Tuple[int, ...]]:
-        """(new cursor, element, coverer ids) of the first uncovered entry."""
-        ubits = uncovered._bits
+        """(new cursor, element, coverer ids) of the first entry whose
+        element is set in the ``uncovered`` mask."""
         entries = self.entries
         for i in range(cursor, len(entries)):
             element, _, coverer_ids = entries[i]
-            if (ubits >> element) & 1:
+            if (uncovered >> element) & 1:
                 return i, element, coverer_ids
         raise RuntimeError("uncovered elements missing from the row map")
+
+    def score_tables(self, eval_set: Tuple[EvalFunction, ...]) -> ScoreTables:
+        """Per function, ``(scores, weights)`` indexed by fresh-coverage count.
+
+        ``scores[c] = f(c)`` and ``weights[c] = max(WEIGHT_EPSILON, 1 - f(c))``
+        for c in 1..max_size; index 0 holds None, as no candidate of a pick
+        covers nothing.  Built once per eval set and kept.
+        """
+        tables = self._tables.get(eval_set)
+        if tables is None:
+            counts = range(1, self.max_size + 1)
+            tables = tuple(
+                (
+                    [None] + [f(c) for c in counts],
+                    [None] + [max(WEIGHT_EPSILON, 1.0 - f(c)) for c in counts],
+                )
+                for f in eval_set
+            )
+            self._tables[eval_set] = tables
+        return tables
 
 
 def create_row_map(inst: Instance) -> RowMap:
@@ -105,35 +139,13 @@ def create_row_map(inst: Instance) -> RowMap:
         ((e, len(ids), tuple(ids)) for e, ids in enumerate(coverers)),
         key=lambda entry: (entry[1], entry[0]),
     )
-    return RowMap(instance=inst, entries=tuple(entries))
-
-
-def find_best_candidate(
-    candidates: Sequence[Tuple[int, SuccinctSet]],
-    f: EvalFunction,
-    uncovered: SuccinctSet,
-    improve: bool,
-    rng: random.Random,
-) -> int:
-    """Select a subset id from (id, members) candidates.
-
-    Intensifying: the candidate minimising ``f(fresh coverage)``, ties to the
-    lowest id.  Diversifying: a draw weighted by ``max(eps, 1 - f(count))``;
-    when every weight clamps to eps the draw is uniform.
-    """
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    ubits = uncovered._bits
-    scores = []
-    for sid, members in candidates:
-        count = (members._bits & ubits).bit_count()
-        if count == 0:
-            raise ValueError(f"candidate subset {sid} covers nothing uncovered")
-        scores.append((sid, f(count)))
-    if improve:
-        return min(scores, key=lambda pair: (pair[1], pair[0]))[0]
-    weights = [max(WEIGHT_EPSILON, 1.0 - score) for _, score in scores]
-    return rng.choices([sid for sid, _ in scores], weights=weights, k=1)[0]
+    bits = tuple(s._bits for s in inst.subsets)
+    return RowMap(
+        instance=inst,
+        entries=tuple(entries),
+        bits=bits,
+        max_size=max((b.bit_count() for b in bits), default=0),
+    )
 
 
 def rand_construct(
@@ -144,26 +156,38 @@ def rand_construct(
     rng: random.Random,
     eval_set: Tuple[EvalFunction, ...] = EVAL_FUNCTIONS,
 ) -> Cover:
-    """Complete ``partial`` until ``uncovered`` is empty; mutates both.
+    """Complete ``partial`` until every element of ``uncovered`` is covered.
 
-    Each round: take the lowest-degree uncovered element, rank the subsets
-    covering it with a score function drawn uniformly from ``eval_set``, and
-    add the selected subset.
+    Each round: take the lowest-degree uncovered element, draw a score
+    function uniformly from ``eval_set``, and add one subset covering the
+    element.  Intensifying, that is the subset minimising ``f(fresh
+    coverage)``, ties to the lowest id; diversifying, a draw weighted by
+    ``max(eps, 1 - f(count))``, uniform when every weight clamps to eps.
+    Mutates and returns ``partial``; ``uncovered`` is only read.
     """
     if partial.covered._bits & uncovered._bits:
         raise ValueError("partial cover overlaps the uncovered set")
-    inst = rowmap.instance
-    subsets = inst.subsets
+    subsets = rowmap.instance.subsets
+    bits = rowmap.bits
+    tables = rowmap.score_tables(eval_set)
+    ubits = uncovered._bits
     cursor = 0
-    while uncovered:
-        cursor, element, coverer_ids = rowmap.next_uncovered(uncovered, cursor)
+    while ubits:
+        cursor, element, coverer_ids = rowmap.next_uncovered(ubits, cursor)
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
-        f = rng.choice(eval_set)
-        candidates = [(sid, subsets[sid]) for sid in coverer_ids]
-        chosen = find_best_candidate(candidates, f, uncovered, improve, rng)
+        scores, weights = rng.choice(tables)
+        counts = [(bits[sid] & ubits).bit_count() for sid in coverer_ids]
+        if 0 in counts:
+            sid = coverer_ids[counts.index(0)]
+            raise ValueError(f"candidate subset {sid} covers nothing uncovered")
+        if improve:
+            scored = [scores[c] for c in counts]
+            chosen = coverer_ids[scored.index(min(scored))]
+        else:
+            chosen = rng.choices(coverer_ids, weights=[weights[c] for c in counts])[0]
         partial.add(chosen, subsets[chosen])
-        uncovered.difference_inplace(subsets[chosen])
+        ubits &= ~bits[chosen]
     return partial
 
 
@@ -200,26 +224,28 @@ def remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
 
     Chosen subsets are scanned in descending cardinality (ties toward the
     higher id), so large sets get evicted first; the result is 1-minimal.
+    When a subset's turn comes the cover holds the subsets kept before it and
+    every subset after it, so it is dropped iff it lies inside their union.
     """
     if not cover_is_feasible(c, inst):
         raise ValueError("cover must be feasible before redundancy removal")
-    counts = [0] * inst.n
-    for sid in c.chosen:
-        for e in inst.subsets[sid]:
-            counts[e] += 1
+    subsets = inst.subsets
+    masks = sorted(
+        ((subsets[sid]._bits, sid) for sid in c.chosen),
+        key=lambda pair: (-pair[0].bit_count(), -pair[1]),
+    )
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i][0]
+    kept_bits = 0
     dropped = set()
-    order = sorted(c.chosen, key=lambda sid: (-inst.subsets[sid].cardinality(), -sid))
-    for sid in order:
-        members = list(inst.subsets[sid])
-        if all(counts[e] >= 2 for e in members):
+    for i, (bits, sid) in enumerate(masks):
+        if bits & ~(kept_bits | suffix[i + 1]):
+            kept_bits |= bits
+        else:
             dropped.add(sid)
-            for e in members:
-                counts[e] -= 1
     kept = [sid for sid in c.chosen if sid not in dropped]
-    covered = SuccinctSet(inst.n)
-    for sid in kept:
-        covered.union_inplace(inst.subsets[sid])
-    return Cover(kept, covered)
+    return Cover(kept, SuccinctSet(inst.n, kept_bits))
 
 
 TraceFn = Callable[[int, int, bool, bool], None]

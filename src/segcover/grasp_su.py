@@ -8,6 +8,7 @@ CPython); the ``threads`` knob caps the pool size.
 """
 from __future__ import annotations
 
+import gc
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from .grasp import (
     improvement_loop,
     remove_redundant_sets,
 )
-from .segmentation import find_groups, merge_partial_covers
+from .segmentation import Segmentation, find_groups, merge_partial_covers
 
 SEGMENTATION_SOURCES = ("union-find", "mst-bipartition")
 
@@ -83,7 +84,9 @@ def run_components(
             index, cover = _solve_component(task)
             results[index] = cover
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A forked worker inherits the parent's heap; gc.freeze keeps the
+        # worker's collections from traversing (and so copying) it.
+        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
             for index, cover in pool.map(_solve_component, tasks):
                 results[index] = cover
     return [results[i] for i in range(len(subinstances))]
@@ -93,12 +96,16 @@ def grasp_su_solve(
     inst: Instance,
     params: Optional[SuParams] = None,
     phase_times: Optional[Dict[str, float]] = None,
+    segmentation: Optional[Segmentation] = None,
 ) -> Cover:
-    """Segment, solve each component concurrently, merge, prune.
+    """Segment, solve each component concurrently, merge.
 
-    ``phase_times`` (if given) receives ``segment_ms``, ``solve_ms`` and
-    ``merge_ms``.  Feasibility of the merged cover needs no repair because
-    components partition the universe.
+    ``segmentation`` (union-find only) is ``find_groups(inst)`` computed by
+    the caller, which lets restarts on one instance share it; it is computed
+    here when absent.  ``phase_times`` (if given) receives ``segment_ms``,
+    ``solve_ms`` and ``merge_ms``.  The merged cover needs neither repair
+    nor pruning: components share no elements and every component cover is
+    already 1-minimal, so their union is a 1-minimal cover.
     """
     params = params if params is not None else SuParams()
     if params.segmentation_source == "mst-bipartition":
@@ -107,12 +114,11 @@ def grasp_su_solve(
         return grasp_mst_solve(inst, params, phase_times)
 
     t0 = time.perf_counter()
-    seg = find_groups(inst)
+    seg = segmentation if segmentation is not None else find_groups(inst)
     t1 = time.perf_counter()
     partials = run_components([c.subinstance for c in seg.components], params)
     t2 = time.perf_counter()
     merged = merge_partial_covers(seg, partials)
-    merged = remove_redundant_sets(merged, inst)
     t3 = time.perf_counter()
     if phase_times is not None:
         phase_times["segment_ms"] = (t1 - t0) * 1e3

@@ -139,12 +139,25 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
 
 
 def parse_auto(data: bytes) -> Instance:
-    """Detect the format: try rail column-major first, fall back to scp."""
+    """Detect the format: the one that parses, or either when both agree.
+
+    Small files can be valid in both layouts while describing different
+    instances; those are rejected rather than guessed.
+    """
     try:
-        return parse_rail(data)
+        rail = parse_rail(data)
     except ParseError:
-        pass
-    return parse_scp(data)
+        return parse_scp(data)
+    try:
+        scp = parse_scp(data)
+    except ParseError:
+        return rail
+    if scp != rail:
+        raise ParseError(
+            "input is valid as both rail and scp but they differ; choose one with --format",
+            0,
+        )
+    return rail
 
 
 def write_scp(inst: Instance) -> bytes:

@@ -225,7 +225,7 @@ def grasp_mst_solve(
     for side, partial in zip(sides, partials):
         for local_sid in partial.chosen:
             orig = side.subfamily[local_sid]
-            if orig not in merged.chosen:
+            if orig not in merged:
                 merged.add(orig, inst.subsets[orig])
     merged = remove_redundant_sets(merged, inst)
     t3 = time.perf_counter()

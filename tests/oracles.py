@@ -11,7 +11,8 @@ import random
 from itertools import combinations
 from typing import List, Sequence, Set, Tuple
 
-from segcover.core import Cover, Instance, SuccinctSet
+from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
+from segcover.grasp import EVAL_FUNCTIONS, WEIGHT_EPSILON, EvalFunction, RowMap
 from segcover.preprocess import ReductionReport
 
 
@@ -263,3 +264,83 @@ def reference_reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),
     )
+
+
+def reference_find_best_candidate(
+    candidates: Sequence[Tuple[int, SuccinctSet]],
+    f: EvalFunction,
+    uncovered: SuccinctSet,
+    improve: bool,
+    rng: random.Random,
+) -> int:
+    """The per-candidate pick that ``rand_construct``'s score tables replaced.
+
+    Intensifying: the candidate minimising ``f(fresh coverage)``, ties to the
+    lowest id.  Diversifying: a draw weighted by ``max(eps, 1 - f(count))``.
+    """
+    if not candidates:
+        raise ValueError("candidate list is empty")
+    ubits = uncovered._bits
+    scores = []
+    for sid, members in candidates:
+        count = (members._bits & ubits).bit_count()
+        if count == 0:
+            raise ValueError(f"candidate subset {sid} covers nothing uncovered")
+        scores.append((sid, f(count)))
+    if improve:
+        return min(scores, key=lambda pair: (pair[1], pair[0]))[0]
+    weights = [max(WEIGHT_EPSILON, 1.0 - score) for _, score in scores]
+    return rng.choices([sid for sid, _ in scores], weights=weights, k=1)[0]
+
+
+def reference_rand_construct(
+    partial: Cover,
+    uncovered: SuccinctSet,
+    rowmap: RowMap,
+    improve: bool,
+    rng: random.Random,
+    eval_set: Tuple[EvalFunction, ...] = EVAL_FUNCTIONS,
+) -> Cover:
+    """The ``rand_construct`` that built (id, SuccinctSet) candidate lists and
+    scored each through ``reference_find_best_candidate``; mutates both
+    ``partial`` and ``uncovered``."""
+    if partial.covered._bits & uncovered._bits:
+        raise ValueError("partial cover overlaps the uncovered set")
+    subsets = rowmap.instance.subsets
+    entries = rowmap.entries
+    cursor = 0
+    while uncovered:
+        while not (uncovered._bits >> entries[cursor][0]) & 1:
+            cursor += 1
+        element, _, coverer_ids = entries[cursor]
+        if not coverer_ids:
+            raise RuntimeError(f"no subset covers element {element}; corrupt instance")
+        f = rng.choice(eval_set)
+        candidates = [(sid, subsets[sid]) for sid in coverer_ids]
+        chosen = reference_find_best_candidate(candidates, f, uncovered, improve, rng)
+        partial.add(chosen, subsets[chosen])
+        uncovered.difference_inplace(subsets[chosen])
+    return partial
+
+
+def reference_remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
+    """The per-element-count prune that ``remove_redundant_sets`` replaced."""
+    if not cover_is_feasible(c, inst):
+        raise ValueError("cover must be feasible before redundancy removal")
+    counts = [0] * inst.n
+    for sid in c.chosen:
+        for e in inst.subsets[sid]:
+            counts[e] += 1
+    dropped = set()
+    order = sorted(c.chosen, key=lambda sid: (-inst.subsets[sid].cardinality(), -sid))
+    for sid in order:
+        members = list(inst.subsets[sid])
+        if all(counts[e] >= 2 for e in members):
+            dropped.add(sid)
+            for e in members:
+                counts[e] -= 1
+    kept = [sid for sid in c.chosen if sid not in dropped]
+    covered = SuccinctSet(inst.n)
+    for sid in kept:
+        covered.union_inplace(inst.subsets[sid])
+    return Cover(kept, covered)

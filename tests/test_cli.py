@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from segcover import cli, grasp_su, segmentation
 from segcover.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_USAGE_ERROR, main
+from segcover.io import GeneratorConfig, generate_segmentable, write_scp
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_instance
 
 
 def run(capsys, *argv):
@@ -96,6 +98,20 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--input", str(bad), "--format", "scp")
         assert code == EXIT_PARSE_ERROR
         assert "byte offset" in err
+
+    def test_file_valid_in_both_formats_needs_explicit_format(self, tmp_path, capsys):
+        # the scp bytes of n=2, [{0,1},{0},{0}] also read as rail [[0],[1],[0]]
+        path = tmp_path / "both.txt"
+        path.write_bytes(write_scp(make_instance(2, ((1, 2), (1,), (1,)))))
+        code, _, err = run(capsys, "solve", "--input", str(path), "--algorithm", "greedy")
+        assert code == EXIT_PARSE_ERROR
+        assert "--format" in err
+        code, out, _ = run(
+            capsys, "solve", "--input", str(path), "--algorithm", "greedy",
+            "--format", "scp", "--no-preprocess",
+        )
+        assert code == EXIT_OK
+        assert out.strip().splitlines()[1].split(",")[4] == "1"
 
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -191,6 +207,21 @@ class TestBench:
         _, out2, _ = run(capsys, *args)
         strip_wall = lambda text: [r.rsplit(",", 1)[0] for r in text.splitlines()]
         assert strip_wall(out1) == strip_wall(out2)
+
+
+def test_grasp_uf_segments_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return segmentation.find_groups(inst)
+
+    monkeypatch.setattr(cli, "find_groups", counted)
+    monkeypatch.setattr(grasp_su, "find_groups", counted)
+    inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
+    record, _ = cli.run_algorithm(inst, "gen", "grasp-uf", iterations=5, restarts=3)
+    assert len(calls) == 1
+    assert record.segment_ms > 0.0
 
 
 def test_threads_default_from_environment(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -179,6 +180,12 @@ def test_instance_rejects_empty_subset():
         Instance(2, [SuccinctSet.from_indices(2, [0, 1]), SuccinctSet(2)])
 
 
+def test_instance_pickles_as_masks(twelve):
+    data = pickle.dumps(twelve)
+    assert pickle.loads(data) == twelve
+    assert b"SuccinctSet" not in data
+
+
 def test_cover_rejects_duplicates(twelve):
     cover = Cover.empty(12)
     cover.add(0, twelve.subsets[0])
@@ -195,4 +202,5 @@ def test_constructed_and_copied_covers_reject_duplicates(twelve):
     with pytest.raises(ValueError, match="already chosen"):
         copy.add(0, twelve.subsets[0])
     assert cover.chosen == [0, 3]
+    assert 3 in cover and 1 in copy and 1 not in cover
     cover.add(1, twelve.subsets[1])

@@ -1,16 +1,19 @@
 import math
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import Cover, SuccinctSet, cover_is_feasible
+from segcover import grasp
+from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
 from segcover.grasp import (
     EVAL_FUNCTIONS,
+    WEIGHT_EPSILON,
     GraspParams,
     create_row_map,
-    find_best_candidate,
     grasp_solve,
     rand_construct,
     remove_redundant_sets,
@@ -18,7 +21,13 @@ from segcover.grasp import (
 )
 
 from conftest import make_instance
-from oracles import random_covering_family, to_instance
+from oracles import (
+    random_covering_family,
+    reference_rand_construct,
+    reference_remove_redundant_sets,
+    tie_rich_family,
+    to_instance,
+)
 
 INVERSE, INVERSE_SQRT, INVERSE_LOG, INVERSE_SQUARE = EVAL_FUNCTIONS
 
@@ -62,64 +71,140 @@ class TestRowMap:
         rowmap = create_row_map(twelve)
         assert sorted(entry[0] for entry in rowmap.entries) == list(range(12))
 
+    def test_score_tables_hold_scores_and_clamped_weights(self, twelve):
+        rowmap = create_row_map(twelve)
+        assert rowmap.max_size == 6
+        tables = rowmap.score_tables(EVAL_FUNCTIONS)
+        assert rowmap.score_tables(EVAL_FUNCTIONS) is tables
+        for f, (scores, weights) in zip(EVAL_FUNCTIONS, tables):
+            assert scores[1:] == [f(c) for c in range(1, 7)]
+            assert weights[1:] == [max(WEIGHT_EPSILON, 1.0 - f(c)) for c in range(1, 7)]
+        assert tables[0][1][1] == WEIGHT_EPSILON  # 1 - inverse(1) = 0 clamps
+
+
+def _first_pick(inst, hub, f, improve, rng):
+    """The subset ``rand_construct`` picks first when element ``hub`` heads
+    the row map, scoring with ``f`` alone."""
+    rowmap = create_row_map(inst)
+    entries = sorted(rowmap.entries, key=lambda entry: entry[0] != hub)
+    rowmap = replace(rowmap, entries=tuple(entries))
+    cover = rand_construct(
+        Cover.empty(inst.n), SuccinctSet.full(inst.n), rowmap, improve, rng, (f,)
+    )
+    return cover.chosen[0]
+
+
+def _hub_instance(counts):
+    """Element 0 lies in every subset; subset i covers ``counts[i]`` elements."""
+    n = 1 + sum(c - 1 for c in counts)
+    subsets = []
+    start = 1
+    for c in counts:
+        subsets.append(SuccinctSet.from_indices(n, [0, *range(start, start + c - 1)]))
+        start += c - 1
+    return Instance(n, subsets)
+
 
 class TestFindBestCandidate:
+    """The pick ``rand_construct`` makes among the coverers of one element."""
+
     def test_improve_picks_largest_coverage(self):
-        uncovered = SuccinctSet.full(12)
-        candidates = [
-            (0, SuccinctSet.from_indices(12, range(6))),      # c = 6
-            (1, SuccinctSet.from_indices(12, range(3))),      # c = 3
-            (2, SuccinctSet.from_indices(12, range(2))),      # c = 2
-        ]
-        rng = random.Random(0)
-        assert find_best_candidate(candidates, INVERSE, uncovered, True, rng) == 0
+        inst = _hub_instance([6, 3, 2])
+        assert _first_pick(inst, 0, INVERSE, True, random.Random(0)) == 0
 
     def test_single_candidate_any_mode(self):
-        uncovered = SuccinctSet.full(4)
-        candidates = [(7, SuccinctSet.from_indices(4, (0,)))]
+        inst = make_instance(4, ((2, 3), (3, 4), (2, 4), (2,), (3,), (4,), (2, 3, 4), (1,)))
         for improve in (True, False):
-            assert find_best_candidate(candidates, INVERSE_LOG, uncovered, improve,
-                                       random.Random(3)) == 7
+            assert _first_pick(inst, 0, INVERSE_LOG, improve, random.Random(3)) == 7
 
     def test_clamped_weights_draw_uniformly(self):
         # both counts are 1, inverse-log(1) = 1/ln 2 > 1, so both weights clamp
-        uncovered = SuccinctSet.from_indices(4, (0, 1))
-        candidates = [
-            (0, SuccinctSet.from_indices(4, (0,))),
-            (1, SuccinctSet.from_indices(4, (1,))),
-        ]
+        inst = make_instance(1, ((1,), (1,)))
         assert INVERSE_LOG(1) > 1.0
         picks = {
-            find_best_candidate(candidates, INVERSE_LOG, uncovered, False,
-                                random.Random(seed))
+            _first_pick(inst, 0, INVERSE_LOG, False, random.Random(seed))
             for seed in range(40)
         }
         assert picks == {0, 1}
 
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            find_best_candidate([], INVERSE, SuccinctSet.full(3), True, random.Random())
+    def test_empty_candidates_rejected(self, twelve):
+        rowmap = create_row_map(twelve)
+        element, degree, _ = rowmap.entries[0]
+        rowmap = replace(rowmap, entries=((element, degree, ()),) + rowmap.entries[1:])
+        with pytest.raises(RuntimeError, match="no subset covers element"):
+            rand_construct(Cover.empty(12), SuccinctSet.full(12), rowmap, True, random.Random())
 
-    def test_candidate_missing_uncovered_rejected(self):
-        uncovered = SuccinctSet.from_indices(4, (3,))
-        candidates = [(0, SuccinctSet.from_indices(4, (0,)))]
-        with pytest.raises(ValueError, match="covers nothing"):
-            find_best_candidate(candidates, INVERSE, uncovered, True, random.Random())
+    def test_candidate_missing_uncovered_rejected(self, twelve):
+        rowmap = create_row_map(twelve)
+        assert rowmap.entries[0] == (11, 1, (5,))
+        rowmap = replace(rowmap, entries=((11, 1, (0,)),) + rowmap.entries[1:])
+        uncovered = SuccinctSet.from_indices(12, (11,))
+        with pytest.raises(ValueError, match="subset 0 covers nothing"):
+            rand_construct(Cover.empty(12), uncovered, rowmap, True, random.Random())
 
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=8))
     def test_improve_mode_equals_max_coverage_pick(self, counts):
         # under any strictly decreasing score, argmin f == argmax coverage
-        n = sum(counts)
-        start = 0
-        candidates = []
-        for sid, c in enumerate(counts):
-            candidates.append((sid, SuccinctSet.from_indices(n, range(start, start + c))))
-            start += c
-        uncovered = SuccinctSet.full(n)
+        inst = _hub_instance(counts)
         expected = max(range(len(counts)), key=lambda sid: (counts[sid], -sid))
         for f in EVAL_FUNCTIONS:
-            got = find_best_candidate(candidates, f, uncovered, True, random.Random(0))
-            assert got == expected
+            assert _first_pick(inst, 0, f, True, random.Random(0)) == expected
+
+
+def _family(seed):
+    """A random covering family, every other seed a tie-rich one."""
+    rng = random.Random(seed)
+    if seed % 2:
+        n, subsets = tie_rich_family(rng)
+    else:
+        n = rng.randint(1, 30)
+        subsets = random_covering_family(rng, n, rng.randint(1, 12))
+    return rng, to_instance(n, subsets)
+
+
+class TestMatchesReference:
+    """The table-scored construction and the suffix-OR prune return what the
+    per-candidate and per-element implementations they replaced return."""
+
+    @given(st.integers(0, 100_000), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_rand_construct(self, seed, improve):
+        rng, inst = _family(seed)
+        rowmap = create_row_map(inst)
+        partial = [sid for sid in range(inst.m) if rng.random() < 0.3]
+        covered = SuccinctSet(inst.n)
+        for sid in partial:
+            covered.union_inplace(inst.subsets[sid])
+        uncovered = SuccinctSet.full(inst.n).difference(covered)
+        results = []
+        for construct in (rand_construct, reference_rand_construct):
+            draws = random.Random(seed)
+            cover = construct(
+                Cover(partial, covered.copy()), uncovered.copy(), rowmap, improve, draws
+            )
+            results.append((cover.chosen, cover.covered, draws.getstate()))
+        assert results[0] == results[1]
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300, deadline=None)
+    def test_remove_redundant_sets(self, seed):
+        rng, inst = _family(seed)
+        order = list(range(inst.m))
+        rng.shuffle(order)
+        cover = Cover(order, SuccinctSet.full(inst.n))
+        new = remove_redundant_sets(cover, inst)
+        old = reference_remove_redundant_sets(cover, inst)
+        assert (new.chosen, new.covered) == (old.chosen, old.covered)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_grasp_solve(self, seed):
+        _, inst = _family(seed)
+        params = GraspParams(num_iter=15, seed=seed)
+        with mock.patch.object(grasp, "rand_construct", reference_rand_construct), \
+                mock.patch.object(grasp, "remove_redundant_sets", reference_remove_redundant_sets):
+            old = grasp_solve(inst, params).chosen
+        assert grasp_solve(inst, params).chosen == old
 
 
 class TestRandConstruct:

@@ -1,7 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from segcover import grasp
 from segcover.core import Cover, cover_is_feasible
 from segcover.grasp import GraspParams, grasp_solve
 from segcover.grasp_su import (
@@ -17,7 +21,13 @@ from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.segmentation import find_groups, merge_partial_covers
 
 from conftest import make_instance
-from oracles import brute_force_min_cover, random_covering_family, to_instance
+from oracles import (
+    brute_force_min_cover,
+    random_covering_family,
+    reference_rand_construct,
+    reference_remove_redundant_sets,
+    to_instance,
+)
 
 
 def test_two_component_toy():
@@ -58,6 +68,26 @@ def test_merged_cardinality_is_component_sum_before_pruning():
     partials = run_components([c.subinstance for c in seg.components], params)
     merged = merge_partial_covers(seg, partials)
     assert len(merged) == sum(len(p) for p in partials)
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=40, deadline=None)
+def test_matches_reference_pipeline(seed):
+    """Same chosen list as the per-candidate construction, per-element prune
+    and post-merge prune that segmented GRASP ran before."""
+    rng = random.Random(seed)
+    k = rng.choice((1, 2, 4))
+    cfg = GeneratorConfig(
+        n=rng.randint(k, 120), m=rng.randint(k, 50), groups=k, density=0.2, seed=seed
+    )
+    inst = generate_segmentable(cfg)
+    params = SuParams(grasp=GraspParams(num_iter=8, seed=seed))
+    with mock.patch.object(grasp, "rand_construct", reference_rand_construct), \
+            mock.patch.object(grasp, "remove_redundant_sets", reference_remove_redundant_sets):
+        seg = find_groups(inst)
+        partials = run_components([c.subinstance for c in seg.components], params)
+        old = reference_remove_redundant_sets(merge_partial_covers(seg, partials), inst)
+    assert grasp_su_solve(inst, params).chosen == old.chosen
 
 
 def test_feasible_across_many_random_segmentable_instances():

@@ -96,6 +96,19 @@ def test_roundtrip_both_formats(seed):
     assert parse_rail(write_rail(inst)) == inst
 
 
+@given(family_strategy)
+@settings(max_examples=300, deadline=None)
+def test_auto_detect_never_returns_a_different_instance(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 5), max_size=rng.randint(1, n)))
+    for data in (write_scp(inst), write_rail(inst)):
+        try:
+            assert parse_auto(data) == inst
+        except ParseError as exc:
+            assert "--format" in str(exc)
+
+
 class TestGenerator:
     def test_exact_group_count(self):
         cfg = GeneratorConfig(n=500, m=240, groups=32, density=0.1, seed=4)
