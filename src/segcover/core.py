@@ -20,6 +20,65 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits >>= step
 
 
+# Span in bits from which index_mask sets bits in a bytearray.  Below it a
+# shift and an OR on an int of the span's width cost less than a byte
+# update; past it they cost more for all but very sparse sets.
+_BYTE_SPAN = 1 << 13
+
+
+def index_mask(indices: Iterable[int], lo: int, hi: int) -> int:
+    """The bitmask with bit ``i`` set for each ``i`` in ``indices``, all of
+    which lie in ``lo..hi``.
+
+    The work is local to that range, never as wide as the universe.  Below
+    ``_BYTE_SPAN`` bits each member is one shift and one OR on an int no
+    wider than the range; above it, each member sets a bit in a bytearray
+    spanning the range, converted once.
+    """
+    if hi - lo < _BYTE_SPAN:
+        bits = 0
+        for i in indices:
+            bits |= 1 << (i - lo)
+    else:
+        buf = bytearray(((hi - lo) >> 3) + 1)
+        for i in indices:
+            i -= lo
+            buf[i >> 3] |= 1 << (i & 7)
+        bits = int.from_bytes(buf, "little")
+    return bits << lo
+
+
+def restrict_masks(masks: Iterable[int], element_ids: Sequence[int]) -> List[int]:
+    """Each mask restricted to the ascending ``element_ids``, with
+    ``element_ids[j]`` renumbered to bit ``j``.
+
+    Consecutive ids ``lo..lo+k-1`` cost one shift per mask, plus an AND only
+    where the mask reaches past them; a mask needing neither is returned as
+    it is.  Any other ids are remapped member by member.
+    """
+    k = len(element_ids)
+    if k == 0:
+        return [0 for _ in masks]
+    lo = element_ids[0]
+    if element_ids[-1] - lo == k - 1:
+        window = (1 << k) - 1
+        out = []
+        for b in masks:
+            if lo:
+                b >>= lo
+            if b.bit_length() > k:
+                b &= window
+            out.append(b)
+        return out
+    keep = index_mask(element_ids, lo, element_ids[-1])
+    local = {e: j for j, e in enumerate(element_ids)}
+    out = []
+    for b in masks:
+        ids = [local[e] for e in iter_bits(b & keep)]
+        out.append(index_mask(ids, ids[0], ids[-1]) if ids else 0)
+    return out
+
+
 class SuccinctSet:
     """Fixed-capacity set of small integers backed by a single big-int bitmask.
 
@@ -45,12 +104,14 @@ class SuccinctSet:
 
     @classmethod
     def from_indices(cls, capacity: int, indices: Iterable[int]) -> "SuccinctSet":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < capacity:
-                raise ValueError(f"element {i} outside universe of size {capacity}")
-            bits |= 1 << i
-        return cls(capacity, bits)
+        members = indices if isinstance(indices, (list, tuple)) else list(indices)
+        if not members:
+            return cls(capacity)
+        lo, hi = min(members), max(members)
+        if lo < 0 or hi >= capacity:
+            bad = next(i for i in members if not 0 <= i < capacity)
+            raise ValueError(f"element {bad} outside universe of size {capacity}")
+        return cls(capacity, index_mask(members, lo, hi))
 
     @classmethod
     def full(cls, capacity: int) -> "SuccinctSet":
@@ -167,8 +228,10 @@ class Instance:
             if not s:
                 raise ValueError(f"subset {sid} is empty")
             union |= s._bits
-        if union != (1 << n) - 1:
-            missing = next(e for e in range(n) if not (union >> e) & 1)
+        # Counted, not compared with the full mask: a declared n costs no
+        # allocation of n bits before the family is known to cover it.
+        if union.bit_count() != n:
+            missing = (~union & (union + 1)).bit_length() - 1
             raise ValueError(f"family does not cover element {missing}")
         self.n = n
         self.subsets = subsets

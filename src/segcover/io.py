@@ -11,6 +11,18 @@ Two ASCII whitespace-delimited formats are supported:
 
 Costs are parsed and discarded: everything downstream is unicost.  File ids
 are 1-based and converted to 0-based at this boundary.
+
+Parsing is streamed.  The bytes are cut into whitespace-aligned chunks of
+about ``_CHUNK`` bytes; each chunk is split and converted with ``map(int,
+...)``, and the chunks are chained into one iterator, so no token list
+spans the file.  A record (the header, the scp costs, one scp row or one
+rail column) is taken with ``islice``, its count first where it has one,
+and checked with ``min``/``max``.  A record that fails a check, is cut
+short, or holds a token that ``int`` rejects is read again token
+by token with a regex from its first token, which raises the first fault in
+token order with its message and byte offset.  The record's first byte
+offset is found from its token index: each chunk's end offset and running
+token count are kept, so the search scans one chunk.
 """
 from __future__ import annotations
 
@@ -18,10 +30,12 @@ import csv
 import io as _io
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, List, NoReturn, Tuple
 
-from .core import Instance, SuccinctSet
+from .core import Instance, SuccinctSet, index_mask
 
 CSV_HEADER = (
     "instance",
@@ -45,15 +59,21 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(rb"\S+")
+_SPACE = re.compile(rb"\s")
+_CHUNK = 1 << 16
 
 
 class _Tokens:
-    """Whitespace tokenizer that tracks byte offsets for error reporting."""
+    """Token-by-token reader with byte offsets, from byte ``pos`` on.
 
-    def __init__(self, data: bytes) -> None:
-        self._iter = _TOKEN.finditer(data)
+    Only a record that fails a check is read this way: it finds the record's
+    first fault in token order and names it with its byte offset.
+    """
+
+    def __init__(self, data: bytes, pos: int = 0) -> None:
+        self._iter = _TOKEN.finditer(data, pos)
         self._end = len(data)
-        self.last_offset = 0
+        self.last_offset = pos
 
     def next_int(self, what: str) -> int:
         match = next(self._iter, None)
@@ -73,69 +93,195 @@ class _Tokens:
             raise ParseError(f"unexpected trailing token {match.group()!r}", match.start())
 
 
-def _build_instance(n: int, member_lists: List[List[int]], tokens: _Tokens) -> Instance:
-    try:
-        return Instance(n, [SuccinctSet.from_indices(n, ms) for ms in member_lists])
-    except ValueError as exc:
-        raise ParseError(str(exc), tokens.last_offset) from None
+class _Ints:
+    """The integers of ``data`` as one iterator, ``values``, converted in C
+    one whitespace-aligned chunk of about ``_CHUNK`` bytes at a time; no
+    token list spans the file.
+
+    Callers count the tokens they take.  Each chunk's end offset and running
+    token count are kept, so finding the byte offset of a token by its
+    index scans one chunk.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self._starts = [0]
+        self._firsts = [0]
+        self.values = chain.from_iterable(self._chunks())
+
+    def _chunks(self) -> Iterator[Iterator[int]]:
+        data = self.data
+        size = len(data)
+        start = 0
+        while start < size:
+            end = start + _CHUNK
+            if end < size:
+                space = _SPACE.search(data, end)
+                end = space.start() if space else size
+            else:
+                end = size
+            tokens = data[start:end].split()
+            self._starts.append(end)
+            self._firsts.append(self._firsts[-1] + len(tokens))
+            yield map(int, tokens)
+            start = end
+
+    def offset(self, index: int) -> int:
+        """Byte offset of token ``index``; the data's length if there is none."""
+        c = bisect_right(self._firsts, index) - 1
+        matches = _TOKEN.finditer(self.data, self._starts[c])
+        match = next(islice(matches, index - self._firsts[c], None), None)
+        return match.start() if match is not None else len(self.data)
+
+    def replay(self, index: int, read: Callable[..., object], *args: object) -> NoReturn:
+        """Re-read the faulty record that starts at token ``index`` with
+        ``read(tokens, *args)``, which raises the fault's ParseError."""
+        read(_Tokens(self.data, self.offset(index)), *args)
+        raise RuntimeError(f"record at token {index} failed a check but reads cleanly")
+
+    def header(self) -> Tuple[int, int]:
+        """The row and column counts: tokens 0 and 1."""
+        try:
+            head = list(islice(self.values, 2))
+        except ValueError:
+            head = []
+        if len(head) < 2 or min(head) < 0:
+            self.replay(0, _read_header)
+        return head[0], head[1]
+
+    def expect_end(self, taken: int) -> None:
+        """Fail if a token follows the ``taken`` ones the records used."""
+        try:
+            trailing = next(self.values, None) is not None
+        except ValueError:
+            trailing = True
+        if trailing:
+            self.replay(taken, _Tokens.expect_end)
 
 
-def parse_scp(data: bytes) -> Instance:
-    """Parse a row-major set-cover file; rows are elements, columns subsets."""
-    tokens = _Tokens(data)
+# The token-by-token readers of each record kind, used only by ``replay``.
+
+def _read_header(tokens: _Tokens) -> None:
     n = tokens.next_int("row count")
     m = tokens.next_int("column count")
     if n < 0 or m < 0:
         raise ParseError("negative count in header", tokens.last_offset)
+
+
+def _read_costs(tokens: _Tokens, m: int) -> None:
     for _ in range(m):
         tokens.next_int("column cost")
-    members: List[List[int]] = [[] for _ in range(m)]
-    for row in range(n):
-        count = tokens.next_int(f"cover count of row {row + 1}")
-        if count <= 0:
-            raise ParseError(
-                f"row {row + 1} has zero covering columns", tokens.last_offset
-            )
-        for _ in range(count):
-            col = tokens.next_int(f"column id covering row {row + 1}")
-            if not 1 <= col <= m:
-                raise ParseError(
-                    f"column id {col} out of range 1..{m}", tokens.last_offset
-                )
-            members[col - 1].append(row)
-    tokens.expect_end()
-    return _build_instance(n, members, tokens)
+
+
+def _read_scp_row(tokens: _Tokens, m: int, row: int) -> None:
+    count = tokens.next_int(f"cover count of row {row + 1}")
+    if count <= 0:
+        raise ParseError(f"row {row + 1} has zero covering columns", tokens.last_offset)
+    for _ in range(count):
+        col = tokens.next_int(f"column id covering row {row + 1}")
+        if not 1 <= col <= m:
+            raise ParseError(f"column id {col} out of range 1..{m}", tokens.last_offset)
+
+
+def _read_rail_column(tokens: _Tokens, n: int, col: int, layout: str) -> None:
+    if layout == "cost-first":
+        tokens.next_int(f"cost of column {col + 1}")
+    count = tokens.next_int(f"row count of column {col + 1}")
+    if count <= 0:
+        raise ParseError(f"column {col + 1} covers zero rows", tokens.last_offset)
+    for _ in range(count):
+        row = tokens.next_int(f"row id in column {col + 1}")
+        if not 1 <= row <= n:
+            raise ParseError(f"row id {row} out of range 1..{n}", tokens.last_offset)
+
+
+def _build_instance(n: int, masks: List[int], ints: _Ints, taken: int) -> Instance:
+    try:
+        return Instance(n, [SuccinctSet(n, bits) for bits in masks])
+    except ValueError as exc:
+        raise ParseError(str(exc), ints.offset(taken - 1)) from None
+
+
+def parse_scp(data: bytes) -> Instance:
+    """Parse a row-major set-cover file; rows are elements, columns subsets."""
+    ints = _Ints(data)
+    values = ints.values
+    n, m = ints.header()
+    try:
+        costs_read = len(list(islice(values, m))) == m
+    except ValueError:
+        costs_read = False
+    if not costs_read:
+        ints.replay(2, _read_costs, m)
+    members: List[List[int]] = [[] for _ in range(m + 1)]  # by 1-based column id
+    add = [ms.append for ms in members]
+    # A record can hold no more tokens than the data has bytes; a larger
+    # count is a fault, found without reading the rest of the data.
+    most = len(data)
+    row = 0
+    start = taken = 2 + m
+    try:
+        for row in range(n):
+            start = taken
+            count = next(values, 0)
+            if not 0 < count <= most:
+                raise ValueError
+            cols = list(islice(values, count))
+            if len(cols) < count or min(cols) < 1 or max(cols) > m:
+                raise ValueError
+            for col in cols:
+                add[col](row)
+            taken += 1 + count
+    except ValueError:  # a non-integer token, or a record that failed a check
+        ints.replay(start, _read_scp_row, m, row)
+    ints.expect_end(taken)
+    masks = [index_mask(ms, ms[0], ms[-1]) if ms else 0 for ms in members[1:]]
+    return _build_instance(n, masks, ints, taken)
 
 
 def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
     """Parse a column-major set-cover file; one record per column (subset)."""
     if layout not in ("cost-first", "count-first"):
         raise ValueError(f"unknown rail layout {layout!r}")
-    tokens = _Tokens(data)
-    n = tokens.next_int("row count")
-    m = tokens.next_int("column count")
-    if n < 0 or m < 0:
-        raise ParseError("negative count in header", tokens.last_offset)
-    members: List[List[int]] = []
-    for col in range(m):
-        if layout == "cost-first":
-            tokens.next_int(f"cost of column {col + 1}")
-        count = tokens.next_int(f"row count of column {col + 1}")
-        if count <= 0:
-            raise ParseError(
-                f"column {col + 1} covers zero rows", tokens.last_offset
-            )
-        rows = []
-        for _ in range(count):
-            row = tokens.next_int(f"row id in column {col + 1}")
-            if not 1 <= row <= n:
-                raise ParseError(
-                    f"row id {row} out of range 1..{n}", tokens.last_offset
-                )
-            rows.append(row - 1)
-        members.append(rows)
-    tokens.expect_end()
-    return _build_instance(n, members, tokens)
+    ints = _Ints(data)
+    values = ints.values
+    n, m = ints.header()
+    lead = 2 if layout == "cost-first" else 1
+    masks: List[int] = []
+    most = len(data)  # as in parse_scp: no record holds more tokens
+    col = 0
+    start = taken = 2
+    try:
+        for col in range(m):
+            start = taken
+            head = list(islice(values, lead))
+            count = head[-1] if len(head) == lead else 0
+            if not 0 < count <= most:
+                raise ValueError
+            rows = list(islice(values, count))
+            if len(rows) < count:
+                raise ValueError
+            lo, hi = min(rows), max(rows)
+            if lo < 1 or hi > n:
+                raise ValueError
+            if hi > most:  # then n > most as well: see below
+                rows = [r for r in rows if r <= most]
+                lo, hi = (min(rows), max(rows)) if rows else (1, 1)
+            masks.append(index_mask(rows, lo, hi) >> 1)
+            taken += lead + count
+    except ValueError:  # a non-integer token, or a record that failed a check
+        ints.replay(start, _read_rail_column, n, col, layout)
+    ints.expect_end(taken)
+    if n > most:
+        # More rows than the data has tokens, so some row is uncovered, the
+        # lowest of them below ``most``: rows above it were left out of the
+        # masks rather than allocated.
+        union = 0
+        for bits in masks:
+            union |= bits
+        missing = (~union & (union + 1)).bit_length() - 1
+        raise ParseError(f"family does not cover element {missing}", ints.offset(taken - 1))
+    return _build_instance(n, masks, ints, taken)
 
 
 def parse_auto(data: bytes) -> Instance:

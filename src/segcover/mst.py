@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import Cover, Instance, SuccinctSet, iter_bits
+from .core import Cover, Instance, SuccinctSet, restrict_masks
 from .grasp import remove_redundant_sets
 from .segmentation import Component, UnionFind
 
@@ -63,24 +63,13 @@ def build_cograph(inst: Instance) -> WeightedCoGraph:
 
 def _side_component(inst: Instance, elements: List[int]) -> Component:
     """Restrict the family to one side; empty restrictions are dropped."""
-    side_bits = 0
-    for e in elements:
-        side_bits |= 1 << e
-    local_of = {e: i for i, e in enumerate(elements)}
     sub_n = len(elements)
-    subsets = []
-    family = []
-    for sid, s in enumerate(inst.subsets):
-        restricted = s._bits & side_bits
-        if restricted == 0:
-            continue
-        members = [local_of[e] for e in iter_bits(restricted)]
-        subsets.append(SuccinctSet.from_indices(sub_n, members))
-        family.append(sid)
+    masks = restrict_masks((s._bits for s in inst.subsets), elements)
+    family = [sid for sid, b in enumerate(masks) if b]
     return Component(
         elements=SuccinctSet.from_indices(inst.n, elements),
         subfamily=tuple(family),
-        subinstance=Instance(sub_n, subsets),
+        subinstance=Instance(sub_n, [SuccinctSet(sub_n, masks[sid]) for sid in family]),
         element_ids=tuple(elements),
     )
 

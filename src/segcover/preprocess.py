@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .core import Cover, Instance, SuccinctSet, iter_bits
+from .core import Cover, Instance, SuccinctSet, iter_bits, restrict_masks
 
 
 @dataclass(frozen=True)
@@ -154,27 +154,6 @@ def _dominated(n: int, masked: Dict[int, int]) -> List[int]:
     return dominated
 
 
-def _residual_subsets(bits: Sequence[int], uncovered: int, n: int) -> Tuple[List[int], List[int]]:
-    """The uncovered elements and each subset renumbered onto them.
-
-    When nothing is covered the original ints are returned unchanged;
-    otherwise each subset is rebuilt member by member.
-    """
-    if uncovered == (1 << n) - 1:
-        return list(range(n)), list(bits)
-    element_map = list(iter_bits(uncovered))
-    local = [0] * n
-    for i, e in enumerate(element_map):
-        local[e] = i
-    compressed = []
-    for b in bits:
-        r = 0
-        for e in iter_bits(b & uncovered):
-            r |= 1 << local[e]
-        compressed.append(r)
-    return element_map, compressed
-
-
 def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     """Reduce an instance, reporting forced/excluded subsets and the residual.
 
@@ -208,9 +187,10 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
             break
 
     subset_map = [sid for sid in range(inst.m) if active[sid]]
-    element_map, residual_bits = _residual_subsets(
-        [bits[sid] for sid in subset_map], universe & ~covered, inst.n
-    )
+    # With nothing covered the residual's elements are 0..n-1, a run that
+    # keeps the original ints.
+    element_map = list(iter_bits(universe & ~covered)) if covered else range(inst.n)
+    residual_bits = restrict_masks((bits[sid] for sid in subset_map), element_map)
     residual_n = len(element_map)
     residual = Instance(residual_n, [SuccinctSet(residual_n, b) for b in residual_bits])
 

@@ -2,16 +2,18 @@
 
 Two elements co-occur when some subset contains both.  The graph is never
 materialised: each subset's elements are union-ed against its first element
-(star unions), which realises the near-linear disjoint-set bound.  Every
-subset lies entirely inside one component, so the instance splits into
-independent subinstances whose covers merge back without repair.
+(star unions).  With path halving, even without union by rank, that costs
+O(M log_{1+M/n} n) for M memberships (Tarjan and van Leeuwen 1984): near
+linear when subsets are large.  Every subset lies entirely inside one
+component, so the instance splits into independent subinstances whose
+covers merge back without repair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .core import Cover, Instance, SuccinctSet, cover_is_feasible
+from .core import Cover, Instance, SuccinctSet, cover_is_feasible, iter_bits, restrict_masks
 
 
 class UnionFind:
@@ -67,49 +69,51 @@ class Segmentation:
 
 
 def find_groups(inst: Instance) -> Segmentation:
-    """Split an instance along the connected components of co-occurrence."""
-    uf = UnionFind(inst.n)
-    for s in inst.subsets:
-        it = iter(s)
-        first = next(it)
-        for e in it:
-            uf.union(first, e)
+    """Split an instance along the connected components of co-occurrence.
 
-    comp_of = [0] * inst.n
-    comp_elements: List[List[int]] = []
-    root_to_comp: dict[int, int] = {}
-    for e in range(inst.n):
-        root = uf.find(e)
-        comp = root_to_comp.get(root)
-        if comp is None:
-            comp = len(comp_elements)
-            root_to_comp[root] = comp
-            comp_elements.append([])
-        comp_of[e] = comp
-        comp_elements[comp].append(e)
+    The unions run inline with path halving, and link the larger root under
+    the smaller, so every parent is at most its child and each root is its
+    component's smallest element.  A component whose elements are one run of
+    consecutive ids takes its subsets' masks by a shift.
+    """
+    n = inst.n
+    bits = [s._bits for s in inst.subsets]
+    parent = list(range(n))
+    for b in bits:
+        members = iter_bits(b)
+        root = next(members)
+        while parent[root] != root:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        for e in members:
+            while parent[e] != e:
+                parent[e] = parent[parent[e]]
+                e = parent[e]
+            if e < root:
+                parent[root] = e
+                root = e
+            elif e > root:
+                parent[e] = root
+    for e in range(n):  # ascending, so parent[e]'s own parent is already a root
+        parent[e] = parent[parent[e]]
 
-    local_of = [0] * inst.n
-    for elements in comp_elements:
-        for local, e in enumerate(elements):
-            local_of[e] = local
-
-    comp_subsets: List[List[SuccinctSet]] = [[] for _ in comp_elements]
-    comp_families: List[List[int]] = [[] for _ in comp_elements]
-    for sid, s in enumerate(inst.subsets):
-        comp = comp_of[next(iter(s))]
-        sub_n = len(comp_elements[comp])
-        comp_subsets[comp].append(
-            SuccinctSet.from_indices(sub_n, (local_of[e] for e in s))
-        )
-        comp_families[comp].append(sid)
+    element_lists: Dict[int, List[int]] = {root: [] for root in parent}
+    for e, root in enumerate(parent):
+        element_lists[root].append(e)
+    families: Dict[int, List[int]] = {root: [] for root in element_lists}
+    for sid, b in enumerate(bits):
+        families[parent[(b & -b).bit_length() - 1]].append(sid)
 
     components = []
-    for elements, subsets, family in zip(comp_elements, comp_subsets, comp_families):
+    for root, elements in element_lists.items():
+        family = families[root]
+        k = len(elements)
+        masks = restrict_masks([bits[sid] for sid in family], elements)
         components.append(
             Component(
-                elements=SuccinctSet.from_indices(inst.n, elements),
+                elements=SuccinctSet.from_indices(n, elements),
                 subfamily=tuple(family),
-                subinstance=Instance(len(elements), subsets),
+                subinstance=Instance(k, [SuccinctSet(k, b) for b in masks]),
                 element_ids=tuple(elements),
             )
         )

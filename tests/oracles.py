@@ -8,12 +8,15 @@ references for the rewrites that must return identical results.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 from typing import List, Sequence, Set, Tuple
 
 from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
 from segcover.grasp import EVAL_FUNCTIONS, WEIGHT_EPSILON, EvalFunction, RowMap
+from segcover.io import ParseError, write_rail, write_scp
 from segcover.preprocess import ReductionReport
+from segcover.segmentation import Component, Segmentation, UnionFind
 
 
 def harmonic(k: int) -> float:
@@ -344,3 +347,196 @@ def reference_remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
     for sid in kept:
         covered.union_inplace(inst.subsets[sid])
     return Cover(kept, covered)
+
+
+_TOKEN = re.compile(rb"\S+")
+
+
+class _ReferenceTokens:
+    """Regex tokenizer that tracks byte offsets, one match per token."""
+
+    def __init__(self, data: bytes) -> None:
+        self._iter = _TOKEN.finditer(data)
+        self._end = len(data)
+        self.last_offset = 0
+
+    def next_int(self, what: str) -> int:
+        match = next(self._iter, None)
+        if match is None:
+            raise ParseError(f"truncated stream: expected {what}", self._end)
+        self.last_offset = match.start()
+        try:
+            return int(match.group())
+        except ValueError:
+            raise ParseError(
+                f"expected integer for {what}, got {match.group()!r}", match.start()
+            ) from None
+
+    def expect_end(self) -> None:
+        match = next(self._iter, None)
+        if match is not None:
+            raise ParseError(f"unexpected trailing token {match.group()!r}", match.start())
+
+
+def _reference_build(n: int, member_lists: List[List[int]], tokens: _ReferenceTokens) -> Instance:
+    try:
+        return Instance(n, [SuccinctSet.from_indices(n, ms) for ms in member_lists])
+    except ValueError as exc:
+        raise ParseError(str(exc), tokens.last_offset) from None
+
+
+def reference_parse_scp(data: bytes) -> Instance:
+    """The token-by-token scp parser that the streamed one replaced."""
+    tokens = _ReferenceTokens(data)
+    n = tokens.next_int("row count")
+    m = tokens.next_int("column count")
+    if n < 0 or m < 0:
+        raise ParseError("negative count in header", tokens.last_offset)
+    for _ in range(m):
+        tokens.next_int("column cost")
+    members: List[List[int]] = [[] for _ in range(m)]
+    for row in range(n):
+        count = tokens.next_int(f"cover count of row {row + 1}")
+        if count <= 0:
+            raise ParseError(
+                f"row {row + 1} has zero covering columns", tokens.last_offset
+            )
+        for _ in range(count):
+            col = tokens.next_int(f"column id covering row {row + 1}")
+            if not 1 <= col <= m:
+                raise ParseError(
+                    f"column id {col} out of range 1..{m}", tokens.last_offset
+                )
+            members[col - 1].append(row)
+    tokens.expect_end()
+    return _reference_build(n, members, tokens)
+
+
+def reference_parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
+    """The token-by-token rail parser that the streamed one replaced."""
+    tokens = _ReferenceTokens(data)
+    n = tokens.next_int("row count")
+    m = tokens.next_int("column count")
+    if n < 0 or m < 0:
+        raise ParseError("negative count in header", tokens.last_offset)
+    members: List[List[int]] = []
+    for col in range(m):
+        if layout == "cost-first":
+            tokens.next_int(f"cost of column {col + 1}")
+        count = tokens.next_int(f"row count of column {col + 1}")
+        if count <= 0:
+            raise ParseError(
+                f"column {col + 1} covers zero rows", tokens.last_offset
+            )
+        rows = []
+        for _ in range(count):
+            row = tokens.next_int(f"row id in column {col + 1}")
+            if not 1 <= row <= n:
+                raise ParseError(
+                    f"row id {row} out of range 1..{n}", tokens.last_offset
+                )
+            rows.append(row - 1)
+        members.append(rows)
+    tokens.expect_end()
+    return _reference_build(n, members, tokens)
+
+
+def reference_find_groups(inst: Instance) -> Segmentation:
+    """The ``find_groups`` that ran ``UnionFind`` methods per member and
+    rebuilt every subset member by member."""
+    uf = UnionFind(inst.n)
+    for s in inst.subsets:
+        it = iter(s)
+        first = next(it)
+        for e in it:
+            uf.union(first, e)
+
+    comp_of = [0] * inst.n
+    comp_elements: List[List[int]] = []
+    root_to_comp: dict = {}
+    for e in range(inst.n):
+        root = uf.find(e)
+        comp = root_to_comp.get(root)
+        if comp is None:
+            comp = len(comp_elements)
+            root_to_comp[root] = comp
+            comp_elements.append([])
+        comp_of[e] = comp
+        comp_elements[comp].append(e)
+
+    local_of = [0] * inst.n
+    for elements in comp_elements:
+        for local, e in enumerate(elements):
+            local_of[e] = local
+
+    comp_subsets: List[List[SuccinctSet]] = [[] for _ in comp_elements]
+    comp_families: List[List[int]] = [[] for _ in comp_elements]
+    for sid, s in enumerate(inst.subsets):
+        comp = comp_of[next(iter(s))]
+        sub_n = len(comp_elements[comp])
+        comp_subsets[comp].append(
+            SuccinctSet.from_indices(sub_n, (local_of[e] for e in s))
+        )
+        comp_families[comp].append(sid)
+
+    components = []
+    for elements, subsets, family in zip(comp_elements, comp_subsets, comp_families):
+        components.append(
+            Component(
+                elements=SuccinctSet.from_indices(inst.n, elements),
+                subfamily=tuple(family),
+                subinstance=Instance(len(elements), subsets),
+                element_ids=tuple(elements),
+            )
+        )
+    return Segmentation(instance=inst, components=tuple(components))
+
+
+def reference_from_indices(capacity: int, indices) -> SuccinctSet:
+    """The ``from_indices`` that OR-ed ``1 << i`` into a universe-wide int."""
+    bits = 0
+    for i in indices:
+        if not 0 <= i < capacity:
+            raise ValueError(f"element {i} outside universe of size {capacity}")
+        bits |= 1 << i
+    return SuccinctSet(capacity, bits)
+
+
+def write_rail_count_first(inst: Instance) -> bytes:
+    """Column-major file without cost tokens (``layout="count-first"``)."""
+    lines = [f"{inst.n} {inst.m}"]
+    for s in inst.subsets:
+        members = list(s)
+        lines.append(" ".join([str(len(members))] + [str(e + 1) for e in members]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Replacement tokens: valid, signed, underscored and non-integer ones.
+MUTANT_TOKENS = (b"0", b"1", b"2", b"3", b"9", b"-1", b"+2", b"1_0", b"007", b"x", b"1.5", b"\xff")
+# Every byte that ends a token, alone and in runs.
+MUTANT_SPACES = (b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b" \r\n")
+
+
+def mutated_file(rng: random.Random) -> bytes:
+    """A small scp, rail or count-first rail file with tokens inserted,
+    deleted or substituted and its whitespace redrawn; sometimes raw bytes."""
+    if rng.random() < 0.1:
+        return bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 24)))
+    n = rng.randint(1, 8)
+    inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 6)))
+    writer = rng.choice((write_scp, write_rail, write_rail_count_first))
+    tokens = writer(inst).split()
+    for _ in range(rng.randint(0, 4)):
+        op = rng.random()
+        if op < 0.3 and tokens:
+            del tokens[rng.randrange(len(tokens))]
+        elif op < 0.6:
+            tokens.insert(rng.randint(0, len(tokens)), rng.choice(MUTANT_TOKENS))
+        elif tokens:
+            tokens[rng.randrange(len(tokens))] = rng.choice(MUTANT_TOKENS)
+    out = bytearray(rng.choice((b"", b" ", b"\n")))
+    for token in tokens:
+        out += token + rng.choice(MUTANT_SPACES)
+    if out and rng.random() < 0.5:
+        del out[-1]
+    return bytes(out)

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segcover import cli, grasp_su, segmentation
 from segcover.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_USAGE_ERROR, main
 from segcover.io import GeneratorConfig, generate_segmentable, write_scp
 
 from conftest import DATA_DIR, make_instance
+from oracles import mutated_file
 
 
 def run(capsys, *argv):
@@ -256,3 +264,18 @@ def test_explicit_threads_overrides_bad_environment(monkeypatch, capsys):
     )
     assert code == EXIT_OK
     assert out.strip().splitlines()[1].split(",")[3] == "2"
+
+
+@given(st.integers(0, 1_000_000))
+@settings(max_examples=100, deadline=None)
+def test_solve_on_arbitrary_bytes_exits_0_or_2(seed):
+    data = mutated_file(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance"
+        path.write_bytes(data)
+        for fmt in ("scp", "rail", "auto"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["solve", "--input", str(path), "--format", fmt])
+            assert code in (EXIT_OK, EXIT_PARSE_ERROR), err.getvalue()
+            assert "Traceback" not in err.getvalue()

@@ -2,21 +2,24 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segcover.core import (
+    _BYTE_SPAN,
     Cover,
     Instance,
     SuccinctSet,
     cover_is_feasible,
     is_subset,
     iter_bits,
+    restrict_masks,
     set_difference_inplace,
     set_intersection_count,
 )
 
 from conftest import TWELVE_SUBSETS_1BASED
+from oracles import reference_from_indices
 
 
 def bits(n, members_1based):
@@ -170,9 +173,64 @@ def test_from_indices_rejects_out_of_range():
         SuccinctSet.from_indices(10, [10])
 
 
+def _built(build, capacity, indices):
+    try:
+        return build(capacity, indices)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Capacities on both sides of the span where index_mask switches to a bytearray.
+@given(
+    st.integers(0, 3 * _BYTE_SPAN).flatmap(
+        lambda cap: st.tuples(
+            st.just(cap),
+            st.lists(st.integers(-2, cap + 1) | st.integers(0, max(cap - 1, 0)), max_size=40),
+        )
+    ),
+    st.sampled_from((list, tuple, set, iter, lambda xs: (x for x in xs))),
+)
+@example((3 * _BYTE_SPAN, [9, 2 * _BYTE_SPAN + 5, 4, 15, 2 * _BYTE_SPAN + 5, _BYTE_SPAN + 6]), list)
+@example((3 * _BYTE_SPAN, [_BYTE_SPAN + 7, 3, 3 * _BYTE_SPAN]), iter)
+@settings(max_examples=300, deadline=None)
+def test_from_indices_matches_reference(case, wrap):
+    capacity, indices = case
+    want = _built(reference_from_indices, capacity, list(indices))
+    if isinstance(want, str) and wrap is set:
+        return  # a set's order decides which bad element is reported first
+    assert _built(SuccinctSet.from_indices, capacity, wrap(indices)) == want
+
+
+@given(
+    st.integers(0, 2 * _BYTE_SPAN).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, max(n - 1, 0)), max_size=30).map(lambda xs: sorted(set(xs))),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=8),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_restrict_masks_renumbers_kept_elements(case, as_run):
+    element_ids, masks = case
+    if as_run and element_ids:
+        element_ids = list(range(element_ids[0], element_ids[-1] + 1))
+    want = [
+        sum(1 << j for j, e in enumerate(element_ids) if b >> e & 1) for b in masks
+    ]
+    assert restrict_masks(masks, element_ids) == want
+
+
+def test_restrict_masks_keeps_ints_inside_a_run_from_zero():
+    masks = [0b1011, 0b0110]
+    assert all(a is b for a, b in zip(restrict_masks(masks, range(4)), masks))
+
+
 def test_instance_requires_cover():
     with pytest.raises(ValueError, match="does not cover"):
         Instance(3, [SuccinctSet.from_indices(3, [0])])
+    with pytest.raises(ValueError, match="does not cover element 2$"):
+        Instance(5, [SuccinctSet.from_indices(5, [0, 1, 4]), SuccinctSet.from_indices(5, [3])])
 
 
 def test_instance_rejects_empty_subset():

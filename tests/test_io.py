@@ -1,9 +1,13 @@
 import random
+import tracemalloc
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segcover import io
 from segcover.core import SuccinctSet
 from segcover.io import (
     GeneratorConfig,
@@ -18,7 +22,14 @@ from segcover.io import (
 )
 from segcover.segmentation import find_groups
 
-from oracles import bfs_components, random_covering_family, to_instance
+from oracles import (
+    bfs_components,
+    mutated_file,
+    random_covering_family,
+    reference_parse_rail,
+    reference_parse_scp,
+    to_instance,
+)
 
 
 class TestParseScp:
@@ -107,6 +118,74 @@ def test_auto_detect_never_returns_a_different_instance(seed):
             assert parse_auto(data) == inst
         except ParseError as exc:
             assert "--format" in str(exc)
+
+
+PARSER_PAIRS = (
+    (parse_scp, reference_parse_scp),
+    (parse_rail, reference_parse_rail),
+    (partial(parse_rail, layout="count-first"), partial(reference_parse_rail, layout="count-first")),
+)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return str(exc), exc.offset
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, io._CHUNK])
+@given(family_strategy)
+@settings(max_examples=300, deadline=None)
+def test_parsers_match_reference_on_mutated_bytes(chunk, seed):
+    # Small chunks make tokens and records straddle chunk boundaries.
+    data = mutated_file(random.Random(seed))
+    with mock.patch.object(io, "_CHUNK", chunk):
+        for parse, reference in PARSER_PAIRS:
+            assert _outcome(parse, data) == _outcome(reference, data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"",
+        b" \n",
+        b"2 1\n1\n1 1\n1 1 7",
+        b"1 1 1 1 1 junk",
+        b"3 2\n1 2 1 2\n1 99999999999999999999 2 3\n",
+        b"3 2\n1 2 1 2\n1 2 2 3\n" + b"1" * 5000,
+    ],
+)
+def test_parsers_match_reference_on_edge_bytes(data):
+    for parse, reference in PARSER_PAIRS:
+        assert _outcome(parse, data) == _outcome(reference, data)
+
+
+def test_fault_offset_found_in_a_late_chunk():
+    columns = [f"1 2 {c % 3 + 1} {(c + 1) % 3 + 1}" for c in range(20_000)]
+    data = ("3 20001\n" + "\n".join(columns) + "\n1 1 4\n").encode()
+    assert len(data) > 2 * io._CHUNK
+    with pytest.raises(ParseError, match="row id 4 out of range 1..3") as err:
+        parse_rail(data)
+    assert err.value.offset == len(data) - 2
+
+
+@pytest.mark.parametrize(
+    "data, missing",
+    [(b"100000000 1\n1 1 1\n", 1), (b"100000000 2\n1 1 100000000\n1 1 2\n", 0)],
+)
+def test_huge_declared_row_count_fails_without_allocating_it(data, missing):
+    # A universe-wide int here would take 12.5 MB: the coverage check once
+    # built one, and so did the mask of a row id near n.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"does not cover element {missing} ") as err:
+            parse_rail(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert err.value.offset == len(data) - 2
 
 
 class TestGenerator:

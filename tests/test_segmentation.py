@@ -12,9 +12,10 @@ from segcover.segmentation import (
     segmentation_csv,
 )
 from segcover.greedy import greedy_solve
+from segcover.io import GeneratorConfig, generate_segmentable
 
 from conftest import make_instance
-from oracles import bfs_components, random_covering_family, to_instance
+from oracles import bfs_components, random_covering_family, reference_find_groups, to_instance
 
 
 def test_worked_instance_is_one_component(twelve):
@@ -46,6 +47,32 @@ def test_components_partition_universe():
         total += len(comp.subfamily)
     assert union == SuccinctSet.full(inst.n)
     assert total == inst.m
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=300, deadline=None)
+def test_matches_reference_find_groups(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    subsets = random_covering_family(rng, n, rng.randint(1, 25), max_size=rng.choice((1, 2, 4, n)))
+    # Shuffled labels make components that are not runs of consecutive ids.
+    labels = rng.sample(range(n), n)
+    for family in (subsets, [{labels[e] for e in s} for s in subsets]):
+        inst = to_instance(n, family)
+        assert find_groups(inst) == reference_find_groups(inst)
+
+
+@pytest.mark.parametrize("groups", [1, 5, 32])
+def test_matches_reference_find_groups_on_generator_blocks(groups):
+    inst = generate_segmentable(GeneratorConfig(n=400, m=300, groups=groups, seed=groups))
+    seg = find_groups(inst)
+    assert seg == reference_find_groups(inst)
+    assert len(seg.components) == groups
+
+
+def test_connected_instance_keeps_its_masks(twelve):
+    (comp,) = find_groups(twelve).components
+    assert all(a._bits is b._bits for a, b in zip(comp.subinstance.subsets, twelve.subsets))
 
 
 @given(st.integers(0, 100_000))
