@@ -20,32 +20,23 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits >>= step
 
 
-# Span in bits from which index_mask sets bits in a bytearray.  Below it a
-# shift and an OR on an int of the span's width cost less than a byte
-# update; past it they cost more for all but very sparse sets.
-_BYTE_SPAN = 1 << 13
-
-
 def index_mask(indices: Iterable[int], lo: int, hi: int) -> int:
     """The bitmask with bit ``i`` set for each ``i`` in ``indices``, all of
     which lie in ``lo..hi``.
 
-    The work is local to that range, never as wide as the universe.  Below
-    ``_BYTE_SPAN`` bits each member is one shift and one OR on an int no
-    wider than the range; above it, each member sets a bit in a bytearray
-    spanning the range, converted once.
+    Each member is one shift and one OR on an int no wider than the range,
+    never as wide as the universe; the result is shifted up by ``lo`` once.
     """
-    if hi - lo < _BYTE_SPAN:
-        bits = 0
-        for i in indices:
-            bits |= 1 << (i - lo)
-    else:
-        buf = bytearray(((hi - lo) >> 3) + 1)
-        for i in indices:
-            i -= lo
-            buf[i >> 3] |= 1 << (i & 7)
-        bits = int.from_bytes(buf, "little")
+    bits = 0
+    for i in indices:
+        bits |= 1 << (i - lo)
     return bits << lo
+
+
+def uncovered_message(union: int) -> str:
+    """The error for a family whose union of masks is ``union`` and misses
+    some element: it names the lowest one, the lowest zero bit of ``union``."""
+    return f"family does not cover element {(~union & (union + 1)).bit_length() - 1}"
 
 
 def restrict_masks(masks: Iterable[int], element_ids: Sequence[int]) -> List[int]:
@@ -231,8 +222,7 @@ class Instance:
         # Counted, not compared with the full mask: a declared n costs no
         # allocation of n bits before the family is known to cover it.
         if union.bit_count() != n:
-            missing = (~union & (union + 1)).bit_length() - 1
-            raise ValueError(f"family does not cover element {missing}")
+            raise ValueError(uncovered_message(union))
         self.n = n
         self.subsets = subsets
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, List, NoReturn, Tuple
 
-from .core import Instance, SuccinctSet, index_mask
+from .core import Instance, SuccinctSet, index_mask, uncovered_message
 
 CSV_HEADER = (
     "instance",
@@ -279,8 +279,7 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
         union = 0
         for bits in masks:
             union |= bits
-        missing = (~union & (union + 1)).bit_length() - 1
-        raise ParseError(f"family does not cover element {missing}", ints.offset(taken - 1))
+        raise ParseError(uncovered_message(union), ints.offset(taken - 1))
     return _build_instance(n, masks, ints, taken)
 
 
