@@ -1,7 +1,8 @@
 """Command-line front end: solve single instances, generate synthetic ones,
 and run benchmark sweeps emitting CSV or JSON records.
 
-Exit codes: 0 success, 2 malformed instance file, 3 usage error.
+Exit codes: 0 success, 2 malformed instance file, 3 usage error, 4 a pool
+worker process died.
 ``SEGCOVER_THREADS`` provides the default for ``--threads``.
 """
 from __future__ import annotations
@@ -11,22 +12,25 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
-from .grasp import GraspParams, grasp_solve
-from .grasp_su import SuParams, grasp_su_solve, rpd, rpd_star
+from .grasp import GraspParams
+from .grasp_su import SuParams, rpd, rpd_star, run_components
 from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
+from .mst import grasp_mst_solve
 from .preprocess import ReductionReport, reduce
-from .segmentation import Segmentation, find_groups
+from .segmentation import Segmentation, find_groups, merge_partial_covers
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
 EXIT_USAGE_ERROR = 3
+EXIT_WORKER_ERROR = 4
 
 ALGORITHMS = ("greedy", "grasp", "par-grasp", "grasp-uf", "grasp-mst")
 
@@ -74,23 +78,67 @@ def _parse_file(path: Path, fmt: str, rail_layout: str) -> Instance:
     return parse_auto(data)
 
 
-def _solve_reduced(
+def _restart_covers(
     work: Instance,
     algorithm: str,
     params: GraspParams,
     threads: int,
-    phase: Dict[str, float],
-    seg: Optional[Segmentation],
-) -> Cover:
+    restarts: int,
+    phase_sums: Dict[str, float],
+) -> Iterator[Tuple[int, Cover]]:
+    """Yield ``(seed, cover of work)`` for each restart, in restart order.
+
+    Restart ``k`` runs with seed ``params.seed + k``.  GRASP restarts go to
+    ``run_components`` in batches of ``ceil(threads / components)``, so a
+    pool has work for every worker even when the instance has fewer
+    components than workers; ``grasp`` and ``par-grasp`` solve ``work`` as
+    their one component.  Phase times are added to ``phase_sums``.
+    """
+    seeds = range(params.seed, params.seed + restarts)
     if work.n == 0:
-        return Cover.empty(0)
-    if algorithm == "greedy":
-        return greedy_solve(work)
-    if algorithm in ("grasp", "par-grasp"):
-        return grasp_solve(work, params)
-    source = "union-find" if algorithm == "grasp-uf" else "mst-bipartition"
-    su = SuParams(grasp=params, threads=threads, segmentation_source=source)
-    return grasp_su_solve(work, su, phase_times=phase, segmentation=seg)
+        for run_seed in seeds:
+            yield run_seed, Cover.empty(0)
+        return
+    if algorithm in ("greedy", "grasp-mst"):
+        for run_seed in seeds:
+            t0 = time.perf_counter()
+            if algorithm == "greedy":
+                cover = greedy_solve(work)
+                phase_sums["solve_ms"] += (time.perf_counter() - t0) * 1e3
+            else:
+                su = SuParams(grasp=replace(params, seed=run_seed), threads=threads)
+                phase: Dict[str, float] = {}
+                cover = grasp_mst_solve(work, su, phase_times=phase)
+                for key in phase_sums:
+                    phase_sums[key] += phase[key]
+            yield run_seed, cover
+        return
+
+    seg: Optional[Segmentation] = None
+    subinstances = [work]
+    if algorithm == "grasp-uf":
+        # Components depend on the instance alone: every restart shares them.
+        t0 = time.perf_counter()
+        seg = find_groups(work)
+        phase_sums["segment_ms"] += (time.perf_counter() - t0) * 1e3
+        subinstances = [c.subinstance for c in seg.components]
+    count = len(subinstances)
+    batch = -(-threads // count)
+    for first in range(0, restarts, batch):
+        size = min(batch, restarts - first)
+        su = SuParams(grasp=replace(params, seed=seeds[first]), threads=threads)
+        t0 = time.perf_counter()
+        partials = run_components(subinstances, su, size)
+        t1 = time.perf_counter()
+        covers = [
+            merge_partial_covers(seg, partials[k * count:(k + 1) * count])
+            if seg is not None
+            else partials[k]
+            for k in range(size)
+        ]
+        phase_sums["solve_ms"] += (t1 - t0) * 1e3
+        phase_sums["merge_ms"] += (time.perf_counter() - t1) * 1e3
+        yield from zip(seeds[first:first + size], covers)
 
 
 def run_algorithm(
@@ -113,6 +161,8 @@ def run_algorithm(
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     wall_start = time.perf_counter()
     report: Optional[ReductionReport] = None
@@ -130,24 +180,10 @@ def run_algorithm(
     best_cover: Optional[Cover] = None
     best_seed = seed
     phase_sums = {"segment_ms": 0.0, "solve_ms": 0.0, "merge_ms": 0.0}
-    seg: Optional[Segmentation] = None
-    if algorithm == "grasp-uf" and work.n > 0:
-        # Components depend on the instance alone: every restart shares them.
-        t0 = time.perf_counter()
-        seg = find_groups(work)
-        phase_sums["segment_ms"] = (time.perf_counter() - t0) * 1e3
-    for k in range(restarts):
-        run_seed = seed + k
-        params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=run_seed)
-        phase: Dict[str, float] = {}
-        t1 = time.perf_counter()
-        cover = _solve_reduced(work, algorithm, params, threads, phase, seg)
-        elapsed_ms = (time.perf_counter() - t1) * 1e3
-        if phase:
-            for key in phase_sums:
-                phase_sums[key] += phase.get(key, 0.0)
-        else:
-            phase_sums["solve_ms"] += elapsed_ms
+    params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed)
+    for run_seed, cover in _restart_covers(
+        work, algorithm, params, threads, restarts, phase_sums
+    ):
         full = report.lift_cover(cover) if report is not None else cover
         if not cover_is_feasible(full, inst):
             raise RuntimeError(f"{algorithm} produced an infeasible cover on {name}")
@@ -390,6 +426,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"segcover: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except BrokenProcessPool as exc:
+        print(f"segcover: error: worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER_ERROR
     except (ValueError, OSError) as exc:
         print(f"segcover: error: {exc}", file=sys.stderr)
         return EXIT_USAGE_ERROR

@@ -3,8 +3,10 @@
 Components are dispatched longest-family-first to a worker pool and solved
 with per-component RNG streams derived as ``master_seed XOR component
 index``, so results are identical for any worker count or scheduling order.
-Workers are separate processes (the practical route to CPU parallelism in
-CPython); the ``threads`` knob caps the pool size.
+One pool can also run several restarts of every component side by side
+(``run_components(..., restarts)``), which is how a connected instance uses
+more than one worker.  Workers are separate processes (the practical route
+to CPU parallelism in CPython); the ``threads`` knob caps the pool size.
 """
 from __future__ import annotations
 
@@ -55,41 +57,65 @@ def local_search(
     return improvement_loop(c, sub, rowmap, params, rng)
 
 
-def _solve_component(task: Tuple[int, Instance, GraspParams]) -> Tuple[int, Cover]:
-    index, sub, params = task
+# The subinstances that ``_solve_component`` tasks index into: set in each
+# pool worker by ``_receive``, and in this process while tasks run in-process.
+_subinstances: Sequence[Instance] = ()
+
+
+def _receive(subinstances: Sequence[Instance]) -> None:
+    """Pool initializer: keep the subinstances for every task of this worker.
+
+    A forked worker inherits them with the parent's heap (a spawned one
+    unpickles them once); gc.freeze keeps the worker's collections from
+    traversing, and so copying, that heap.
+    """
+    global _subinstances
+    _subinstances = subinstances
+    gc.freeze()
+
+
+def _solve_component(task: Tuple[int, int, GraspParams]) -> Tuple[int, Cover]:
+    index, component, params = task
     rng = random.Random(params.seed)
-    return index, _grasp_run(sub, params, rng)
+    return index, _grasp_run(_subinstances[component], params, rng)
 
 
 def run_components(
     subinstances: Sequence[Instance],
     params: SuParams,
+    restarts: int = 1,
 ) -> List[Cover]:
-    """Solve subinstances independently; deterministic in the master seed.
+    """Solve ``restarts`` independent runs of every subinstance on one pool.
 
-    Component ``i`` gets seed ``params.grasp.seed ^ i``.  Dispatch order is
-    descending family size (long jobs first shortens the critical path), but
-    results are collected back into component order.
+    Restart ``k`` of component ``i`` gets seed ``(params.grasp.seed + k) ^ i``
+    and its cover is result ``k * len(subinstances) + i`` (restart-major), so
+    the covers do not depend on the worker count or the scheduling order.
+    Tasks are dispatched largest family first (long jobs first shortens the
+    critical path) to ``min(params.threads, tasks)`` workers, which receive
+    the subinstances once, at start-up; with one worker the tasks run
+    in-process.
     """
-    master_seed = params.grasp.seed
+    global _subinstances
+    count = len(subinstances)
     tasks = [
-        (i, sub, replace(params.grasp, seed=master_seed ^ i))
-        for i, sub in enumerate(subinstances)
+        (k * count + i, i, replace(params.grasp, seed=(params.grasp.seed + k) ^ i))
+        for k in range(restarts)
+        for i in range(count)
     ]
-    tasks.sort(key=lambda t: (-t[1].m, t[0]))
-    results: Dict[int, Cover] = {}
-    workers = min(params.threads, max(1, len(tasks)))
-    if workers == 1 or len(tasks) <= 1:
-        for task in tasks:
-            index, cover = _solve_component(task)
-            results[index] = cover
+    tasks.sort(key=lambda t: (-subinstances[t[1]].m, t[0]))
+    workers = min(params.threads, len(tasks))
+    if workers <= 1:
+        _subinstances = subinstances
+        try:
+            results = dict(map(_solve_component, tasks))
+        finally:
+            _subinstances = ()
     else:
-        # A forked worker inherits the parent's heap; gc.freeze keeps the
-        # worker's collections from traversing (and so copying) it.
-        with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
-            for index, cover in pool.map(_solve_component, tasks):
-                results[index] = cover
-    return [results[i] for i in range(len(subinstances))]
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_receive, initargs=(subinstances,)
+        ) as pool:
+            results = dict(pool.map(_solve_component, tasks))
+    return [results[index] for index in range(len(tasks))]
 
 
 def grasp_su_solve(

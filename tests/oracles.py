@@ -13,10 +13,18 @@ from itertools import combinations
 from typing import List, Sequence, Set, Tuple
 
 from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
-from segcover.grasp import EVAL_FUNCTIONS, WEIGHT_EPSILON, EvalFunction, RowMap
+from segcover.grasp import (
+    EVAL_FUNCTIONS,
+    WEIGHT_EPSILON,
+    EvalFunction,
+    GraspParams,
+    RowMap,
+    grasp_solve,
+)
+from segcover.grasp_su import SuParams, grasp_su_solve
 from segcover.io import ParseError, write_rail, write_scp
-from segcover.preprocess import ReductionReport
-from segcover.segmentation import Component, Segmentation, UnionFind
+from segcover.preprocess import ReductionReport, reduce
+from segcover.segmentation import Component, Segmentation, UnionFind, find_groups
 
 
 def harmonic(k: int) -> float:
@@ -490,6 +498,40 @@ def reference_find_groups(inst: Instance) -> Segmentation:
             )
         )
     return Segmentation(instance=inst, components=tuple(components))
+
+
+def reference_run_restarts(
+    inst: Instance,
+    algorithm: str,
+    *,
+    iterations: int,
+    max_rm: float = 0.5,
+    seed: int = 0,
+    threads: int = 1,
+    restarts: int = 1,
+    preprocess: bool = True,
+) -> Tuple[int, Cover]:
+    """The restart loop ``cli.run_algorithm`` ran before restarts were
+    batched, for ``grasp`` and ``grasp-uf``: one solve per restart, back to
+    back.  Returns the seed and the lifted cover of the first strictly
+    smallest restart."""
+    report = reduce(inst) if preprocess else None
+    work = report.residual if report is not None else inst
+    seg = find_groups(work) if algorithm == "grasp-uf" and work.n > 0 else None
+    best_seed, best = seed, None
+    for k in range(restarts):
+        params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed + k)
+        if work.n == 0:
+            cover = Cover.empty(0)
+        elif algorithm == "grasp":
+            cover = grasp_solve(work, params)
+        else:
+            su = SuParams(grasp=params, threads=threads)
+            cover = grasp_su_solve(work, su, segmentation=seg)
+        full = report.lift_cover(cover) if report is not None else cover
+        if best is None or len(full) < len(best):
+            best_seed, best = seed + k, full
+    return best_seed, best
 
 
 def reference_from_indices(capacity: int, indices) -> SuccinctSet:

@@ -1,7 +1,12 @@
 import contextlib
 import io
+import itertools
 import json
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,11 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import cli, grasp_su, segmentation
-from segcover.cli import EXIT_OK, EXIT_PARSE_ERROR, EXIT_USAGE_ERROR, main
+from segcover.cli import (
+    EXIT_OK,
+    EXIT_PARSE_ERROR,
+    EXIT_USAGE_ERROR,
+    EXIT_WORKER_ERROR,
+    main,
+)
+from segcover.core import Instance
 from segcover.io import GeneratorConfig, generate_segmentable, write_scp
+from segcover.preprocess import reduce
 
 from conftest import DATA_DIR, make_instance
-from oracles import mutated_file
+from oracles import mutated_file, reference_run_restarts
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -279,3 +294,107 @@ def test_solve_on_arbitrary_bytes_exits_0_or_2(seed):
                 code = main(["solve", "--input", str(path), "--format", fmt])
             assert code in (EXIT_OK, EXIT_PARSE_ERROR), err.getvalue()
             assert "Traceback" not in err.getvalue()
+
+
+@given(seed=st.integers(0, 100_000), preprocess=st.booleans())
+@settings(max_examples=2, deadline=None)
+def test_batched_restarts_match_reference_loop(seed, preprocess):
+    """Every (algorithm, threads, components, restarts) cell of the grid gives
+    the old back-to-back restart loop's best cover and seed."""
+    for groups in (1, 2, 3, 5):
+        # One improvement iteration on 40-element blocks: a later restart is
+        # the best one in about two runs of five, so restart seeds matter.
+        cfg = GeneratorConfig(
+            n=40 * groups, m=30 * groups, groups=groups, density=0.15, seed=seed
+        )
+        inst = generate_segmentable(cfg)
+        for algorithm, threads, restarts in itertools.product(
+            ("grasp", "grasp-uf"), (1, 2, 3, 4), (1, 2, 3)
+        ):
+            kwargs = dict(iterations=1, seed=seed, threads=threads, restarts=restarts,
+                          preprocess=preprocess)
+            record, cover = cli.run_algorithm(inst, "gen", algorithm, **kwargs)
+            best_seed, best = reference_run_restarts(inst, algorithm, **kwargs)
+            cell = (algorithm, threads, groups, restarts)
+            assert cover.chosen == best.chosen, cell
+            assert record.cardinality == len(best), cell
+            assert record.seed == best_seed, cell
+
+
+@pytest.mark.parametrize(
+    "groups, threads, pools, tasks",
+    [(1, 2, 1, 2), (4, 2, 2, 8), (1, 1, 0, 0), (4, 1, 0, 0)],
+)
+def test_restart_batches_fill_one_pool_each(monkeypatch, groups, threads, pools, tasks):
+    """A batch holds ceil(threads / components) restarts on one pool, and its
+    tasks carry no instance: under fork the parent never pickles one."""
+    counts = {"pools": 0, "tasks": 0}
+    base = grasp_su.ProcessPoolExecutor
+
+    class CountedPool(base):
+        def __init__(self, *args, **kwargs):
+            counts["pools"] += 1
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            counts["tasks"] += 1
+            return super().submit(*args, **kwargs)
+
+    pickled = []
+    instance_reduce = Instance.__reduce__
+
+    def counted_reduce(self):
+        pickled.append(os.getpid())
+        return instance_reduce(self)
+
+    monkeypatch.setattr(grasp_su, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(Instance, "__reduce__", counted_reduce)
+    inst = generate_segmentable(
+        GeneratorConfig(n=30 * groups, m=20 * groups, groups=groups, seed=3)
+    )
+    cli.run_algorithm(
+        inst, "gen", "grasp-uf", iterations=3, threads=threads, restarts=2,
+        preprocess=False,
+    )
+    assert counts == {"pools": pools, "tasks": tasks}
+    if multiprocessing.get_start_method() == "fork":
+        assert pickled == []
+
+
+def _die(task):
+    os._exit(1)
+
+
+def test_dead_worker_is_exit_code_4(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "inst.scp"
+    inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
+    path.write_bytes(write_scp(inst))
+    monkeypatch.setattr(grasp_su, "_solve_component", _die)
+    code, out, err = run(
+        capsys, "solve", "--input", str(path), "--format", "scp",
+        "--algorithm", "grasp-uf", "--threads", "2", "--iterations", "2",
+    )
+    assert code == EXIT_WORKER_ERROR
+    assert out == ""
+    assert err.startswith("segcover: error: worker process died")
+    assert err.count("\n") == 1
+
+
+def test_parallel_restarts_run_clean_in_dev_mode(tmp_path):
+    """A pooled batch of two restarts, then one in-process restart, with
+    warnings as errors: an unclosed pool or file, or (3.12+) a fork while
+    threads are alive, fails the run."""
+    inst = generate_segmentable(GeneratorConfig(n=150, m=90, groups=1, density=0.1, seed=4))
+    assert len(segmentation.find_groups(reduce(inst).residual).components) == 1
+    path = tmp_path / "connected.scp"
+    path.write_bytes(write_scp(inst))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "segcover.cli", "solve",
+         "--input", str(path), "--format", "scp", "--algorithm", "grasp-uf",
+         "--threads", "2", "--restarts", "3", "--iterations", "5"],
+        capture_output=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
