@@ -6,9 +6,6 @@ from .core import (
     Instance,
     SuccinctSet,
     cover_is_feasible,
-    is_subset,
-    set_difference_inplace,
-    set_intersection_count,
 )
 from .grasp import (
     EVAL_FUNCTIONS,
@@ -21,7 +18,7 @@ from .grasp import (
     remove_redundant_sets,
     remove_sets,
 )
-from .grasp_su import SuParams, grasp_su_solve, local_search, rpd, rpd_star
+from .grasp_su import SuParams, grasp_su_solve, rpd, rpd_star
 from .greedy import greedy_solve
 from .io import (
     GeneratorConfig,
@@ -75,8 +72,6 @@ __all__ = [
     "grasp_solve",
     "grasp_su_solve",
     "greedy_solve",
-    "is_subset",
-    "local_search",
     "merge_partial_covers",
     "mst_bipartition",
     "parse_auto",
@@ -89,8 +84,6 @@ __all__ = [
     "rpd",
     "rpd_star",
     "segmentation_csv",
-    "set_difference_inplace",
-    "set_intersection_count",
     "write_rail",
     "write_scp",
 ]

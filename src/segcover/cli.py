@@ -32,7 +32,8 @@ EXIT_PARSE_ERROR = 2
 EXIT_USAGE_ERROR = 3
 EXIT_WORKER_ERROR = 4
 
-ALGORITHMS = ("greedy", "grasp", "par-grasp", "grasp-uf", "grasp-mst")
+ALGORITHMS = ("greedy", "grasp", "grasp-uf", "grasp-mst")
+FORMATS = ("scp", "rail", "auto")
 
 
 @dataclass
@@ -91,8 +92,8 @@ def _restart_covers(
     Restart ``k`` runs with seed ``params.seed + k``.  GRASP restarts go to
     ``run_components`` in batches of ``ceil(threads / components)``, so a
     pool has work for every worker even when the instance has fewer
-    components than workers; ``grasp`` and ``par-grasp`` solve ``work`` as
-    their one component.  Phase times are added to ``phase_sums``.
+    components than workers; ``grasp`` solves ``work`` as its one
+    component.  Phase times are added to ``phase_sums``.
     """
     seeds = range(params.seed, params.seed + restarts)
     if work.n == 0:
@@ -272,6 +273,11 @@ def _read_manifest(path: Path) -> List[Dict[str, str]]:
             if "=" not in token:
                 raise ValueError(f"bad manifest token {token!r} in {path}")
             key, value = token.split("=", 1)
+            if key == "format" and value not in FORMATS:
+                raise ValueError(
+                    f"manifest entry {tokens[0]}: unknown format {value!r}; "
+                    f"choose from {', '.join(FORMATS)}"
+                )
             entry[key] = value
         entries.append(entry)
     return entries
@@ -344,23 +350,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_reduce_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-preprocess", action="store_true", help="solve the raw instance"
-    )
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--one-pass-reduce",
-        action="store_true",
-        help="single forcing+dominance pass (the default reduction)",
-    )
-    group.add_argument(
-        "--fixpoint-reduce",
-        action="store_true",
-        help="alternate forcing and residual-set dominance until stable",
-    )
-
-
 def _add_common_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iterations", type=int, default=300)
     parser.add_argument("--max-rm", type=float, default=0.5)
@@ -370,14 +359,21 @@ def _add_common_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--output", choices=("csv", "json"), default="csv", help="record format"
     )
     parser.add_argument(
-        "--format", choices=("scp", "rail", "auto"), default="auto",
+        "--format", choices=FORMATS, default="auto",
         help="instance file format",
     )
     parser.add_argument(
         "--rail-layout", choices=("cost-first", "count-first"), default="cost-first",
         help="column record layout for rail files",
     )
-    _add_reduce_flags(parser)
+    parser.add_argument(
+        "--no-preprocess", action="store_true", help="solve the raw instance"
+    )
+    parser.add_argument(
+        "--fixpoint-reduce",
+        action="store_true",
+        help="alternate forcing and residual-set dominance until stable",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

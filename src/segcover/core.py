@@ -1,7 +1,8 @@
 """Bit-parallel set representation and the shared set-cover data model."""
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from operator import index
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 WORD_BITS = 64
 
@@ -78,8 +79,10 @@ class SuccinctSet:
     popcount all run word-parallel in C; correctness never depends on the
     word size.  Bits at positions >= capacity are always zero.
 
-    Sets held by an :class:`Instance` are immutable by convention and safe
-    to share across workers; scratch sets (e.g. the uncovered mask during
+    This is the set type of the API boundary: an :class:`Instance` stores
+    its subsets as plain int masks, and a SuccinctSet stands for its mask
+    wherever an int is expected (``__index__``), so one can be passed for a
+    subset.  Scratch sets (a cover's coverage, the uncovered set during
     construction) are mutated in place by their single owner.
     """
 
@@ -136,6 +139,9 @@ class SuccinctSet:
     def __bool__(self) -> bool:
         return self._bits != 0
 
+    def __index__(self) -> int:
+        return self._bits
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SuccinctSet):
             return NotImplemented
@@ -181,80 +187,76 @@ class SuccinctSet:
         return self._bits & ~other._bits == 0
 
 
-def set_intersection_count(a: SuccinctSet, b: SuccinctSet) -> int:
-    """|a ∩ b| without materialising the intersection."""
-    return a.intersection_count(b)
-
-
-def set_difference_inplace(target: SuccinctSet, remove: SuccinctSet) -> None:
-    """Turn ``target`` into ``target \\ remove``."""
-    target.difference_inplace(remove)
-
-
-def is_subset(a: SuccinctSet, b: SuccinctSet) -> bool:
-    """True iff a is contained in b."""
-    return a.is_subset_of(b)
-
-
 class Instance:
     """A unicost covering instance: universe {0..n-1} and subsets with dense ids.
 
-    Subset ids are positions in ``subsets`` (insertion order of the source
-    file).  The family must cover the universe and contain no empty subset.
+    Subset ``sid`` is the int bitmask ``masks[sid]`` (bit ``e`` set iff
+    element ``e`` is a member), in the insertion order of the source file.
+    The family must cover the universe and contain no empty subset.
+    ``subsets`` may hold int masks or SuccinctSets of capacity ``n``.
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("n", "subsets")
+    __slots__ = ("n", "masks")
 
-    def __init__(self, n: int, subsets: Iterable[SuccinctSet]) -> None:
-        subsets = tuple(subsets)
+    def __init__(self, n: int, subsets: Iterable[Union[int, SuccinctSet]]) -> None:
         if n < 0:
             raise ValueError(f"universe size must be >= 0, got {n}")
+        masks = []
         union = 0
-        for sid, s in enumerate(subsets):
-            if s.capacity != n:
+        for sid, b in enumerate(subsets):
+            if isinstance(b, SuccinctSet):
+                if b.capacity != n:
+                    raise ValueError(
+                        f"subset {sid} has capacity {b.capacity}, expected {n}"
+                    )
+                b = int(b)
+            if b <= 0 or b.bit_length() > n:
+                if b == 0:
+                    raise ValueError(f"subset {sid} is empty")
                 raise ValueError(
-                    f"subset {sid} has capacity {s.capacity}, expected {n}"
+                    f"subset {sid}: bit pattern has members outside the capacity"
                 )
-            if not s:
-                raise ValueError(f"subset {sid} is empty")
-            union |= s._bits
+            masks.append(b)
+            union |= b
         # Counted, not compared with the full mask: a declared n costs no
         # allocation of n bits before the family is known to cover it.
         if union.bit_count() != n:
             raise ValueError(uncovered_message(union))
         self.n = n
-        self.subsets = subsets
+        self.masks = tuple(masks)
 
     @property
     def m(self) -> int:
-        return len(self.subsets)
+        return len(self.masks)
+
+    @property
+    def subsets(self) -> Tuple[SuccinctSet, ...]:
+        """The family as SuccinctSets, built anew on every access: bind it
+        once rather than index it in a loop."""
+        n = self.n
+        return tuple(SuccinctSet(n, b) for b in self.masks)
 
     def coverers(self) -> List[List[int]]:
         """Per element, the ascending list of subset ids containing it."""
         lists: List[List[int]] = [[] for _ in range(self.n)]
-        for sid, s in enumerate(self.subsets):
-            for e in s:
+        for sid, b in enumerate(self.masks):
+            for e in iter_bits(b):
                 lists[e].append(sid)
         return lists
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return self.n == other.n and self.subsets == other.subsets
+        return self.n == other.n and self.masks == other.masks
 
     def __reduce__(self):
-        # Pickled as n and the subsets' int masks: a fraction of the bytes
-        # and time of one pickled object per subset, which pool workers pay
-        # for every subinstance they receive.
-        return _instance_from_masks, (self.n, tuple(s._bits for s in self.subsets))
+        # Pickled as n and the int masks, loaded through the validating
+        # constructor.
+        return Instance, (self.n, self.masks)
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, m={self.m})"
-
-
-def _instance_from_masks(n: int, masks: Sequence[int]) -> Instance:
-    return Instance(n, (SuccinctSet(n, bits) for bits in masks))
 
 
 class Cover:
@@ -278,12 +280,13 @@ class Cover:
     def empty(cls, capacity: int) -> "Cover":
         return cls([], SuccinctSet(capacity))
 
-    def add(self, subset_id: int, members: SuccinctSet) -> None:
+    def add(self, subset_id: int, mask: int) -> None:
+        """Choose subset ``subset_id``, whose int mask (or SuccinctSet) is ``mask``."""
         if subset_id in self._ids:
             raise ValueError(f"subset {subset_id} already chosen")
         self._ids.add(subset_id)
         self.chosen.append(subset_id)
-        self.covered.union_inplace(members)
+        self.covered._bits |= index(mask)
 
     def copy(self) -> "Cover":
         return Cover(list(self.chosen), self.covered.copy())
@@ -307,4 +310,4 @@ def cover_is_feasible(c: Cover, inst: Instance) -> bool:
         raise ValueError(
             f"cover capacity {c.covered.capacity} does not match universe {inst.n}"
         )
-    return c.covered._bits == (1 << inst.n) - 1
+    return int(c.covered) == (1 << inst.n) - 1

@@ -8,7 +8,7 @@ diversification mode candidates are drawn with probability proportional to
 one minus their score, clamped below by a tiny epsilon so ill-scaled scores
 (above one) still leave a valid distribution.  Scores and weights are looked
 up in per-function tables indexed by the count, so a pick costs one
-AND-and-popcount per candidate on the subsets' raw int masks.
+AND-and-popcount per candidate on the instance's int masks.
 
 The improvement loop repeatedly deletes a fixed fraction of the incumbent,
 rebuilds with the construction procedure, prunes redundant picks, and keeps
@@ -87,14 +87,12 @@ class RowMap:
     Each entry is ``(element, degree, covering subset ids)``, the ids
     ascending.  Degrees count covering subsets of the instance and never
     change during construction, so one sorted index serves a whole solve;
-    covered elements are skipped with a monotone cursor.  ``bits`` holds
-    each subset's int mask and ``max_size`` the largest subset's size, which
-    bounds every fresh-coverage count.
+    covered elements are skipped with a monotone cursor.  ``max_size`` is
+    the largest subset's size, which bounds every fresh-coverage count.
     """
 
     instance: Instance
     entries: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    bits: Tuple[int, ...]
     max_size: int
     _tables: Dict[Tuple[EvalFunction, ...], ScoreTables] = field(
         default_factory=dict, compare=False, repr=False
@@ -139,12 +137,10 @@ def create_row_map(inst: Instance) -> RowMap:
         ((e, len(ids), tuple(ids)) for e, ids in enumerate(coverers)),
         key=lambda entry: (entry[1], entry[0]),
     )
-    bits = tuple(s._bits for s in inst.subsets)
     return RowMap(
         instance=inst,
         entries=tuple(entries),
-        bits=bits,
-        max_size=max((b.bit_count() for b in bits), default=0),
+        max_size=max((b.bit_count() for b in inst.masks), default=0),
     )
 
 
@@ -165,19 +161,18 @@ def rand_construct(
     ``max(eps, 1 - f(count))``, uniform when every weight clamps to eps.
     Mutates and returns ``partial``; ``uncovered`` is only read.
     """
-    if partial.covered._bits & uncovered._bits:
+    ubits = int(uncovered)
+    if int(partial.covered) & ubits:
         raise ValueError("partial cover overlaps the uncovered set")
-    subsets = rowmap.instance.subsets
-    bits = rowmap.bits
+    masks = rowmap.instance.masks
     tables = rowmap.score_tables(eval_set)
-    ubits = uncovered._bits
     cursor = 0
     while ubits:
         cursor, element, coverer_ids = rowmap.next_uncovered(ubits, cursor)
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
         scores, weights = rng.choice(tables)
-        counts = [(bits[sid] & ubits).bit_count() for sid in coverer_ids]
+        counts = [(masks[sid] & ubits).bit_count() for sid in coverer_ids]
         if 0 in counts:
             sid = coverer_ids[counts.index(0)]
             raise ValueError(f"candidate subset {sid} covers nothing uncovered")
@@ -186,8 +181,8 @@ def rand_construct(
             chosen = coverer_ids[scored.index(min(scored))]
         else:
             chosen = rng.choices(coverer_ids, weights=[weights[c] for c in counts])[0]
-        partial.add(chosen, subsets[chosen])
-        ubits &= ~bits[chosen]
+        partial.add(chosen, masks[chosen])
+        ubits &= ~masks[chosen]
     return partial
 
 
@@ -196,27 +191,22 @@ def remove_sets(
     inst: Instance,
     max_rm: float,
     rng: random.Random,
-    uniform_count: bool = False,
 ) -> Cover:
     """Drop ``max(1, floor(max_rm * |C|))`` chosen subsets uniformly at random.
 
     Returns a new, generally infeasible partial with recomputed coverage.
-    ``uniform_count=True`` instead draws the removal count uniformly from
-    1..that maximum.
     """
     if not 0.0 < max_rm < 1.0:
         raise ValueError(f"max_rm must lie in (0, 1), got {max_rm}")
     if len(c) == 0:
         raise ValueError("cannot remove subsets from an empty cover")
-    count = max(1, int(max_rm * len(c)))
-    if uniform_count:
-        count = rng.randint(1, count)
-    removed = set(rng.sample(c.chosen, count))
+    removed = set(rng.sample(c.chosen, max(1, int(max_rm * len(c)))))
     kept = [sid for sid in c.chosen if sid not in removed]
-    covered = SuccinctSet(inst.n)
+    masks = inst.masks
+    covered = 0
     for sid in kept:
-        covered.union_inplace(inst.subsets[sid])
-    return Cover(kept, covered)
+        covered |= masks[sid]
+    return Cover(kept, SuccinctSet(inst.n, covered))
 
 
 def remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
@@ -229,9 +219,8 @@ def remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
     """
     if not cover_is_feasible(c, inst):
         raise ValueError("cover must be feasible before redundancy removal")
-    subsets = inst.subsets
     masks = sorted(
-        ((subsets[sid]._bits, sid) for sid in c.chosen),
+        ((inst.masks[sid], sid) for sid in c.chosen),
         key=lambda pair: (-pair[0].bit_count(), -pair[1]),
     )
     suffix = [0] * (len(masks) + 1)

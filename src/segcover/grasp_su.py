@@ -17,14 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Cover, Instance, cover_is_feasible
-from .grasp import (
-    GraspParams,
-    _grasp_run,
-    create_row_map,
-    improvement_loop,
-    remove_redundant_sets,
-)
+from .core import Cover, Instance
+from .grasp import GraspParams, _grasp_run
 from .segmentation import Segmentation, find_groups, merge_partial_covers
 
 SEGMENTATION_SOURCES = ("union-find", "mst-bipartition")
@@ -44,17 +38,6 @@ class SuParams:
                 f"segmentation_source must be one of {SEGMENTATION_SOURCES}, "
                 f"got {self.segmentation_source!r}"
             )
-
-
-def local_search(
-    c: Cover, sub: Instance, params: GraspParams, rng: random.Random
-) -> Cover:
-    """Improve a feasible component cover with the standard iteration loop."""
-    if not cover_is_feasible(c, sub):
-        raise ValueError("local search requires a feasible cover")
-    rowmap = create_row_map(sub)
-    c = remove_redundant_sets(c, sub)
-    return improvement_loop(c, sub, rowmap, params, rng)
 
 
 # The subinstances that ``_solve_component`` tasks index into: set in each

@@ -18,19 +18,19 @@ def greedy_solve(inst: Instance) -> Cover:
     top is pushed back with its fresh gain, or dropped once the gain is 0.
     """
     cover = Cover.empty(inst.n)
-    subsets = inst.subsets
+    masks = inst.masks
     uncovered = (1 << inst.n) - 1
-    heap = [(-s.cardinality(), sid) for sid, s in enumerate(subsets)]
+    heap = [(-b.bit_count(), sid) for sid, b in enumerate(masks)]
     heapify(heap)
     while uncovered:
         if not heap:
             raise RuntimeError("no subset covers a remaining element")
         bound, sid = heap[0]
-        bits = subsets[sid]._bits
+        bits = masks[sid]
         gain = (bits & uncovered).bit_count()
         if gain == -bound:
             heappop(heap)
-            cover.add(sid, subsets[sid])
+            cover.add(sid, bits)
             uncovered &= ~bits
         elif gain:
             heapreplace(heap, (-gain, sid))

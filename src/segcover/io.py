@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, List, NoReturn, Tuple
 
-from .core import Instance, SuccinctSet, index_mask, uncovered_message
+from .core import Instance, index_mask, iter_bits, uncovered_message
 
 CSV_HEADER = (
     "instance",
@@ -197,7 +197,7 @@ def _read_rail_column(tokens: _Tokens, n: int, col: int, layout: str) -> None:
 
 def _build_instance(n: int, masks: List[int], ints: _Ints, taken: int) -> Instance:
     try:
-        return Instance(n, [SuccinctSet(n, bits) for bits in masks])
+        return Instance(n, masks)
     except ValueError as exc:
         raise ParseError(str(exc), ints.offset(taken - 1)) from None
 
@@ -320,8 +320,8 @@ def write_scp(inst: Instance) -> bytes:
 def write_rail(inst: Instance) -> bytes:
     """Serialize in column-major cost-first format (round-trips parse_rail)."""
     lines = [f"{inst.n} {inst.m}"]
-    for s in inst.subsets:
-        members = list(s)
+    for b in inst.masks:
+        members = list(iter_bits(b))
         lines.append(" ".join(["1", str(len(members))] + [str(e + 1) for e in members]))
     return ("\n".join(lines) + "\n").encode()
 
@@ -390,8 +390,7 @@ def generate_segmentable(cfg: GeneratorConfig) -> Instance:
             if not covered[e]:
                 member_lists[b].append(e)
 
-    subsets = [SuccinctSet.from_indices(cfg.n, ms) for ms in member_lists]
-    return Instance(cfg.n, subsets)
+    return Instance(cfg.n, [index_mask(ms, min(ms), max(ms)) for ms in member_lists])
 
 
 def _fmt(value) -> str:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import Cover, Instance, SuccinctSet, restrict_masks
+from .core import Cover, Instance, SuccinctSet, iter_bits, restrict_masks
 from .grasp import remove_redundant_sets
 from .segmentation import Component, UnionFind
 
@@ -50,8 +50,8 @@ class Bipartition:
 def build_cograph(inst: Instance) -> WeightedCoGraph:
     """Count co-occurring element pairs across all subsets."""
     weights: Dict[Tuple[int, int], int] = {}
-    for s in inst.subsets:
-        members = list(s)
+    for b in inst.masks:
+        members = list(iter_bits(b))
         for a in range(len(members)):
             ea = members[a]
             for b in range(a + 1, len(members)):
@@ -63,13 +63,12 @@ def build_cograph(inst: Instance) -> WeightedCoGraph:
 
 def _side_component(inst: Instance, elements: List[int]) -> Component:
     """Restrict the family to one side; empty restrictions are dropped."""
-    sub_n = len(elements)
-    masks = restrict_masks((s._bits for s in inst.subsets), elements)
+    masks = restrict_masks(inst.masks, elements)
     family = [sid for sid, b in enumerate(masks) if b]
     return Component(
         elements=SuccinctSet.from_indices(inst.n, elements),
         subfamily=tuple(family),
-        subinstance=Instance(sub_n, [SuccinctSet(sub_n, masks[sid]) for sid in family]),
+        subinstance=Instance(len(elements), [masks[sid] for sid in family]),
         element_ids=tuple(elements),
     )
 
@@ -215,7 +214,7 @@ def grasp_mst_solve(
         for local_sid in partial.chosen:
             orig = side.subfamily[local_sid]
             if orig not in merged:
-                merged.add(orig, inst.subsets[orig])
+                merged.add(orig, inst.masks[orig])
     merged = remove_redundant_sets(merged, inst)
     t3 = time.perf_counter()
     if phase_times is not None:

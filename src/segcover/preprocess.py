@@ -40,11 +40,12 @@ class ReductionReport:
     def lift_cover(self, residual_cover: Cover) -> Cover:
         """Translate a residual cover back to original ids, forced ids first."""
         cover = Cover.empty(self.original.n)
+        masks = self.original.masks
         for sid in self.forced:
-            cover.add(sid, self.original.subsets[sid])
+            cover.add(sid, masks[sid])
         for sid in residual_cover.chosen:
             orig = self.subset_to_original[sid]
-            cover.add(orig, self.original.subsets[orig])
+            cover.add(orig, masks[orig])
         return cover
 
     def summary(self) -> dict:
@@ -159,7 +160,7 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
 
     Always succeeds; a fully reducible instance yields an empty residual.
     """
-    bits = [s._bits for s in inst.subsets]
+    bits = inst.masks
     active = [True] * inst.m
     forced: List[int] = []
     excluded: List[int] = []
@@ -190,9 +191,9 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     # With nothing covered the residual's elements are 0..n-1, a run that
     # keeps the original ints.
     element_map = list(iter_bits(universe & ~covered)) if covered else range(inst.n)
-    residual_bits = restrict_masks((bits[sid] for sid in subset_map), element_map)
-    residual_n = len(element_map)
-    residual = Instance(residual_n, [SuccinctSet(residual_n, b) for b in residual_bits])
+    residual = Instance(
+        len(element_map), restrict_masks((bits[sid] for sid in subset_map), element_map)
+    )
 
     excluded.sort()
     return ReductionReport(

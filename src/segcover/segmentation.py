@@ -46,9 +46,6 @@ class UnionFind:
             rank[ra] += 1
         return True
 
-    def component_count(self) -> int:
-        return sum(1 for x, p in enumerate(self.parent) if x == p)
-
 
 @dataclass(frozen=True)
 class Component:
@@ -77,7 +74,7 @@ def find_groups(inst: Instance) -> Segmentation:
     consecutive ids takes its subsets' masks by a shift.
     """
     n = inst.n
-    bits = [s._bits for s in inst.subsets]
+    bits = inst.masks
     parent = list(range(n))
     for b in bits:
         members = iter_bits(b)
@@ -107,13 +104,12 @@ def find_groups(inst: Instance) -> Segmentation:
     components = []
     for root, elements in element_lists.items():
         family = families[root]
-        k = len(elements)
         masks = restrict_masks([bits[sid] for sid in family], elements)
         components.append(
             Component(
                 elements=SuccinctSet.from_indices(n, elements),
                 subfamily=tuple(family),
-                subinstance=Instance(k, [SuccinctSet(k, b) for b in masks]),
+                subinstance=Instance(len(elements), masks),
                 element_ids=tuple(elements),
             )
         )
@@ -131,12 +127,13 @@ def merge_partial_covers(seg: Segmentation, partials: Sequence[Cover]) -> Cover:
             f"expected {len(seg.components)} partial covers, got {len(partials)}"
         )
     merged = Cover.empty(seg.instance.n)
+    masks = seg.instance.masks
     for index, (comp, partial) in enumerate(zip(seg.components, partials)):
         if not cover_is_feasible(partial, comp.subinstance):
             raise ValueError(f"partial cover for component {index} is infeasible")
         for local_sid in partial.chosen:
             orig = comp.subfamily[local_sid]
-            merged.add(orig, seg.instance.subsets[orig])
+            merged.add(orig, masks[orig])
     return merged
 
 

@@ -91,16 +91,24 @@ class TestSolve:
         assert all(v >= 0.0 for v in phases)
         assert sum(phases) <= record["wall_ms"]
 
-    def test_par_grasp_matches_grasp(self, capsys):
+    def test_grasp_cover_independent_of_threads(self, capsys):
         rows = []
-        for algorithm in ("grasp", "par-grasp"):
+        for threads in ("1", "2"):
             _, out, _ = run(
                 capsys, "solve", "--input", FIXTURE, "--format", "scp",
-                "--algorithm", algorithm, "--iterations", "25", "--seed", "6",
-                "--threads", "2",
+                "--algorithm", "grasp", "--iterations", "25", "--seed", "6",
+                "--threads", threads,
             )
             rows.append(out.strip().splitlines()[1].split(","))
-        assert rows[0][4] == rows[1][4]  # identical cardinality by construction
+        assert rows[0][:3] + rows[0][4:8] == rows[1][:3] + rows[1][4:8]
+
+    @pytest.mark.parametrize(
+        "flags", [("--algorithm", "par-grasp"), ("--one-pass-reduce",)]
+    )
+    def test_removed_alias_and_flag_are_usage_errors(self, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--input", FIXTURE, "--format", "scp", *flags])
+        assert exit_info.value.code == EXIT_USAGE_ERROR
 
     def test_restarts_report_best(self, capsys):
         code, out, _ = run(
@@ -215,6 +223,17 @@ class TestBench:
         assert code == EXIT_OK
         row = out.strip().splitlines()[1].split(",")
         assert float(row[7]) >= 0.0
+
+    def test_unknown_manifest_format_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "a.scp").write_bytes((DATA_DIR / "example12.scp").read_bytes())
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text("a.scp format=rial\n")
+        code, out, err = run(
+            capsys, "bench", "--manifest", str(manifest), "--algorithms", "greedy",
+        )
+        assert code == EXIT_USAGE_ERROR
+        assert out == ""
+        assert "a.scp" in err and "'rial'" in err
 
     def test_csv_stable_apart_from_timing_columns(self, tmp_path, capsys):
         gen = tmp_path / "inst.scp"

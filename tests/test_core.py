@@ -1,5 +1,7 @@
+import multiprocessing
 import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,8 @@ from segcover.core import (
     Instance,
     SuccinctSet,
     cover_is_feasible,
-    is_subset,
     iter_bits,
     restrict_masks,
-    set_difference_inplace,
-    set_intersection_count,
 )
 
 from conftest import TWELVE_SUBSETS_1BASED
@@ -28,60 +27,60 @@ def bits(n, members_1based):
 class TestIntersectionCount:
     def test_full_universe_counts_cardinality(self):
         s4 = bits(12, TWELVE_SUBSETS_1BASED[3])
-        assert set_intersection_count(s4, SuccinctSet.full(12)) == 6
+        assert s4.intersection_count(SuccinctSet.full(12)) == 6
 
     def test_empty_set(self):
-        assert set_intersection_count(SuccinctSet(12), bits(12, (1, 2, 3))) == 0
+        assert SuccinctSet(12).intersection_count(bits(12, (1, 2, 3))) == 0
 
     def test_partial_overlap(self):
         s1 = bits(12, TWELVE_SUBSETS_1BASED[0])
         u = bits(12, (1, 4, 5, 8, 11, 12))
-        assert set_intersection_count(s1, u) == 2
+        assert s1.intersection_count(u) == 2
 
     def test_capacity_mismatch(self):
         with pytest.raises(ValueError, match="capacity"):
-            set_intersection_count(SuccinctSet(5), SuccinctSet(6))
+            SuccinctSet(5).intersection_count(SuccinctSet(6))
 
 
 class TestDifferenceInplace:
     def test_worked_example(self):
         u = SuccinctSet.full(12)
-        set_difference_inplace(u, bits(12, TWELVE_SUBSETS_1BASED[3]))
+        u.difference_inplace(bits(12, TWELVE_SUBSETS_1BASED[3]))
         assert u == bits(12, (1, 4, 5, 8, 11, 12))
 
     def test_remove_nothing(self):
         a = bits(10, (1, 3, 7))
-        set_difference_inplace(a, SuccinctSet(10))
+        a.difference_inplace(SuccinctSet(10))
         assert a == bits(10, (1, 3, 7))
 
     def test_self_difference(self):
         a = bits(10, (1, 3, 7))
-        set_difference_inplace(a, a.copy())
+        a.difference_inplace(a.copy())
         assert not a
 
     def test_capacity_mismatch(self):
         with pytest.raises(ValueError, match="capacity"):
-            set_difference_inplace(SuccinctSet(5), SuccinctSet(6))
+            SuccinctSet(5).difference_inplace(SuccinctSet(6))
 
 
 class TestIsSubset:
     def test_contained(self):
-        assert is_subset(bits(12, (1, 5)), bits(12, TWELVE_SUBSETS_1BASED[0]))
+        assert bits(12, (1, 5)).is_subset_of(bits(12, TWELVE_SUBSETS_1BASED[0]))
 
     def test_empty_in_anything(self):
-        assert is_subset(SuccinctSet(12), bits(12, (4,)))
+        assert SuccinctSet(12).is_subset_of(bits(12, (4,)))
 
     def test_not_contained(self):
         s3 = bits(12, TWELVE_SUBSETS_1BASED[2])
         s4 = bits(12, TWELVE_SUBSETS_1BASED[3])
-        assert not is_subset(s3, s4)
+        assert not s3.is_subset_of(s4)
 
 
 class TestCoverFeasibility:
     def test_optimal_cover(self, twelve):
         cover = Cover.empty(12)
         for sid in (0, 1, 5):
-            cover.add(sid, twelve.subsets[sid])
+            cover.add(sid, twelve.masks[sid])
         assert cover_is_feasible(cover, twelve)
 
     def test_empty_cover(self, twelve):
@@ -90,7 +89,7 @@ class TestCoverFeasibility:
     def test_greedy_cover(self, twelve):
         cover = Cover.empty(12)
         for sid in (3, 4, 0, 5):
-            cover.add(sid, twelve.subsets[sid])
+            cover.add(sid, twelve.masks[sid])
         assert cover_is_feasible(cover, twelve)
 
     def test_unknown_id(self, twelve):
@@ -105,7 +104,7 @@ class TestCoverFeasibility:
             chosen = rng.sample(range(twelve.m), rng.randint(0, twelve.m))
             cover = Cover.empty(12)
             for sid in chosen:
-                cover.add(sid, twelve.subsets[sid])
+                cover.add(sid, twelve.masks[sid])
             elementwise = all(
                 any(e in twelve.subsets[sid] for sid in chosen) for e in range(12)
             )
@@ -234,27 +233,70 @@ def test_instance_rejects_empty_subset():
         Instance(2, [SuccinctSet.from_indices(2, [0, 1]), SuccinctSet(2)])
 
 
+def test_instance_rejects_negative_mask():
+    with pytest.raises(ValueError, match="^subset 1: bit pattern has members outside the capacity$"):
+        Instance(2, [0b11, -1])
+
+
+def test_instance_rejects_empty_mask():
+    with pytest.raises(ValueError, match="^subset 1 is empty$"):
+        Instance(2, [0b11, 0])
+
+
+def test_instance_rejects_mask_bit_at_n():
+    with pytest.raises(ValueError, match="^subset 0: bit pattern has members outside the capacity$"):
+        Instance(2, [0b111])
+
+
+def test_instance_rejects_mask_family_missing_an_element():
+    with pytest.raises(ValueError, match="^family does not cover element 1$"):
+        Instance(3, [0b001, 0b100])
+
+
+def test_instance_rejects_set_of_other_capacity():
+    with pytest.raises(ValueError, match="^subset 0 has capacity 3, expected 2$"):
+        Instance(2, [SuccinctSet(3, 0b11)])
+
+
+def test_instance_holds_int_masks_of_succinct_sets(twelve):
+    assert all(type(b) is int for b in twelve.masks)
+    assert Instance(12, twelve.masks) == twelve
+    assert [SuccinctSet(12, b) for b in twelve.masks] == list(twelve.subsets)
+
+
+class _BadInstance:
+    """Pickles as an Instance whose only mask has a bit above its universe."""
+
+    def __reduce__(self):
+        return Instance, (2, (0b111,))
+
+
 def test_instance_pickles_as_masks(twelve):
     data = pickle.dumps(twelve)
     assert pickle.loads(data) == twelve
     assert b"SuccinctSet" not in data
+    bad = pickle.dumps(_BadInstance())
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(pickle.loads, data).result() == twelve
+        with pytest.raises(ValueError, match="outside the capacity"):
+            pool.submit(pickle.loads, bad).result()
 
 
 def test_cover_rejects_duplicates(twelve):
     cover = Cover.empty(12)
-    cover.add(0, twelve.subsets[0])
+    cover.add(0, twelve.masks[0])
     with pytest.raises(ValueError, match="already chosen"):
-        cover.add(0, twelve.subsets[0])
+        cover.add(0, twelve.masks[0])
 
 
 def test_constructed_and_copied_covers_reject_duplicates(twelve):
-    cover = Cover([0, 3], SuccinctSet(12, twelve.subsets[0]._bits | twelve.subsets[3]._bits))
+    cover = Cover([0, 3], SuccinctSet(12, twelve.masks[0] | twelve.masks[3]))
     with pytest.raises(ValueError, match="already chosen"):
-        cover.add(3, twelve.subsets[3])
+        cover.add(3, twelve.masks[3])
     copy = cover.copy()
-    copy.add(1, twelve.subsets[1])
+    copy.add(1, twelve.masks[1])
     with pytest.raises(ValueError, match="already chosen"):
-        copy.add(0, twelve.subsets[0])
+        copy.add(0, twelve.masks[0])
     assert cover.chosen == [0, 3]
     assert 3 in cover and 1 in copy and 1 not in cover
-    cover.add(1, twelve.subsets[1])
+    cover.add(1, twelve.masks[1])

@@ -221,7 +221,7 @@ class TestRandConstruct:
     def test_empty_uncovered_returns_partial(self, twelve):
         rowmap = create_row_map(twelve)
         partial = Cover.empty(12)
-        partial.add(3, twelve.subsets[3])
+        partial.add(3, twelve.masks[3])
         before = list(partial.chosen)
         result = rand_construct(partial, SuccinctSet(12), rowmap, True, random.Random())
         assert result.chosen == before
@@ -229,7 +229,7 @@ class TestRandConstruct:
     def test_rejects_overlapping_partial(self, twelve):
         rowmap = create_row_map(twelve)
         partial = Cover.empty(12)
-        partial.add(5, twelve.subsets[5])
+        partial.add(5, twelve.masks[5])
         with pytest.raises(ValueError, match="overlaps"):
             rand_construct(partial, SuccinctSet.full(12), rowmap, True, random.Random())
 
@@ -238,7 +238,7 @@ class TestRemoveSets:
     def test_removes_half_of_four(self, twelve):
         cover = Cover.empty(12)
         for sid in (3, 4, 0, 5):
-            cover.add(sid, twelve.subsets[sid])
+            cover.add(sid, twelve.masks[sid])
         out = remove_sets(cover, twelve, 0.5, random.Random(1))
         assert len(out) == 2
         assert set(out.chosen) < set(cover.chosen)
@@ -246,14 +246,14 @@ class TestRemoveSets:
     def test_singleton_cover_still_loses_one(self):
         inst = make_instance(2, ((1, 2),))
         cover = Cover.empty(2)
-        cover.add(0, inst.subsets[0])
+        cover.add(0, inst.masks[0])
         out = remove_sets(cover, inst, 0.5, random.Random(1))
         assert len(out) == 0
 
     def test_seeded_reproducibility(self, twelve):
         cover = Cover.empty(12)
         for sid in (3, 4, 0, 5):
-            cover.add(sid, twelve.subsets[sid])
+            cover.add(sid, twelve.masks[sid])
         a = remove_sets(cover, twelve, 0.5, random.Random(9)).chosen
         b = remove_sets(cover, twelve, 0.5, random.Random(9)).chosen
         assert a == b
@@ -261,7 +261,7 @@ class TestRemoveSets:
     def test_coverage_recomputed(self, twelve):
         cover = Cover.empty(12)
         for sid in (3, 4, 0, 5):
-            cover.add(sid, twelve.subsets[sid])
+            cover.add(sid, twelve.masks[sid])
         out = remove_sets(cover, twelve, 0.5, random.Random(4))
         expected = SuccinctSet(12)
         for sid in out.chosen:
@@ -272,22 +272,12 @@ class TestRemoveSets:
         with pytest.raises(ValueError, match="empty cover"):
             remove_sets(Cover.empty(12), twelve, 0.5, random.Random())
 
-    def test_uniform_count_stays_in_range(self, twelve):
-        cover = Cover.empty(12)
-        for sid in (3, 4, 0, 5):
-            cover.add(sid, twelve.subsets[sid])
-        sizes = {
-            len(remove_sets(cover, twelve, 0.5, random.Random(s), uniform_count=True))
-            for s in range(30)
-        }
-        assert sizes == {2, 3}  # removes 1 or 2 of the 4
-
 
 class TestRemoveRedundantSets:
     def test_drops_redundant_large_subset(self, twelve):
         cover = Cover.empty(12)
         for sid in (0, 1, 3, 5):
-            cover.add(sid, twelve.subsets[sid])
+            cover.add(sid, twelve.masks[sid])
         pruned = remove_redundant_sets(cover, twelve)
         assert sorted(pruned.chosen) == [0, 1, 5]
         assert cover_is_feasible(pruned, twelve)
@@ -295,19 +285,19 @@ class TestRemoveRedundantSets:
     def test_minimal_cover_unchanged(self, twelve):
         cover = Cover.empty(12)
         for sid in (0, 1, 5):
-            cover.add(sid, twelve.subsets[sid])
+            cover.add(sid, twelve.masks[sid])
         assert remove_redundant_sets(cover, twelve).chosen == [0, 1, 5]
 
     def test_disjoint_cover_unchanged(self):
         inst = make_instance(4, ((1, 2), (3,), (4,)))
         cover = Cover.empty(4)
         for sid in range(3):
-            cover.add(sid, inst.subsets[sid])
+            cover.add(sid, inst.masks[sid])
         assert remove_redundant_sets(cover, inst).chosen == [0, 1, 2]
 
     def test_infeasible_input_rejected(self, twelve):
         cover = Cover.empty(12)
-        cover.add(0, twelve.subsets[0])
+        cover.add(0, twelve.masks[0])
         with pytest.raises(ValueError, match="feasible"):
             remove_redundant_sets(cover, twelve)
 
@@ -319,7 +309,7 @@ class TestRemoveRedundantSets:
         inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 12)))
         cover = Cover.empty(n)
         for sid in range(inst.m):
-            cover.add(sid, inst.subsets[sid])
+            cover.add(sid, inst.masks[sid])
         pruned = remove_redundant_sets(cover, inst)
         assert cover_is_feasible(pruned, inst)
         for sid in pruned.chosen:

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import grasp
-from segcover.core import Cover, cover_is_feasible
+from segcover.core import cover_is_feasible
 from segcover.grasp import GraspParams, grasp_solve
 from segcover.grasp_su import (
     SuParams,
     grasp_su_solve,
-    local_search,
     rpd,
     rpd_star,
     run_components,
@@ -21,13 +20,7 @@ from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.segmentation import find_groups, merge_partial_covers
 
 from conftest import make_instance
-from oracles import (
-    brute_force_min_cover,
-    random_covering_family,
-    reference_rand_construct,
-    reference_remove_redundant_sets,
-    to_instance,
-)
+from oracles import reference_rand_construct, reference_remove_redundant_sets
 
 
 def test_two_component_toy():
@@ -100,39 +93,6 @@ def test_feasible_across_many_random_segmentable_instances():
         inst = generate_segmentable(cfg)
         cover = grasp_su_solve(inst, SuParams(grasp=GraspParams(num_iter=3, seed=1)))
         assert cover_is_feasible(cover, inst)
-
-
-class TestLocalSearch:
-    def test_optimal_component_cannot_improve(self):
-        rng = random.Random(11)
-        subsets = random_covering_family(rng, 10, 6)
-        inst = to_instance(10, subsets)
-        opt, combo = brute_force_min_cover(10, subsets)
-        cover = Cover.empty(10)
-        for sid in combo:
-            cover.add(sid, inst.subsets[sid])
-        out = local_search(cover, inst, GraspParams(num_iter=25, seed=0), random.Random(0))
-        assert len(out) == opt
-
-    def test_planted_redundancy_is_removed(self, twelve):
-        cover = Cover.empty(12)
-        for sid in (0, 1, 3, 5):  # subset 3 is redundant here
-            cover.add(sid, twelve.subsets[sid])
-        out = local_search(cover, twelve, GraspParams(num_iter=0, seed=0), random.Random(0))
-        assert len(out) < 4
-
-    def test_zero_iterations_returns_pruned_input(self, twelve):
-        cover = Cover.empty(12)
-        for sid in (0, 1, 5):
-            cover.add(sid, twelve.subsets[sid])
-        out = local_search(cover, twelve, GraspParams(num_iter=0, seed=0), random.Random(0))
-        assert out.chosen == [0, 1, 5]
-
-    def test_infeasible_input_rejected(self, twelve):
-        cover = Cover.empty(12)
-        cover.add(0, twelve.subsets[0])
-        with pytest.raises(ValueError, match="feasible"):
-            local_search(cover, twelve, GraspParams(num_iter=1, seed=0), random.Random(0))
 
 
 class TestDeviationMetrics:

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import cover_is_feasible, set_intersection_count
+from segcover.core import cover_is_feasible
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable
 
@@ -63,7 +63,7 @@ def test_every_pick_has_positive_gain(seed):
 
     uncovered = SuccinctSet.full(inst.n)
     for sid in cover.chosen:
-        assert set_intersection_count(inst.subsets[sid], uncovered) > 0
+        assert inst.subsets[sid].intersection_count(uncovered) > 0
         uncovered.difference_inplace(inst.subsets[sid])
 
 

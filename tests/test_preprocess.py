@@ -38,7 +38,7 @@ class TestWorkedInstance:
         report = reduce(twelve)
         residual_cover = Cover.empty(report.residual.n)
         for sid in (0, 1):  # subsets 0 and 1 cover the whole residual
-            residual_cover.add(sid, report.residual.subsets[sid])
+            residual_cover.add(sid, report.residual.masks[sid])
         assert cover_is_feasible(residual_cover, report.residual)
         lifted = report.lift_cover(residual_cover)
         assert cover_is_feasible(lifted, twelve)

@@ -72,7 +72,7 @@ def test_matches_reference_find_groups_on_generator_blocks(groups):
 
 def test_connected_instance_keeps_its_masks(twelve):
     (comp,) = find_groups(twelve).components
-    assert all(a._bits is b._bits for a, b in zip(comp.subinstance.subsets, twelve.subsets))
+    assert all(a is b for a, b in zip(comp.subinstance.masks, twelve.masks))
 
 
 @given(st.integers(0, 100_000))
@@ -103,7 +103,7 @@ def test_merge_two_singleton_components():
     partials = []
     for comp in seg.components:
         cover = Cover.empty(comp.subinstance.n)
-        cover.add(0, comp.subinstance.subsets[0])
+        cover.add(0, comp.subinstance.masks[0])
         partials.append(cover)
     merged = merge_partial_covers(seg, partials)
     assert merged.chosen == [0, 1]
@@ -114,7 +114,7 @@ def test_merge_single_component_is_identity(twelve):
     seg = find_groups(twelve)
     cover = Cover.empty(12)
     for sid in (0, 1, 5):
-        cover.add(sid, twelve.subsets[sid])
+        cover.add(sid, twelve.masks[sid])
     merged = merge_partial_covers(seg, [cover])
     assert merged.chosen == [0, 1, 5]
     assert cover_is_feasible(merged, twelve)
@@ -125,7 +125,7 @@ def test_merge_rejects_infeasible_partial():
     seg = find_groups(inst)
     bad = Cover.empty(2)  # empty partial for the first component
     ok = Cover.empty(1)
-    ok.add(0, seg.components[1].subinstance.subsets[0])
+    ok.add(0, seg.components[1].subinstance.masks[0])
     with pytest.raises(ValueError, match="component 0"):
         merge_partial_covers(seg, [bad, ok])
 
