@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 WORD_BITS = 64
 
@@ -195,11 +195,23 @@ class Instance:
     The family must cover the universe and contain no empty subset.
     ``subsets`` may hold int masks or SuccinctSets of capacity ``n``.
     Instances are immutable after construction and safe to share.
+
+    ``members`` is optional: per subset, the ascending list of its distinct
+    elements, exactly the set bits of its mask, or ``None`` (the default).
+    A parser or generator that already holds those lists passes them so that
+    ``reduce`` need not decompose the masks again.  They are trusted as
+    given, apart from their count; they are never pickled and take no part
+    in ``==``.
     """
 
-    __slots__ = ("n", "masks")
+    __slots__ = ("n", "masks", "members")
 
-    def __init__(self, n: int, subsets: Iterable[Union[int, SuccinctSet]]) -> None:
+    def __init__(
+        self,
+        n: int,
+        subsets: Iterable[Union[int, SuccinctSet]],
+        members: Optional[Sequence[Sequence[int]]] = None,
+    ) -> None:
         if n < 0:
             raise ValueError(f"universe size must be >= 0, got {n}")
         masks = []
@@ -223,8 +235,11 @@ class Instance:
         # allocation of n bits before the family is known to cover it.
         if union.bit_count() != n:
             raise ValueError(uncovered_message(union))
+        if members is not None and len(members) != len(masks):
+            raise ValueError(f"{len(members)} member lists for {len(masks)} subsets")
         self.n = n
         self.masks = tuple(masks)
+        self.members = members
 
     @property
     def m(self) -> int:
@@ -252,7 +267,7 @@ class Instance:
 
     def __reduce__(self):
         # Pickled as n and the int masks, loaded through the validating
-        # constructor.
+        # constructor; member lists are left behind.
         return Instance, (self.n, self.masks)
 
     def __repr__(self) -> str:

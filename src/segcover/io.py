@@ -33,7 +33,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, List, NoReturn, Tuple
+from typing import Callable, Iterable, Iterator, List, NoReturn, Optional, Tuple
 
 from .core import Instance, index_mask, iter_bits, uncovered_message
 
@@ -195,15 +195,21 @@ def _read_rail_column(tokens: _Tokens, n: int, col: int, layout: str) -> None:
             raise ParseError(f"row id {row} out of range 1..{n}", tokens.last_offset)
 
 
-def _build_instance(n: int, masks: List[int], ints: _Ints, taken: int) -> Instance:
+def _build_instance(
+    n: int, masks: List[int], ints: _Ints, taken: int, members: Optional[List[List[int]]] = None
+) -> Instance:
     try:
-        return Instance(n, masks)
+        return Instance(n, masks, members)
     except ValueError as exc:
         raise ParseError(str(exc), ints.offset(taken - 1)) from None
 
 
 def parse_scp(data: bytes) -> Instance:
-    """Parse a row-major set-cover file; rows are elements, columns subsets."""
+    """Parse a row-major set-cover file; rows are elements, columns subsets.
+
+    The instance keeps each column's row list as ``members``, unless some
+    row names a column twice.
+    """
     ints = _Ints(data)
     values = ints.values
     n, m = ints.header()
@@ -235,8 +241,14 @@ def parse_scp(data: bytes) -> Instance:
     except ValueError:  # a non-integer token, or a record that failed a check
         ints.replay(start, _read_scp_row, m, row)
     ints.expect_end(taken)
-    masks = [index_mask(ms, ms[0], ms[-1]) if ms else 0 for ms in members[1:]]
-    return _build_instance(n, masks, ints, taken)
+    del members[0]
+    masks = [index_mask(ms, ms[0], ms[-1]) if ms else 0 for ms in members]
+    # Rows are read in order, so each list ascends; it is distinct unless a
+    # row named a column twice, and then the masks hold fewer bits than
+    # the rows named columns.
+    if sum(map(int.bit_count, masks)) != taken - 2 - m - n:
+        members = None
+    return _build_instance(n, masks, ints, taken, members)
 
 
 def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
@@ -283,16 +295,44 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
     return _build_instance(n, masks, ints, taken)
 
 
+def _scp_shaped(data: bytes) -> bool:
+    """Whether the tokens of ``data`` fall into scp's records: a header
+    ``n m``, ``m`` costs, then ``n`` rows, each a positive count and that
+    many more tokens, and nothing after.
+
+    Only the header and the row counts are looked at; the other tokens are
+    skipped in C, and no mask is built.
+    """
+    values = _Ints(data).values
+    try:
+        head = list(islice(values, 2))
+        if len(head) < 2:
+            return False
+        n, m = head
+        if m > 0 and next(islice(values, m - 1, m), None) is None:
+            return False
+        for _ in range(n):
+            count = next(values, 0)
+            if count <= 0 or next(islice(values, count - 1, count), None) is None:
+                return False
+        return next(values, None) is None
+    except ValueError:
+        return False
+
+
 def parse_auto(data: bytes) -> Instance:
     """Detect the format: the one that parses, or either when both agree.
 
     Small files can be valid in both layouts while describing different
-    instances; those are rejected rather than guessed.
+    instances; those are rejected rather than guessed.  Bytes that parse as
+    rail are parsed as scp too only when their records have scp's shape.
     """
     try:
         rail = parse_rail(data)
     except ParseError:
         return parse_scp(data)
+    if not _scp_shaped(data):
+        return rail
     try:
         scp = parse_scp(data)
     except ParseError:
@@ -360,16 +400,20 @@ def generate_segmentable(cfg: GeneratorConfig) -> Instance:
     block's first element in addition to the random draw.  Elements left
     uncovered by the random draws are repaired by inserting them into their
     block's first subset, which keeps the subset count at exactly ``cfg.m``.
-    Deterministic in ``cfg.seed``.
+    The instance keeps the member lists as ``members``.  Deterministic in
+    ``cfg.seed``.
     """
     rng = random.Random(cfg.seed)
     k = cfg.groups
     base, extra = divmod(cfg.n, k)
-    blocks: List[range] = []
+    # Blocks are slices of one list of ids, so the member lists the
+    # instance keeps share one int object per element.
+    ids = list(range(cfg.n))
+    blocks: List[List[int]] = []
     start = 0
     for b in range(k):
         size = base + (1 if b < extra else 0)
-        blocks.append(range(start, start + size))
+        blocks.append(ids[start:start + size])
         start += size
 
     density = cfg.density
@@ -386,11 +430,13 @@ def generate_segmentable(cfg: GeneratorConfig) -> Instance:
         for e in members:
             covered[e] = True
     for b, block in enumerate(blocks):
-        for e in block:
-            if not covered[e]:
-                member_lists[b].append(e)
+        repaired = [e for e in block if not covered[e]]
+        if repaired:
+            member_lists[b] = sorted(member_lists[b] + repaired)
 
-    return Instance(cfg.n, [index_mask(ms, min(ms), max(ms)) for ms in member_lists])
+    return Instance(
+        cfg.n, [index_mask(ms, ms[0], ms[-1]) for ms in member_lists], member_lists
+    )
 
 
 def _fmt(value) -> str:

@@ -264,6 +264,15 @@ def test_instance_holds_int_masks_of_succinct_sets(twelve):
     assert [SuccinctSet(12, b) for b in twelve.masks] == list(twelve.subsets)
 
 
+def test_instance_member_lists_are_optional_and_not_compared(twelve):
+    members = [list(s) for s in twelve.subsets]
+    inst = Instance(12, twelve.masks, members)
+    assert inst.members is members and twelve.members is None
+    assert inst == twelve
+    with pytest.raises(ValueError, match="^6 member lists for 7 subsets$"):
+        Instance(12, twelve.masks, members[:-1])
+
+
 class _BadInstance:
     """Pickles as an Instance whose only mask has a bit above its universe."""
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import io
-from segcover.core import SuccinctSet
+from segcover.core import SuccinctSet, iter_bits
 from segcover.io import (
     GeneratorConfig,
     ParseError,
@@ -269,3 +269,71 @@ class TestResultsCsv:
         )
         row = emit_results_csv([rec]).decode().splitlines()[1]
         assert ",0.3333," in row
+
+
+def test_auto_refuses_bytes_that_read_as_two_instances():
+    data = b"2 2\n1 1\n2 1 2\n1 1\n"
+    assert parse_rail(data) != parse_scp(data)
+    with pytest.raises(ParseError, match="valid as both rail and scp"):
+        parse_auto(data)
+
+
+def test_auto_reads_rail_bytes_without_building_scp_masks():
+    inst = generate_segmentable(GeneratorConfig(n=300, m=900, groups=3, seed=5))
+    data = write_rail(inst)
+    assert not io._scp_shaped(data)
+    with mock.patch.object(io, "parse_scp", side_effect=AssertionError("scp parsed")), \
+            mock.patch.object(io, "index_mask", wraps=io.index_mask) as built:
+        assert parse_auto(data) == inst
+    assert built.call_count == inst.m  # one per rail column, none for scp
+
+
+@given(family_strategy)
+@settings(max_examples=300, deadline=None)
+def test_every_scp_file_has_the_scp_shape(seed):
+    # The shape check is what lets parse_auto skip parse_scp, so any bytes
+    # parse_scp accepts must pass it.
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 6)))
+    data = write_scp(inst)
+    assert io._scp_shaped(data)
+    assert not io._scp_shaped(data + b" 1")
+    data = mutated_file(rng)
+    if not isinstance(_outcome(parse_scp, data), tuple):
+        assert io._scp_shaped(data)
+
+
+def _assert_members_match_masks(inst):
+    assert inst.members is not None
+    assert [list(ms) for ms in inst.members] == [list(iter_bits(b)) for b in inst.masks]
+
+
+@given(family_strategy)
+@settings(max_examples=100, deadline=None)
+def test_scp_members_are_the_mask_bits(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 10)))
+    _assert_members_match_masks(parse_scp(write_scp(inst)))
+
+
+def test_scp_row_naming_a_column_twice_leaves_members_out():
+    data = b"2 2\n1 1\n3 1 2 1\n1 2\n"
+    inst = parse_scp(data)
+    assert inst.masks == (0b01, 0b11)
+    assert inst.members is None
+    assert parse_scp(b"2 2\n1 1\n2 1 2\n1 2\n").members == [[0], [0, 1]]
+
+
+def test_rail_parser_passes_no_members():
+    assert parse_rail(b"2 1\n1 2 1 2\n").members is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generator_members_are_the_mask_bits(seed):
+    # Dense enough draws leave no element to repair; sparse ones repair many.
+    for density in (0.02, 0.5):
+        _assert_members_match_masks(
+            generate_segmentable(GeneratorConfig(n=200, m=60, groups=5, density=density, seed=seed))
+        )

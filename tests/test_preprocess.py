@@ -1,9 +1,14 @@
+import pickle
 import random
+import tracemalloc
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import Cover, SuccinctSet, cover_is_feasible
+from segcover import preprocess
+from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
 from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.preprocess import format_reduction_table, reduce
 
@@ -171,6 +176,15 @@ def test_matches_reference_reduce(seed):
     assert_same_reduction(to_instance(*tie_rich_family(random.Random(seed))))
 
 
+@pytest.mark.parametrize("sparse", [0, 10**9], ids=["bitwise", "buffered"])
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_each_column_kernel_matches_reference_reduce(sparse, seed):
+    # Small families build dense columns only; the threshold forces one kernel.
+    with mock.patch.object(preprocess, "_SPARSE", sparse):
+        assert_same_reduction(to_instance(*tie_rich_family(random.Random(seed))))
+
+
 def test_matches_reference_reduce_on_segmentable():
     assert_same_reduction(
         generate_segmentable(GeneratorConfig(n=120, m=200, groups=4, density=0.1, seed=7))
@@ -188,3 +202,67 @@ def test_residual_renumbers_across_scattered_covered_elements():
     assert report.element_to_original == (0, 1, 3, 4, 6, 7)
     assert [list(s) for s in report.residual.subsets] == [[0, 1, 2, 3], [0, 2, 4, 5], [1, 3, 4, 5]]
     assert report == reference_reduce(inst)
+
+
+def with_members(n, subsets):
+    masks = to_instance(n, subsets).masks
+    return Instance(n, masks, [sorted(s) for s in subsets])
+
+
+def duplicate_rich_family(rng):
+    """A random covering family in which most subsets appear two or more
+    times, some of them next to each other."""
+    n = rng.randint(1, 16)
+    subsets = random_covering_family(rng, n, rng.randint(1, 6), rng.choice((1, 2, n)))
+    for s in list(subsets):
+        for _ in range(rng.randint(0, 3)):
+            subsets.insert(rng.randrange(len(subsets) + 1), set(s))
+    return n, subsets
+
+
+@given(seeds, st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_member_lists_give_the_same_reduction(seed, fixpoint, duplicates):
+    rng = random.Random(seed)
+    n, subsets = duplicate_rich_family(rng) if duplicates else tie_rich_family(rng)
+    inst = with_members(n, subsets)
+    bare = Instance(n, inst.masks)
+    assert bare.members is None
+    report = reduce(inst, fixpoint=fixpoint)
+    assert report == reduce(bare, fixpoint=fixpoint)
+    assert report == reference_reduce(bare, fixpoint=fixpoint)
+
+
+def test_single_pass_reads_members_instead_of_masks():
+    # Every element has two coverers, so nothing is forced or covered and
+    # no mask needs decomposing.
+    inst = generate_segmentable(GeneratorConfig(n=60, m=180, groups=3, density=0.3, seed=2))
+    assert inst.members is not None
+    expected = reference_reduce(inst)
+    assert expected.forced == ()
+    with mock.patch.object(preprocess, "iter_bits", side_effect=AssertionError("decomposed")):
+        assert reduce(inst) == expected
+
+
+def test_pickled_instance_drops_members_and_reduces_the_same():
+    inst = generate_segmentable(GeneratorConfig(n=120, m=200, groups=4, density=0.1, seed=7))
+    loaded = pickle.loads(pickle.dumps(inst))
+    assert inst.members is not None and loaded.members is None
+    assert loaded == inst
+    for fixpoint in (False, True):
+        assert reduce(loaded, fixpoint=fixpoint) == reduce(inst, fixpoint=fixpoint)
+
+
+def _reduce_peak(inst):
+    tracemalloc.start()
+    try:
+        reduce(inst)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_members_do_not_raise_the_reduce_peak():
+    inst = generate_segmentable(GeneratorConfig(n=3000, m=6000, groups=8, density=0.05, seed=3))
+    bare = Instance(inst.n, inst.masks)
+    assert _reduce_peak(inst) <= _reduce_peak(bare)
