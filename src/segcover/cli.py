@@ -13,19 +13,21 @@ import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
-from .grasp_su import SuParams, rpd, rpd_star, run_components
+from .grasp_su import SuParams, rpd, rpd_star, solve_restarts
 from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
-from .mst import grasp_mst_solve
+from .mst import build_cograph, merge_sides, mst_bipartition
 from .preprocess import ReductionReport, reduce
-from .segmentation import Segmentation, find_groups, merge_partial_covers
+from .segmentation import find_groups, merge_partial_covers
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -86,60 +88,35 @@ def _restart_covers(
     threads: int,
     restarts: int,
     phase_sums: Dict[str, float],
-) -> Iterator[Tuple[int, Cover]]:
-    """Yield ``(seed, cover of work)`` for each restart, in restart order.
+) -> Iterable[Cover]:
+    """The cover of ``work`` for each restart, in restart order.
 
-    Restart ``k`` runs with seed ``params.seed + k``.  GRASP restarts go to
-    ``run_components`` in batches of ``ceil(threads / components)``, so a
-    pool has work for every worker even when the instance has fewer
-    components than workers; ``grasp`` solves ``work`` as its one
-    component.  Phase times are added to ``phase_sums``.
+    Restart ``k`` runs with seed ``params.seed + k``.  A GRASP algorithm
+    splits ``work`` once, and every restart of ``solve_restarts`` reuses
+    the pieces: ``grasp`` solves ``work`` as its one piece, ``grasp-uf``
+    its co-occurrence components, ``grasp-mst`` the two sides of the forced
+    bipartition.  Phase times are added to ``phase_sums``.
     """
-    seeds = range(params.seed, params.seed + restarts)
     if work.n == 0:
-        for run_seed in seeds:
-            yield run_seed, Cover.empty(0)
-        return
-    if algorithm in ("greedy", "grasp-mst"):
-        for run_seed in seeds:
-            t0 = time.perf_counter()
-            if algorithm == "greedy":
-                cover = greedy_solve(work)
-                phase_sums["solve_ms"] += (time.perf_counter() - t0) * 1e3
-            else:
-                su = SuParams(grasp=replace(params, seed=run_seed), threads=threads)
-                phase: Dict[str, float] = {}
-                cover = grasp_mst_solve(work, su, phase_times=phase)
-                for key in phase_sums:
-                    phase_sums[key] += phase[key]
-            yield run_seed, cover
-        return
-
-    seg: Optional[Segmentation] = None
-    subinstances = [work]
-    if algorithm == "grasp-uf":
-        # Components depend on the instance alone: every restart shares them.
-        t0 = time.perf_counter()
+        return [Cover.empty(0)] * restarts
+    t0 = time.perf_counter()
+    if algorithm == "greedy":
+        cover = greedy_solve(work)
+        phase_sums["solve_ms"] += (time.perf_counter() - t0) * 1e3
+        return [cover]
+    if algorithm == "grasp":
+        pieces, merge = [work], itemgetter(0)
+    elif algorithm == "grasp-uf":
         seg = find_groups(work)
-        phase_sums["segment_ms"] += (time.perf_counter() - t0) * 1e3
-        subinstances = [c.subinstance for c in seg.components]
-    count = len(subinstances)
-    batch = -(-threads // count)
-    for first in range(0, restarts, batch):
-        size = min(batch, restarts - first)
-        su = SuParams(grasp=replace(params, seed=seeds[first]), threads=threads)
-        t0 = time.perf_counter()
-        partials = run_components(subinstances, su, size)
-        t1 = time.perf_counter()
-        covers = [
-            merge_partial_covers(seg, partials[k * count:(k + 1) * count])
-            if seg is not None
-            else partials[k]
-            for k in range(size)
-        ]
-        phase_sums["solve_ms"] += (t1 - t0) * 1e3
-        phase_sums["merge_ms"] += (time.perf_counter() - t1) * 1e3
-        yield from zip(seeds[first:first + size], covers)
+        pieces = [c.subinstance for c in seg.components]
+        merge = partial(merge_partial_covers, seg)
+    else:
+        bip = mst_bipartition(build_cograph(work))
+        pieces = [bip.side1.subinstance, bip.side2.subinstance]
+        merge = partial(merge_sides, work, bip)
+    phase_sums["segment_ms"] += (time.perf_counter() - t0) * 1e3
+    su = SuParams(grasp=params, threads=threads)
+    return solve_restarts(pieces, merge, su, restarts, phase_sums)
 
 
 def run_algorithm(
@@ -182,9 +159,8 @@ def run_algorithm(
     best_seed = seed
     phase_sums = {"segment_ms": 0.0, "solve_ms": 0.0, "merge_ms": 0.0}
     params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed)
-    for run_seed, cover in _restart_covers(
-        work, algorithm, params, threads, restarts, phase_sums
-    ):
+    covers = _restart_covers(work, algorithm, params, threads, restarts, phase_sums)
+    for run_seed, cover in enumerate(covers, seed):
         full = report.lift_cover(cover) if report is not None else cover
         if not cover_is_feasible(full, inst):
             raise RuntimeError(f"{algorithm} produced an infeasible cover on {name}")

@@ -1,12 +1,15 @@
-"""Segmented GRASP: solve co-occurrence components independently, then merge.
+"""Segmented GRASP: solve independent pieces of an instance, then merge.
 
-Components are dispatched longest-family-first to a worker pool and solved
-with per-component RNG streams derived as ``master_seed XOR component
-index``, so results are identical for any worker count or scheduling order.
-One pool can also run several restarts of every component side by side
-(``run_components(..., restarts)``), which is how a connected instance uses
-more than one worker.  Workers are separate processes (the practical route
-to CPU parallelism in CPython); the ``threads`` knob caps the pool size.
+``solve_restarts`` is the one restart path of every GRASP algorithm: the
+caller splits the instance once (``grasp`` into itself, ``grasp-uf`` into
+co-occurrence components, ``grasp-mst`` into the two sides of a forced
+bipartition) and says how the pieces' covers merge back.  Restarts then run
+in batches on ``run_components``, which dispatches the pieces of every
+restart in a batch longest-family-first to one worker pool, with RNG
+streams derived as ``(master_seed + restart) XOR piece index``, so results
+are identical for any worker count or scheduling order.  Workers are
+separate processes (the practical route to CPU parallelism in CPython); the
+``threads`` knob caps the pool size.
 """
 from __future__ import annotations
 
@@ -15,29 +18,22 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance
 from .grasp import GraspParams, _grasp_run
-from .segmentation import Segmentation, find_groups, merge_partial_covers
-
-SEGMENTATION_SOURCES = ("union-find", "mst-bipartition")
+from .segmentation import find_groups, merge_partial_covers
 
 
 @dataclass(frozen=True)
 class SuParams:
     grasp: GraspParams = GraspParams()
     threads: int = 1
-    segmentation_source: str = "union-find"
 
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.segmentation_source not in SEGMENTATION_SOURCES:
-            raise ValueError(
-                f"segmentation_source must be one of {SEGMENTATION_SOURCES}, "
-                f"got {self.segmentation_source!r}"
-            )
 
 
 # The subinstances that ``_solve_component`` tasks index into: set in each
@@ -101,39 +97,59 @@ def run_components(
     return [results[index] for index in range(len(tasks))]
 
 
+def solve_restarts(
+    subinstances: Sequence[Instance],
+    merge: Callable[[Sequence[Cover]], Cover],
+    params: SuParams,
+    restarts: int,
+    phase_times: Dict[str, float],
+) -> Iterator[Cover]:
+    """Yield ``merge(piece covers)`` for each restart, in restart order.
+
+    Restart ``k`` runs with seed ``params.grasp.seed + k``.  Restarts go to
+    ``run_components`` in batches of ``ceil(threads / pieces)``, so a pool
+    has work for every worker even when there are fewer pieces than
+    workers.  The solve and merge times are added to ``phase_times``
+    (``solve_ms``, ``merge_ms``).
+    """
+    count = len(subinstances)
+    batch = -(-params.threads // max(count, 1))
+    for first in range(0, restarts, batch):
+        size = min(batch, restarts - first)
+        grasp = replace(params.grasp, seed=params.grasp.seed + first)
+        t0 = time.perf_counter()
+        partials = run_components(subinstances, replace(params, grasp=grasp), size)
+        t1 = time.perf_counter()
+        covers = [merge(partials[k * count:(k + 1) * count]) for k in range(size)]
+        t2 = time.perf_counter()
+        phase_times["solve_ms"] = phase_times.get("solve_ms", 0.0) + (t1 - t0) * 1e3
+        phase_times["merge_ms"] = phase_times.get("merge_ms", 0.0) + (t2 - t1) * 1e3
+        yield from covers
+
+
 def grasp_su_solve(
     inst: Instance,
     params: Optional[SuParams] = None,
     phase_times: Optional[Dict[str, float]] = None,
-    segmentation: Optional[Segmentation] = None,
 ) -> Cover:
-    """Segment, solve each component concurrently, merge.
+    """Segment, solve each component concurrently, merge: one restart.
 
-    ``segmentation`` (union-find only) is ``find_groups(inst)`` computed by
-    the caller, which lets restarts on one instance share it; it is computed
-    here when absent.  ``phase_times`` (if given) receives ``segment_ms``,
-    ``solve_ms`` and ``merge_ms``.  The merged cover needs neither repair
-    nor pruning: components share no elements and every component cover is
-    already 1-minimal, so their union is a 1-minimal cover.
+    ``phase_times`` (if given) receives ``segment_ms``, ``solve_ms`` and
+    ``merge_ms``.  The merged cover needs neither repair nor pruning:
+    components share no elements and every component cover is already
+    1-minimal, so their union is a 1-minimal cover.
     """
     params = params if params is not None else SuParams()
-    if params.segmentation_source == "mst-bipartition":
-        from .mst import grasp_mst_solve
-
-        return grasp_mst_solve(inst, params, phase_times)
-
     t0 = time.perf_counter()
-    seg = segmentation if segmentation is not None else find_groups(inst)
-    t1 = time.perf_counter()
-    partials = run_components([c.subinstance for c in seg.components], params)
-    t2 = time.perf_counter()
-    merged = merge_partial_covers(seg, partials)
-    t3 = time.perf_counter()
+    seg = find_groups(inst)
+    times = {"segment_ms": (time.perf_counter() - t0) * 1e3}
+    subinstances = [c.subinstance for c in seg.components]
+    [cover] = solve_restarts(
+        subinstances, partial(merge_partial_covers, seg), params, 1, times
+    )
     if phase_times is not None:
-        phase_times["segment_ms"] = (t1 - t0) * 1e3
-        phase_times["solve_ms"] = (t2 - t1) * 1e3
-        phase_times["merge_ms"] = (t3 - t2) * 1e3
-    return merged
+        phase_times.update(times)
+    return cover
 
 
 def rpd(card: int, bks: int) -> float:

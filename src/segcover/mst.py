@@ -10,12 +10,13 @@ faithful, diagnosable baseline, not as a recommended segmentation.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, SuccinctSet, iter_bits, restrict_masks
 from .grasp import remove_redundant_sets
+from .grasp_su import SuParams, solve_restarts
 from .segmentation import Component, UnionFind
 
 Edge = Tuple[int, int, int]
@@ -187,38 +188,32 @@ def bipartition_csv(bip: Bipartition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grasp_mst_solve(
-    inst: Instance,
-    params=None,
-    phase_times: Optional[Dict[str, float]] = None,
-) -> Cover:
-    """Segmented solve using the forced bipartition instead of union-find.
+def merge_sides(inst: Instance, bip: Bipartition, partials: Sequence[Cover]) -> Cover:
+    """Combine the two sides' covers into a 1-minimal cover of ``inst``.
 
-    Both sides are solved independently; the merged cover records original
-    (unrestricted) subset ids, deduplicated when both sides chose the same
-    subset.  Known to degrade quality versus un-segmented search: subsets
-    spanning the cut are effectively halved.
+    The merged cover records original (unrestricted) subset ids, once each,
+    although a subset that spans the cut may be chosen on both sides.  A
+    whole subset also covers its elements on the other side, which can make
+    that side's choices redundant, so the union is pruned.
     """
-    from .grasp_su import SuParams, run_components
-
-    params = params if params is not None else SuParams()
-    t0 = time.perf_counter()
-    g = build_cograph(inst)
-    bip = mst_bipartition(g)
-    sides = (bip.side1, bip.side2)
-    t1 = time.perf_counter()
-    partials = run_components([side.subinstance for side in sides], params)
-    t2 = time.perf_counter()
     merged = Cover.empty(inst.n)
-    for side, partial in zip(sides, partials):
-        for local_sid in partial.chosen:
+    for side, cover in zip((bip.side1, bip.side2), partials):
+        for local_sid in cover.chosen:
             orig = side.subfamily[local_sid]
             if orig not in merged:
                 merged.add(orig, inst.masks[orig])
-    merged = remove_redundant_sets(merged, inst)
-    t3 = time.perf_counter()
-    if phase_times is not None:
-        phase_times["segment_ms"] = (t1 - t0) * 1e3
-        phase_times["solve_ms"] = (t2 - t1) * 1e3
-        phase_times["merge_ms"] = (t3 - t2) * 1e3
-    return merged
+    return remove_redundant_sets(merged, inst)
+
+
+def grasp_mst_solve(inst: Instance, params: Optional[SuParams] = None) -> Cover:
+    """Segmented solve using the forced bipartition instead of union-find.
+
+    Both sides are solved independently, then merged by ``merge_sides``.
+    Known to degrade quality versus un-segmented search: subsets spanning
+    the cut are effectively halved.
+    """
+    params = params if params is not None else SuParams()
+    bip = mst_bipartition(build_cograph(inst))
+    sides = [bip.side1.subinstance, bip.side2.subinstance]
+    [cover] = solve_restarts(sides, partial(merge_sides, inst, bip), params, 1, {})
+    return cover

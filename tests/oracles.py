@@ -23,8 +23,9 @@ from segcover.grasp import (
 )
 from segcover.grasp_su import SuParams, grasp_su_solve
 from segcover.io import ParseError, write_rail, write_scp
+from segcover.mst import grasp_mst_solve
 from segcover.preprocess import ReductionReport, reduce
-from segcover.segmentation import Component, Segmentation, UnionFind, find_groups
+from segcover.segmentation import Component, Segmentation, UnionFind
 
 
 def harmonic(k: int) -> float:
@@ -512,22 +513,23 @@ def reference_run_restarts(
     preprocess: bool = True,
 ) -> Tuple[int, Cover]:
     """The restart loop ``cli.run_algorithm`` ran before restarts were
-    batched, for ``grasp`` and ``grasp-uf``: one solve per restart, back to
-    back.  Returns the seed and the lifted cover of the first strictly
-    smallest restart."""
+    batched, for ``grasp``, ``grasp-uf`` and ``grasp-mst``: one solve per
+    restart, back to back.  Returns the seed and the lifted cover of the
+    first strictly smallest restart."""
     report = reduce(inst) if preprocess else None
     work = report.residual if report is not None else inst
-    seg = find_groups(work) if algorithm == "grasp-uf" and work.n > 0 else None
     best_seed, best = seed, None
     for k in range(restarts):
         params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed + k)
+        su = SuParams(grasp=params, threads=threads)
         if work.n == 0:
             cover = Cover.empty(0)
         elif algorithm == "grasp":
             cover = grasp_solve(work, params)
+        elif algorithm == "grasp-mst":
+            cover = grasp_mst_solve(work, su)
         else:
-            su = SuParams(grasp=params, threads=threads)
-            cover = grasp_su_solve(work, su, segmentation=seg)
+            cover = grasp_su_solve(work, su)
         full = report.lift_cover(cover) if report is not None else cover
         if best is None or len(full) < len(best):
             best_seed, best = seed + k, full

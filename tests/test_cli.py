@@ -123,6 +123,18 @@ class TestSolve:
         assert code == EXIT_USAGE_ERROR
         assert "not found" in err
 
+    def test_grasp_mst_on_one_element_residual_is_usage_error(self, tmp_path, capsys):
+        # connected and valid, but reduction leaves one element and one subset
+        path = tmp_path / "one.scp"
+        path.write_bytes(b"1 3\n1 1 1\n3\n1 2 3\n")
+        code, out, err = run(
+            capsys, "solve", "--input", str(path), "--format", "scp",
+            "--algorithm", "grasp-mst",
+        )
+        assert code == EXIT_USAGE_ERROR
+        assert out == ""
+        assert err == "segcover: error: bipartition needs at least two elements\n"
+
     def test_malformed_file_is_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.scp"
         bad.write_bytes(b"not numbers at all")
@@ -319,7 +331,9 @@ def test_solve_on_arbitrary_bytes_exits_0_or_2(seed):
 @settings(max_examples=2, deadline=None)
 def test_batched_restarts_match_reference_loop(seed, preprocess):
     """Every (algorithm, threads, components, restarts) cell of the grid gives
-    the old back-to-back restart loop's best cover and seed."""
+    the old back-to-back restart loop's best cover and seed, or, for a
+    grasp-mst cell whose residual is disconnected or has fewer than two
+    elements, the same error."""
     for groups in (1, 2, 3, 5):
         # One improvement iteration on 40-element blocks: a later restart is
         # the best one in about two runs of five, so restart seeds matter.
@@ -328,25 +342,41 @@ def test_batched_restarts_match_reference_loop(seed, preprocess):
         )
         inst = generate_segmentable(cfg)
         for algorithm, threads, restarts in itertools.product(
-            ("grasp", "grasp-uf"), (1, 2, 3, 4), (1, 2, 3)
+            ("grasp", "grasp-uf", "grasp-mst"), (1, 2, 3, 4), (1, 2, 3)
         ):
             kwargs = dict(iterations=1, seed=seed, threads=threads, restarts=restarts,
                           preprocess=preprocess)
-            record, cover = cli.run_algorithm(inst, "gen", algorithm, **kwargs)
-            best_seed, best = reference_run_restarts(inst, algorithm, **kwargs)
             cell = (algorithm, threads, groups, restarts)
+            try:
+                best_seed, best = reference_run_restarts(inst, algorithm, **kwargs)
+            except ValueError as exc:
+                assert algorithm == "grasp-mst", cell
+                with pytest.raises(ValueError) as raised:
+                    cli.run_algorithm(inst, "gen", algorithm, **kwargs)
+                assert str(raised.value) == str(exc), cell
+                continue
+            record, cover = cli.run_algorithm(inst, "gen", algorithm, **kwargs)
             assert cover.chosen == best.chosen, cell
             assert record.cardinality == len(best), cell
             assert record.seed == best_seed, cell
 
 
 @pytest.mark.parametrize(
-    "groups, threads, pools, tasks",
-    [(1, 2, 1, 2), (4, 2, 2, 8), (1, 1, 0, 0), (4, 1, 0, 0)],
+    "algorithm, groups, threads, pools, tasks",
+    [
+        ("grasp-uf", 1, 2, 1, 2),
+        ("grasp-uf", 4, 2, 2, 8),
+        ("grasp-uf", 1, 1, 0, 0),
+        ("grasp-uf", 4, 1, 0, 0),
+        ("grasp-mst", 1, 4, 1, 4),
+    ],
 )
-def test_restart_batches_fill_one_pool_each(monkeypatch, groups, threads, pools, tasks):
-    """A batch holds ceil(threads / components) restarts on one pool, and its
-    tasks carry no instance: under fork the parent never pickles one."""
+def test_restart_batches_fill_one_pool_each(
+    monkeypatch, algorithm, groups, threads, pools, tasks
+):
+    """A batch holds ceil(threads / pieces) restarts on one pool, and its
+    tasks carry no instance: under fork the parent never pickles one.  The
+    pieces are the components, or grasp-mst's two sides."""
     counts = {"pools": 0, "tasks": 0}
     base = grasp_su.ProcessPoolExecutor
 
@@ -372,7 +402,7 @@ def test_restart_batches_fill_one_pool_each(monkeypatch, groups, threads, pools,
         GeneratorConfig(n=30 * groups, m=20 * groups, groups=groups, seed=3)
     )
     cli.run_algorithm(
-        inst, "gen", "grasp-uf", iterations=3, threads=threads, restarts=2,
+        inst, "gen", algorithm, iterations=3, threads=threads, restarts=2,
         preprocess=False,
     )
     assert counts == {"pools": pools, "tasks": tasks}
@@ -400,20 +430,22 @@ def test_dead_worker_is_exit_code_4(monkeypatch, capsys, tmp_path):
 
 
 def test_parallel_restarts_run_clean_in_dev_mode(tmp_path):
-    """A pooled batch of two restarts, then one in-process restart, with
-    warnings as errors: an unclosed pool or file, or (3.12+) a fork while
-    threads are alive, fails the run."""
+    """With warnings as errors, grasp-uf runs a pooled batch of two restarts,
+    then one in-process restart, and grasp-mst one pooled batch of its two
+    sides for each of three restarts: an unclosed pool or file, or (3.12+) a
+    fork while threads are alive, fails the run."""
     inst = generate_segmentable(GeneratorConfig(n=150, m=90, groups=1, density=0.1, seed=4))
     assert len(segmentation.find_groups(reduce(inst).residual).components) == 1
     path = tmp_path / "connected.scp"
     path.write_bytes(write_scp(inst))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "segcover.cli", "solve",
-         "--input", str(path), "--format", "scp", "--algorithm", "grasp-uf",
-         "--threads", "2", "--restarts", "3", "--iterations", "5"],
-        capture_output=True, timeout=120, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stderr == b""
+    for algorithm in ("grasp-uf", "grasp-mst"):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "segcover.cli", "solve",
+             "--input", str(path), "--format", "scp", "--algorithm", algorithm,
+             "--threads", "2", "--restarts", "3", "--iterations", "5"],
+            capture_output=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, (algorithm, proc.stderr.decode())
+        assert proc.stderr == b"", algorithm

@@ -114,8 +114,6 @@ class TestDeviationMetrics:
 def test_params_validation():
     with pytest.raises(ValueError):
         SuParams(threads=0)
-    with pytest.raises(ValueError):
-        SuParams(segmentation_source="voronoi")
 
 
 def test_usually_no_worse_than_greedy_on_segmentable_instances():

@@ -15,7 +15,12 @@ from segcover.mst import (
 from segcover.preprocess import reduce
 
 from conftest import make_instance
-from oracles import brute_force_max_spanning_tree
+from oracles import (
+    bfs_components,
+    brute_force_max_spanning_tree,
+    random_covering_family,
+    to_instance,
+)
 
 
 def graph_from_edges(n, edges):
@@ -164,6 +169,27 @@ class TestGraspMstSolve:
         cover = grasp_mst_solve(inst, SuParams(grasp=GraspParams(num_iter=5, seed=1)))
         assert cover_is_feasible(cover, inst)
         assert all(0 <= sid < inst.m for sid in cover.chosen)
+
+    def test_merged_cover_is_one_minimal(self):
+        # a subset chosen whole on one side also covers its elements on the
+        # other side, where it can make that side's choices redundant
+        rng = random.Random(5)
+        solved = 0
+        while solved < 30:
+            n = rng.randint(10, 40)
+            family = random_covering_family(rng, n, rng.randint(6, 20), max(3, n // 4))
+            if len(bfs_components(n, family)) != 1:
+                continue
+            inst = to_instance(n, family)
+            params = SuParams(grasp=GraspParams(num_iter=2, seed=solved))
+            chosen = grasp_mst_solve(inst, params).chosen
+            for sid in chosen:
+                rest = 0
+                for other in chosen:
+                    if other != sid:
+                        rest |= inst.masks[other]
+                assert rest != (1 << n) - 1, (solved, sid)
+            solved += 1
 
     def test_deterministic(self, twelve):
         inst = reduced_cograph_instance(twelve)
