@@ -32,15 +32,8 @@ from .io import (
     write_scp,
 )
 from .mst import Bipartition, WeightedCoGraph, build_cograph, grasp_mst_solve, mst_bipartition
-from .preprocess import ReductionReport, format_reduction_table, reduce
-from .segmentation import (
-    Component,
-    Segmentation,
-    UnionFind,
-    find_groups,
-    merge_partial_covers,
-    segmentation_csv,
-)
+from .preprocess import ReductionReport, reduce
+from .segmentation import Component, Segmentation, find_groups, merge_partial_covers
 
 __version__ = "0.1.0"
 
@@ -59,14 +52,12 @@ __all__ = [
     "Segmentation",
     "SuParams",
     "SuccinctSet",
-    "UnionFind",
     "WeightedCoGraph",
     "build_cograph",
     "cover_is_feasible",
     "create_row_map",
     "emit_results_csv",
     "find_groups",
-    "format_reduction_table",
     "generate_segmentable",
     "grasp_mst_solve",
     "grasp_solve",
@@ -83,7 +74,6 @@ __all__ = [
     "remove_sets",
     "rpd",
     "rpd_star",
-    "segmentation_csv",
     "write_rail",
     "write_scp",
 ]

@@ -78,7 +78,7 @@ def _parse_file(path: Path, fmt: str, rail_layout: str) -> Instance:
         return parse_scp(data)
     if fmt == "rail":
         return parse_rail(data, layout=rail_layout)
-    return parse_auto(data)
+    return parse_auto(data, rail_layout)
 
 
 def _restart_covers(

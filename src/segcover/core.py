@@ -1,6 +1,7 @@
 """Bit-parallel set representation and the shared set-cover data model."""
 from __future__ import annotations
 
+from itertools import chain
 from operator import index
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -326,3 +327,26 @@ def cover_is_feasible(c: Cover, inst: Instance) -> bool:
             f"cover capacity {c.covered.capacity} does not match universe {inst.n}"
         )
     return int(c.covered) == (1 << inst.n) - 1
+
+
+def lift(
+    inst: Instance,
+    families: Iterable[Sequence[int]],
+    covers: Iterable[Cover],
+    first: Iterable[int] = (),
+) -> Cover:
+    """One cover of ``inst`` from the covers of pieces of it.
+
+    The ids in ``first`` are chosen first, then each piece cover's chosen
+    ids in order, mapped to ``inst``'s ids through that piece's family
+    (``family[local_id]`` is the id in ``inst``).  An id that is already
+    chosen is skipped.
+    """
+    pieces = zip(families, covers, strict=True)
+    ids = chain(first, *(map(family.__getitem__, c.chosen) for family, c in pieces))
+    chosen = list(dict.fromkeys(ids))
+    masks = inst.masks
+    covered = 0
+    for sid in chosen:
+        covered |= masks[sid]
+    return Cover(chosen, SuccinctSet(inst.n, covered))

@@ -320,15 +320,17 @@ def _scp_shaped(data: bytes) -> bool:
         return False
 
 
-def parse_auto(data: bytes) -> Instance:
+def parse_auto(data: bytes, layout: str = "cost-first") -> Instance:
     """Detect the format: the one that parses, or either when both agree.
+
+    Rail bytes are read in the column ``layout`` of ``parse_rail``.
 
     Small files can be valid in both layouts while describing different
     instances; those are rejected rather than guessed.  Bytes that parse as
     rail are parsed as scp too only when their records have scp's shape.
     """
     try:
-        rail = parse_rail(data)
+        rail = parse_rail(data, layout)
     except ParseError:
         return parse_scp(data)
     if not _scp_shaped(data):

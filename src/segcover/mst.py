@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Cover, Instance, SuccinctSet, iter_bits, restrict_masks
+from .core import Cover, Instance, iter_bits, lift, restrict_masks
 from .grasp import remove_redundant_sets
 from .grasp_su import SuParams, solve_restarts
-from .segmentation import Component, UnionFind
+from .segmentation import Component
 
 Edge = Tuple[int, int, int]
 
@@ -32,11 +32,10 @@ class WeightedCoGraph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A two-way split: the cut edge, both sides, and cut diagnostics.
+    """A two-way split: the cut edge, both sides, and the maximum spanning tree.
 
     ``weight1``/``weight2`` sum the spanning-tree edge weights internal to
-    each side; ``cuts`` lists every candidate tree edge with the side
-    weights its removal would produce.
+    each side.
     """
 
     cut_edge: Edge
@@ -45,7 +44,6 @@ class Bipartition:
     weight1: int
     weight2: int
     tree_edges: Tuple[Edge, ...]
-    cuts: Tuple[Tuple[Edge, int, int], ...]
 
 
 def build_cograph(inst: Instance) -> WeightedCoGraph:
@@ -67,7 +65,6 @@ def _side_component(inst: Instance, elements: List[int]) -> Component:
     masks = restrict_masks(inst.masks, elements)
     family = [sid for sid, b in enumerate(masks) if b]
     return Component(
-        elements=SuccinctSet.from_indices(inst.n, elements),
         subfamily=tuple(family),
         subinstance=Instance(len(elements), [masks[sid] for sid in family]),
         element_ids=tuple(elements),
@@ -88,11 +85,20 @@ def mst_bipartition(g: WeightedCoGraph) -> Bipartition:
     n = inst.n
     if n < 2:
         raise ValueError("bipartition needs at least two elements")
-    uf = UnionFind(n)
+    # Kruskal over path-halving roots, as in ``find_groups``.
+    parent = list(range(n))
     tree: List[Edge] = []
-    for i, j, w in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1])):
-        if uf.union(i, j):
-            tree.append((i, j, w))
+    for edge in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1])):
+        a, b = edge[0], edge[1]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            tree.append(edge)
     if len(tree) != n - 1:
         raise ValueError(
             "co-occurrence graph is disconnected; use union-find segmentation instead"
@@ -102,90 +108,47 @@ def mst_bipartition(g: WeightedCoGraph) -> Bipartition:
     for i, j, w in tree:
         adjacency[i].append((j, w))
         adjacency[j].append((i, w))
-
-    # Root the tree at 0; subtree_weight[v] sums tree edges inside v's subtree.
-    parent_edge: List[Optional[Edge]] = [None] * n
-    order: List[int] = []
-    stack = [0]
-    seen = [False] * n
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        order.append(v)
+    # Root the tree at 0 by BFS (``order`` grows while it is walked);
+    # below[v] sums the tree edges inside v's subtree.
+    up = [-1] * n
+    up[0] = 0
+    up_weight = [0] * n
+    order = [0]
+    for v in order:
         for u, w in adjacency[v]:
-            if not seen[u]:
-                seen[u] = True
-                parent_edge[u] = (min(u, v), max(u, v), w)
-                stack.append(u)
-    subtree_weight = [0] * n
-    for v in reversed(order):
-        total = 0
-        for u, w in adjacency[v]:
-            if parent_edge[u] == (min(u, v), max(u, v), w):
-                total += subtree_weight[u] + w
-        subtree_weight[v] = total
+            if up[u] < 0:
+                up[u], up_weight[u] = v, w
+                order.append(u)
+    below = [0] * n
+    for v in reversed(order[1:]):
+        below[up[v]] += below[v] + up_weight[v]
 
-    total_weight = sum(w for _, _, w in tree)
-    child_of_edge: Dict[Edge, int] = {}
-    for v in range(n):
-        if parent_edge[v] is not None:
-            child_of_edge[parent_edge[v]] = v
-    cuts: List[Tuple[Edge, int, int]] = []
-    for edge in tree:
-        child = child_of_edge[edge]
-        w_child = subtree_weight[child]
-        w_rest = total_weight - edge[2] - w_child
-        # Side 1 holds the smaller endpoint (edge[0]) of the cut edge.
-        if child == edge[0]:
-            w1, w2 = w_child, w_rest
-        else:
-            w1, w2 = w_rest, w_child
-        cuts.append((edge, w1, w2))
+    total = sum(up_weight)
 
-    best_edge, best_w1, best_w2 = min(
-        cuts, key=lambda cut: (abs(cut[1] - cut[2]), cut[0][2], cut[0][:2])
-    )
+    def cut(edge: Edge) -> Tuple[int, ...]:
+        """The balance key of cutting ``edge``, its side weights and its child."""
+        i, j, w = edge
+        child = j if up[j] == i else i
+        w_rest = total - w - below[child]
+        # Side 1 holds the smaller endpoint (i) of the cut edge.
+        w1, w2 = (below[child], w_rest) if child == i else (w_rest, below[child])
+        return abs(w1 - w2), w, i, j, w1, w2, child
 
-    child = child_of_edge[best_edge]
-    side_child = []
-    stack = [child]
-    in_child = [False] * n
-    in_child[child] = True
-    while stack:
-        v = stack.pop()
-        side_child.append(v)
-        for u, w in adjacency[v]:
-            if (min(u, v), max(u, v), w) == best_edge:
-                continue
-            if not in_child[u]:
-                in_child[u] = True
-                stack.append(u)
-    side_rest = [v for v in range(n) if not in_child[v]]
-    side_child.sort()
-    if child == best_edge[0]:
-        elems1, elems2 = side_child, side_rest
-    else:
-        elems1, elems2 = side_rest, side_child
+    _, w, i, j, weight1, weight2, child = min(map(cut, tree))
+    inside = [False] * n
+    for v in order[1:]:
+        inside[v] = v == child or inside[up[v]]
+    elems1 = [v for v in range(n) if inside[v] == (child == i)]
+    elems2 = [v for v in range(n) if inside[v] != (child == i)]
 
     return Bipartition(
-        cut_edge=best_edge,
+        cut_edge=(i, j, w),
         side1=_side_component(inst, elems1),
         side2=_side_component(inst, elems2),
-        weight1=best_w1,
-        weight2=best_w2,
+        weight1=weight1,
+        weight2=weight2,
         tree_edges=tuple(tree),
-        cuts=tuple(cuts),
     )
-
-
-def bipartition_csv(bip: Bipartition) -> str:
-    """Diagnostic dump: the tree edges, then every candidate cut's balance."""
-    lines = ["section,u,v,weight,w1,w2"]
-    for i, j, w in bip.tree_edges:
-        lines.append(f"tree,{i},{j},{w},,")
-    for (i, j, w), w1, w2 in bip.cuts:
-        lines.append(f"cut,{i},{j},{w},{w1},{w2}")
-    return "\n".join(lines) + "\n"
 
 
 def merge_sides(inst: Instance, bip: Bipartition, partials: Sequence[Cover]) -> Cover:
@@ -196,13 +159,8 @@ def merge_sides(inst: Instance, bip: Bipartition, partials: Sequence[Cover]) -> 
     whole subset also covers its elements on the other side, which can make
     that side's choices redundant, so the union is pruned.
     """
-    merged = Cover.empty(inst.n)
-    for side, cover in zip((bip.side1, bip.side2), partials):
-        for local_sid in cover.chosen:
-            orig = side.subfamily[local_sid]
-            if orig not in merged:
-                merged.add(orig, inst.masks[orig])
-    return remove_redundant_sets(merged, inst)
+    families = (bip.side1.subfamily, bip.side2.subfamily)
+    return remove_redundant_sets(lift(inst, families, partials), inst)
 
 
 def grasp_mst_solve(inst: Instance, params: Optional[SuParams] = None) -> Cover:

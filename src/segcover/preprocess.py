@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .core import Cover, Instance, SuccinctSet, iter_bits, restrict_masks
+from .core import Cover, Instance, SuccinctSet, iter_bits, lift, restrict_masks
 
 # Positions spanned per member above which a dominance column is built bit
 # by bit rather than from a '0'/'1' buffer; on CPython 3.11 (x86-64) the two
@@ -44,14 +44,7 @@ class ReductionReport:
 
     def lift_cover(self, residual_cover: Cover) -> Cover:
         """Translate a residual cover back to original ids, forced ids first."""
-        cover = Cover.empty(self.original.n)
-        masks = self.original.masks
-        for sid in self.forced:
-            cover.add(sid, masks[sid])
-        for sid in residual_cover.chosen:
-            orig = self.subset_to_original[sid]
-            cover.add(orig, masks[orig])
-        return cover
+        return lift(self.original, [self.subset_to_original], [residual_cover], self.forced)
 
     def summary(self) -> dict:
         return {
@@ -267,30 +260,3 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
         subset_to_original=tuple(subset_map),
     )
 
-
-TABLE_COLUMNS = ("|X|", "X_cov", "X_uncov", "|F|", "F_inc", "F_exc", "F_left")
-
-
-def format_reduction_table(rows: Iterable[Tuple[str, ReductionReport]]) -> str:
-    """Plain-text reduction summary table, one row per named report."""
-    header = ("instance",) + TABLE_COLUMNS
-    body = []
-    for name, report in rows:
-        s = report.summary()
-        body.append(
-            (
-                name,
-                str(s["elements"]),
-                str(s["covered"]),
-                str(s["uncovered"]),
-                str(s["subsets"]),
-                str(s["forced"]),
-                str(s["excluded"]),
-                str(s["remaining"]),
-            )
-        )
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i]) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for row in body:
-        lines.append("  ".join(cell.rjust(widths[i]) if i else cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)

@@ -13,45 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .core import Cover, Instance, SuccinctSet, cover_is_feasible, iter_bits, restrict_masks
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with union by rank and path compression."""
-
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        rank = self.rank
-        if rank[ra] < rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if rank[ra] == rank[rb]:
-            rank[ra] += 1
-        return True
+from .core import Cover, Instance, cover_is_feasible, iter_bits, lift, restrict_masks
 
 
 @dataclass(frozen=True)
 class Component:
     """One independent piece: original element ids, subfamily, and the remap."""
 
-    elements: SuccinctSet
     subfamily: Tuple[int, ...]
     subinstance: Instance
     element_ids: Tuple[int, ...]
@@ -107,7 +75,6 @@ def find_groups(inst: Instance) -> Segmentation:
         masks = restrict_masks([bits[sid] for sid in family], elements)
         components.append(
             Component(
-                elements=SuccinctSet.from_indices(n, elements),
                 subfamily=tuple(family),
                 subinstance=Instance(len(elements), masks),
                 element_ids=tuple(elements),
@@ -126,20 +93,7 @@ def merge_partial_covers(seg: Segmentation, partials: Sequence[Cover]) -> Cover:
         raise ValueError(
             f"expected {len(seg.components)} partial covers, got {len(partials)}"
         )
-    merged = Cover.empty(seg.instance.n)
-    masks = seg.instance.masks
     for index, (comp, partial) in enumerate(zip(seg.components, partials)):
         if not cover_is_feasible(partial, comp.subinstance):
             raise ValueError(f"partial cover for component {index} is infeasible")
-        for local_sid in partial.chosen:
-            orig = comp.subfamily[local_sid]
-            merged.add(orig, masks[orig])
-    return merged
-
-
-def segmentation_csv(seg: Segmentation) -> str:
-    """Diagnostic dump: one line per component with its size and family size."""
-    lines = ["component,n_elements,n_subsets"]
-    for i, comp in enumerate(seg.components):
-        lines.append(f"{i},{len(comp.element_ids)},{len(comp.subfamily)}")
-    return "\n".join(lines) + "\n"
+    return lift(seg.instance, [comp.subfamily for comp in seg.components], partials)

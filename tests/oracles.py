@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 import re
 from itertools import combinations
-from typing import List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
+from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible, restrict_masks
 from segcover.grasp import (
     EVAL_FUNCTIONS,
     WEIGHT_EPSILON,
@@ -23,9 +23,9 @@ from segcover.grasp import (
 )
 from segcover.grasp_su import SuParams, grasp_su_solve
 from segcover.io import ParseError, write_rail, write_scp
-from segcover.mst import grasp_mst_solve
+from segcover.mst import Bipartition, Edge, WeightedCoGraph, grasp_mst_solve
 from segcover.preprocess import ReductionReport, reduce
-from segcover.segmentation import Component, Segmentation, UnionFind
+from segcover.segmentation import Component, Segmentation
 
 
 def harmonic(k: int) -> float:
@@ -450,6 +450,38 @@ def reference_parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
     return _reference_build(n, members, tokens)
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 with union by rank and path compression."""
+
+    __slots__ = ("parent", "rank")
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        rank = self.rank
+        if rank[ra] < rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if rank[ra] == rank[rb]:
+            rank[ra] += 1
+        return True
+
+
+
 def reference_find_groups(inst: Instance) -> Segmentation:
     """The ``find_groups`` that ran ``UnionFind`` methods per member and
     rebuilt every subset member by member."""
@@ -492,13 +524,116 @@ def reference_find_groups(inst: Instance) -> Segmentation:
     for elements, subsets, family in zip(comp_elements, comp_subsets, comp_families):
         components.append(
             Component(
-                elements=SuccinctSet.from_indices(inst.n, elements),
                 subfamily=tuple(family),
                 subinstance=Instance(len(elements), subsets),
                 element_ids=tuple(elements),
             )
         )
     return Segmentation(instance=inst, components=tuple(components))
+
+
+def reference_mst_bipartition(g: WeightedCoGraph) -> Bipartition:
+    """The ``mst_bipartition`` that ran Kruskal on ``UnionFind``, found each
+    tree edge's child by tuple compares and walked the cut's child side in
+    a second DFS."""
+    inst = g.instance
+    n = inst.n
+    if n < 2:
+        raise ValueError("bipartition needs at least two elements")
+    uf = UnionFind(n)
+    tree: List[Edge] = []
+    for i, j, w in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1])):
+        if uf.union(i, j):
+            tree.append((i, j, w))
+    if len(tree) != n - 1:
+        raise ValueError(
+            "co-occurrence graph is disconnected; use union-find segmentation instead"
+        )
+
+    adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for i, j, w in tree:
+        adjacency[i].append((j, w))
+        adjacency[j].append((i, w))
+
+    parent_edge: List[Optional[Edge]] = [None] * n
+    order: List[int] = []
+    stack = [0]
+    seen = [False] * n
+    seen[0] = True
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u, w in adjacency[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent_edge[u] = (min(u, v), max(u, v), w)
+                stack.append(u)
+    subtree_weight = [0] * n
+    for v in reversed(order):
+        total = 0
+        for u, w in adjacency[v]:
+            if parent_edge[u] == (min(u, v), max(u, v), w):
+                total += subtree_weight[u] + w
+        subtree_weight[v] = total
+
+    total_weight = sum(w for _, _, w in tree)
+    child_of_edge: Dict[Edge, int] = {}
+    for v in range(n):
+        if parent_edge[v] is not None:
+            child_of_edge[parent_edge[v]] = v
+    cuts: List[Tuple[Edge, int, int]] = []
+    for edge in tree:
+        child = child_of_edge[edge]
+        w_child = subtree_weight[child]
+        w_rest = total_weight - edge[2] - w_child
+        if child == edge[0]:
+            w1, w2 = w_child, w_rest
+        else:
+            w1, w2 = w_rest, w_child
+        cuts.append((edge, w1, w2))
+
+    best_edge, best_w1, best_w2 = min(
+        cuts, key=lambda cut: (abs(cut[1] - cut[2]), cut[0][2], cut[0][:2])
+    )
+
+    child = child_of_edge[best_edge]
+    side_child = []
+    stack = [child]
+    in_child = [False] * n
+    in_child[child] = True
+    while stack:
+        v = stack.pop()
+        side_child.append(v)
+        for u, w in adjacency[v]:
+            if (min(u, v), max(u, v), w) == best_edge:
+                continue
+            if not in_child[u]:
+                in_child[u] = True
+                stack.append(u)
+    side_rest = [v for v in range(n) if not in_child[v]]
+    side_child.sort()
+    if child == best_edge[0]:
+        elems1, elems2 = side_child, side_rest
+    else:
+        elems1, elems2 = side_rest, side_child
+
+    def side(elements: List[int]) -> Component:
+        masks = restrict_masks(inst.masks, elements)
+        family = [sid for sid, b in enumerate(masks) if b]
+        return Component(
+            subfamily=tuple(family),
+            subinstance=Instance(len(elements), [masks[sid] for sid in family]),
+            element_ids=tuple(elements),
+        )
+
+    return Bipartition(
+        cut_edge=best_edge,
+        side1=side(elems1),
+        side2=side(elems2),
+        weight1=best_w1,
+        weight2=best_w2,
+        tree_edges=tuple(tree),
+    )
 
 
 def reference_run_restarts(

@@ -156,6 +156,22 @@ class TestSolve:
         assert code == EXIT_OK
         assert out.strip().splitlines()[1].split(",")[4] == "1"
 
+    def test_rail_layout_applies_under_auto_format(self, tmp_path, capsys):
+        # count-first masks (7, 5) need one subset; read cost-first, two
+        path = tmp_path / "count_first.rail"
+        path.write_bytes(b"3 2\n3 1 2 3\n2 1 3\n")
+        records = []
+        for fmt in ("auto", "rail"):
+            code, out, _ = run(
+                capsys, "solve", "--input", str(path), "--algorithm", "greedy",
+                "--format", fmt, "--rail-layout", "count-first", "--output", "json",
+            )
+            assert code == EXIT_OK
+            record = json.loads(out)
+            records.append({k: v for k, v in record.items() if not k.endswith("_ms")})
+        assert records[0] == records[1]
+        assert records[0]["cardinality"] == 1
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["solve", "--input", FIXTURE, "--frobnicate"])

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import segcover
 from segcover.core import (
     Cover,
     Instance,
     SuccinctSet,
     cover_is_feasible,
     iter_bits,
+    lift,
     restrict_masks,
 )
 
@@ -309,3 +311,49 @@ def test_constructed_and_copied_covers_reject_duplicates(twelve):
     assert cover.chosen == [0, 3]
     assert 3 in cover and 1 in copy and 1 not in cover
     cover.add(1, twelve.masks[1])
+
+
+def piece_cover(*local_ids):
+    """A piece's cover; ``lift`` reads only its chosen ids."""
+    return Cover(list(local_ids), SuccinctSet(0))
+
+
+class TestLift:
+    # subsets 0..3 of {0..3}: {0,1}, {2}, {3}, {2,3}
+    INST = Instance(4, [0b0011, 0b0100, 0b1000, 0b1100])
+
+    def assert_lifted(self, cover, chosen):
+        assert cover.chosen == chosen
+        union = 0
+        for sid in chosen:
+            union |= self.INST.masks[sid]
+        assert cover.covered == SuccinctSet(4, union)
+
+    def test_first_comes_first(self):
+        cover = lift(self.INST, [(3, 1)], [piece_cover(0)], first=(0,))
+        self.assert_lifted(cover, [0, 3])
+        assert cover_is_feasible(cover, self.INST)
+
+    def test_ids_map_through_each_family_in_piece_order(self):
+        families = [(2, 1), (0, 3)]
+        cover = lift(self.INST, families, [piece_cover(1, 0), piece_cover(1)])
+        self.assert_lifted(cover, [1, 2, 3])
+
+    def test_id_chosen_by_two_pieces_appears_once(self):
+        families = [(3,), (0, 3)]
+        cover = lift(self.INST, families, [piece_cover(0), piece_cover(1, 0)], first=(0,))
+        self.assert_lifted(cover, [0, 3])
+
+    def test_no_pieces_gives_first(self):
+        self.assert_lifted(lift(self.INST, [], [], first=(2, 1)), [2, 1])
+        self.assert_lifted(lift(self.INST, [], []), [])
+
+    def test_pieces_and_families_must_pair_up(self):
+        with pytest.raises(ValueError):
+            lift(self.INST, [(0,), (1,)], [piece_cover(0)])
+
+
+def test_public_names_resolve_and_are_sorted():
+    names = segcover.__all__
+    assert [name for name in names if not hasattr(segcover, name)] == []
+    assert names == sorted(set(names))

@@ -89,6 +89,14 @@ def test_auto_detect_prefers_rail():
     assert parse_auto(data) == parse_rail(data)
 
 
+def test_auto_detect_reads_rail_in_the_given_layout():
+    # cost-first would read these bytes as masks (2, 5), count-first as (7, 5)
+    data = b"3 2\n3 1 2 3\n2 1 3\n"
+    assert parse_auto(data, "count-first") == parse_rail(data, "count-first")
+    assert parse_auto(data, "count-first").masks == (7, 5)
+    assert parse_auto(data) == parse_rail(data)
+
+
 def test_auto_falls_back_to_scp(twelve_file, twelve):
     # The fixture file happens to be rejected by the rail reader.
     assert parse_auto(twelve_file) == twelve

@@ -1,17 +1,15 @@
+import dataclasses
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segcover.core import Instance, SuccinctSet, cover_is_feasible
 from segcover.grasp import GraspParams
 from segcover.grasp_su import SuParams
-from segcover.mst import (
-    bipartition_csv,
-    build_cograph,
-    grasp_mst_solve,
-    mst_bipartition,
-)
+from segcover.mst import Bipartition, build_cograph, grasp_mst_solve, mst_bipartition
 from segcover.preprocess import reduce
 
 from conftest import make_instance
@@ -19,6 +17,8 @@ from oracles import (
     bfs_components,
     brute_force_max_spanning_tree,
     random_covering_family,
+    reference_mst_bipartition,
+    tie_rich_family,
     to_instance,
 )
 
@@ -134,7 +134,7 @@ class TestMstBipartition:
                         seen.add(u)
                         stack.append(u)
             side_with_start = (
-                bip.side1 if start in bip.side1.elements else bip.side2
+                bip.side1 if start in bip.side1.element_ids else bip.side2
             )
             assert seen == set(side_with_start.element_ids)
 
@@ -148,13 +148,24 @@ class TestMstBipartition:
         with pytest.raises(ValueError, match="two elements"):
             mst_bipartition(build_cograph(inst))
 
-    def test_diagnostics_dump_lists_tree_and_cuts(self):
-        g = graph_from_edges(3, [(0, 1, 2), (1, 2, 1)])
-        dump = bipartition_csv(mst_bipartition(g))
-        lines = dump.splitlines()
-        assert lines[0] == "section,u,v,weight,w1,w2"
-        assert sum(1 for l in lines if l.startswith("tree,")) == 2
-        assert sum(1 for l in lines if l.startswith("cut,")) == 2
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=300, deadline=None)
+def test_matches_reference_mst_bipartition(seed):
+    # Tie-rich families: equal weights exercise Kruskal's and the cut's
+    # tie-breaks; disconnected ones and single elements must fail alike.
+    n, family = tie_rich_family(random.Random(seed))
+    g = build_cograph(to_instance(n, family))
+    try:
+        expected = reference_mst_bipartition(g)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            mst_bipartition(g)
+        assert str(raised.value) == str(exc)
+        return
+    bip = mst_bipartition(g)
+    for field in dataclasses.fields(Bipartition):
+        assert getattr(bip, field.name) == getattr(expected, field.name), field.name
 
 
 class TestGraspMstSolve:

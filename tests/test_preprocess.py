@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from segcover import preprocess
 from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
 from segcover.io import GeneratorConfig, generate_segmentable
-from segcover.preprocess import format_reduction_table, reduce
+from segcover.preprocess import reduce
 
 from conftest import make_instance
 from oracles import (
@@ -146,15 +146,6 @@ def test_fixpoint_mode_reduces_at_least_as_much(twelve):
     fixed = reduce(twelve, fixpoint=True)
     assert fixed.residual.m <= one_pass.residual.m
     assert fixed.residual.n <= one_pass.residual.n
-
-
-def test_table_columns(twelve):
-    table = format_reduction_table([("twelve", reduce(twelve))])
-    head, row = table.splitlines()
-    assert head.split() == [
-        "instance", "|X|", "X_cov", "X_uncov", "|F|", "F_inc", "F_exc", "F_left",
-    ]
-    assert row.split() == ["twelve", "12", "4", "8", "7", "1", "1", "5"]
 
 
 REPORT_FIELDS = (

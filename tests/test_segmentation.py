@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import Cover, SuccinctSet, cover_is_feasible
-from segcover.segmentation import (
-    UnionFind,
-    find_groups,
-    merge_partial_covers,
-    segmentation_csv,
-)
+from segcover.core import Cover, cover_is_feasible
+from segcover.segmentation import find_groups, merge_partial_covers
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable
 
@@ -39,13 +34,12 @@ def test_components_partition_universe():
     rng = random.Random(3)
     inst = to_instance(40, random_covering_family(rng, 40, 15, max_size=4))
     seg = find_groups(inst)
-    union = SuccinctSet(inst.n)
+    elements = []
     total = 0
     for comp in seg.components:
-        assert not union.intersection_count(comp.elements)
-        union.union_inplace(comp.elements)
+        elements += comp.element_ids
         total += len(comp.subfamily)
-    assert union == SuccinctSet.full(inst.n)
+    assert sorted(elements) == list(range(inst.n))
     assert total == inst.m
 
 
@@ -83,18 +77,6 @@ def test_matches_bfs_oracle(seed):
     subsets = random_covering_family(rng, n, rng.randint(1, 20), max_size=5)
     seg = find_groups(to_instance(n, subsets))
     assert [list(c.element_ids) for c in seg.components] == bfs_components(n, subsets)
-
-
-def test_path_compression_flattens():
-    rng = random.Random(1)
-    uf = UnionFind(500)
-    for _ in range(400):
-        uf.union(rng.randrange(500), rng.randrange(500))
-    for x in range(500):
-        uf.find(x)
-    # after a full find pass every node hangs directly below its root
-    for x in range(500):
-        assert uf.parent[uf.parent[x]] == uf.parent[x]
 
 
 def test_merge_two_singleton_components():
@@ -140,8 +122,3 @@ def test_merged_greedy_partials_always_feasible(seed):
     partials = [greedy_solve(c.subinstance) for c in seg.components]
     assert cover_is_feasible(merge_partial_covers(seg, partials), inst)
 
-
-def test_csv_dump():
-    inst = make_instance(3, ((1, 2), (3,)))
-    dump = segmentation_csv(find_groups(inst))
-    assert dump.splitlines() == ["component,n_elements,n_subsets", "0,2,1", "1,1,1"]
