@@ -4,7 +4,6 @@ greedy and GRASP solvers, a forced MST bipartition, and a benchmark CLI."""
 from .core import (
     Cover,
     Instance,
-    SuccinctSet,
     cover_is_feasible,
 )
 from .grasp import (
@@ -51,7 +50,6 @@ __all__ = [
     "RowMap",
     "Segmentation",
     "SuParams",
-    "SuccinctSet",
     "WeightedCoGraph",
     "build_cograph",
     "cover_is_feasible",

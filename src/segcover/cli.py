@@ -98,7 +98,7 @@ def _restart_covers(
     bipartition.  Phase times are added to ``phase_sums``.
     """
     if work.n == 0:
-        return [Cover.empty(0)] * restarts
+        return [Cover.empty()] * restarts
     t0 = time.perf_counter()
     if algorithm == "greedy":
         cover = greedy_solve(work)

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import Cover, Instance, SuccinctSet, cover_is_feasible
+from .core import Cover, Instance, cover_is_feasible
 
 WEIGHT_EPSILON = 1e-6
 
@@ -146,33 +146,33 @@ def create_row_map(inst: Instance) -> RowMap:
 
 def rand_construct(
     partial: Cover,
-    uncovered: SuccinctSet,
+    uncovered: int,
     rowmap: RowMap,
     improve: bool,
     rng: random.Random,
     eval_set: Tuple[EvalFunction, ...] = EVAL_FUNCTIONS,
 ) -> Cover:
-    """Complete ``partial`` until every element of ``uncovered`` is covered.
+    """Complete ``partial`` until every element of the ``uncovered`` mask is
+    covered.
 
     Each round: take the lowest-degree uncovered element, draw a score
     function uniformly from ``eval_set``, and add one subset covering the
     element.  Intensifying, that is the subset minimising ``f(fresh
     coverage)``, ties to the lowest id; diversifying, a draw weighted by
     ``max(eps, 1 - f(count))``, uniform when every weight clamps to eps.
-    Mutates and returns ``partial``; ``uncovered`` is only read.
+    Mutates and returns ``partial``.
     """
-    ubits = int(uncovered)
-    if int(partial.covered) & ubits:
+    if partial.covered & uncovered:
         raise ValueError("partial cover overlaps the uncovered set")
     masks = rowmap.instance.masks
     tables = rowmap.score_tables(eval_set)
     cursor = 0
-    while ubits:
-        cursor, element, coverer_ids = rowmap.next_uncovered(ubits, cursor)
+    while uncovered:
+        cursor, element, coverer_ids = rowmap.next_uncovered(uncovered, cursor)
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
         scores, weights = rng.choice(tables)
-        counts = [(masks[sid] & ubits).bit_count() for sid in coverer_ids]
+        counts = [(masks[sid] & uncovered).bit_count() for sid in coverer_ids]
         if 0 in counts:
             sid = coverer_ids[counts.index(0)]
             raise ValueError(f"candidate subset {sid} covers nothing uncovered")
@@ -182,7 +182,7 @@ def rand_construct(
         else:
             chosen = rng.choices(coverer_ids, weights=[weights[c] for c in counts])[0]
         partial.add(chosen, masks[chosen])
-        ubits &= ~masks[chosen]
+        uncovered &= ~masks[chosen]
     return partial
 
 
@@ -206,7 +206,7 @@ def remove_sets(
     covered = 0
     for sid in kept:
         covered |= masks[sid]
-    return Cover(kept, SuccinctSet(inst.n, covered))
+    return Cover(kept, covered)
 
 
 def remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
@@ -234,7 +234,7 @@ def remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
         else:
             dropped.add(sid)
     kept = [sid for sid in c.chosen if sid not in dropped]
-    return Cover(kept, SuccinctSet(inst.n, kept_bits))
+    return Cover(kept, kept_bits)
 
 
 TraceFn = Callable[[int, int, bool, bool], None]
@@ -256,12 +256,11 @@ def improvement_loop(
     if inst.n == 0:
         return best
     improve = True
-    universe = SuccinctSet.full(inst.n)
+    universe = (1 << inst.n) - 1
     for iteration in range(1, params.num_iter + 1):
         candidate = remove_sets(best, inst, params.max_rm, rng)
-        uncovered = universe.difference(candidate.covered)
         candidate = rand_construct(
-            candidate, uncovered, rowmap, improve, rng, params.eval_set
+            candidate, universe & ~candidate.covered, rowmap, improve, rng, params.eval_set
         )
         candidate = remove_redundant_sets(candidate, inst)
         accepted = len(candidate) < len(best)
@@ -281,10 +280,10 @@ def _grasp_run(
 ) -> Cover:
     """Diversified initial construction, prune, then the improvement loop."""
     if inst.n == 0:
-        return Cover.empty(0)
+        return Cover.empty()
     rowmap = create_row_map(inst)
     cover = rand_construct(
-        Cover.empty(inst.n), SuccinctSet.full(inst.n), rowmap, False, rng, params.eval_set
+        Cover.empty(), (1 << inst.n) - 1, rowmap, False, rng, params.eval_set
     )
     cover = remove_redundant_sets(cover, inst)
     return improvement_loop(cover, inst, rowmap, params, rng, trace)

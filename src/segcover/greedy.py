@@ -17,7 +17,7 @@ def greedy_solve(inst: Instance) -> Cover:
     has already put any equal-gain subset with a lower id above it.  A stale
     top is pushed back with its fresh gain, or dropped once the gain is 0.
     """
-    cover = Cover.empty(inst.n)
+    cover = Cover.empty()
     masks = inst.masks
     uncovered = (1 << inst.n) - 1
     heap = [(-b.bit_count(), sid) for sid, b in enumerate(masks)]

@@ -10,9 +10,11 @@ faithful, diagnosable baseline, not as a recommended segmentation.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, combinations
+from typing import List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, iter_bits, lift, restrict_masks
 from .grasp import remove_redundant_sets
@@ -48,14 +50,7 @@ class Bipartition:
 
 def build_cograph(inst: Instance) -> WeightedCoGraph:
     """Count co-occurring element pairs across all subsets."""
-    weights: Dict[Tuple[int, int], int] = {}
-    for b in inst.masks:
-        members = list(iter_bits(b))
-        for a in range(len(members)):
-            ea = members[a]
-            for b in range(a + 1, len(members)):
-                key = (ea, members[b])
-                weights[key] = weights.get(key, 0) + 1
+    weights = Counter(chain.from_iterable(combinations(iter_bits(b), 2) for b in inst.masks))
     edges = tuple(sorted((i, j, w) for (i, j), w in weights.items()))
     return WeightedCoGraph(instance=inst, edges=edges)
 

@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .core import Cover, Instance, SuccinctSet, iter_bits, lift, restrict_masks
+from .core import Cover, Instance, iter_bits, lift, restrict_masks
 
 # Positions spanned per member above which a dominance column is built bit
 # by bit rather than from a '0'/'1' buffer; on CPython 3.11 (x86-64) the two
@@ -29,15 +29,16 @@ _SPARSE = 40
 class ReductionReport:
     """Reduction bookkeeping: what was forced, excluded, covered, and kept.
 
-    The counting identities hold exactly:
-    ``original.n == covered.cardinality() + residual.n`` and
+    ``covered`` is the int mask of the original elements the forced subsets
+    cover.  The counting identities hold exactly:
+    ``original.n == covered.bit_count() + residual.n`` and
     ``original.m == len(forced) + len(excluded) + residual.m``.
     """
 
     original: Instance
     forced: Tuple[int, ...]
     excluded: Tuple[int, ...]
-    covered: SuccinctSet
+    covered: int
     residual: Instance
     element_to_original: Tuple[int, ...]
     subset_to_original: Tuple[int, ...]
@@ -49,7 +50,7 @@ class ReductionReport:
     def summary(self) -> dict:
         return {
             "elements": self.original.n,
-            "covered": self.covered.cardinality(),
+            "covered": self.covered.bit_count(),
             "uncovered": self.residual.n,
             "subsets": self.original.m,
             "forced": len(self.forced),
@@ -254,7 +255,7 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
         original=inst,
         forced=tuple(forced),
         excluded=tuple(excluded),
-        covered=SuccinctSet(inst.n, covered),
+        covered=covered,
         residual=residual,
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),

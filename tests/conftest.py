@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from segcover.core import Instance, SuccinctSet
+from segcover.core import Instance
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -23,10 +23,7 @@ TWELVE_SUBSETS_1BASED = (
 
 
 def make_instance(n: int, subsets_1based) -> Instance:
-    return Instance(
-        n,
-        [SuccinctSet.from_indices(n, (e - 1 for e in s)) for s in subsets_1based],
-    )
+    return Instance(n, [sum(1 << (e - 1) for e in set(s)) for s in subsets_1based])
 
 
 @pytest.fixture

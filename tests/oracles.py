@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 import re
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible, restrict_masks
+from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, restrict_masks
 from segcover.grasp import (
     EVAL_FUNCTIONS,
     WEIGHT_EPSILON,
@@ -140,8 +140,21 @@ def tie_rich_family(rng: random.Random, n_max: int = 24, m_max: int = 14) -> Tup
     return n, subsets
 
 
+def mask_of(members: Iterable[int]) -> int:
+    """The int mask with bit ``e`` set for each member ``e``."""
+    bits = 0
+    for e in members:
+        bits |= 1 << e
+    return bits
+
+
+def members_of(inst: Instance) -> List[Set[int]]:
+    """Each subset of ``inst`` as a Python set of its elements."""
+    return [set(iter_bits(b)) for b in inst.masks]
+
+
 def to_instance(n: int, subsets: Sequence[Set[int]]) -> Instance:
-    return Instance(n, [SuccinctSet.from_indices(n, s) for s in subsets])
+    return Instance(n, [mask_of(s) for s in subsets])
 
 
 def random_instance(rng: random.Random, n_max: int = 12, m_max: int = 8) -> Tuple[Instance, int, List[Set[int]]]:
@@ -157,42 +170,41 @@ def reference_greedy(inst: Instance) -> Cover:
     Every pick rescans the subsets in descending cardinality, stopping once
     no remaining subset can beat the incumbent gain; ties go to the lowest id.
     """
-    cover = Cover.empty(inst.n)
+    cover = Cover.empty()
     if inst.n == 0:
         return cover
-    uncovered = SuccinctSet.full(inst.n)
-    order = sorted(range(inst.m), key=lambda sid: (-inst.subsets[sid].cardinality(), sid))
-    cards = [inst.subsets[sid].cardinality() for sid in order]
-    subsets = inst.subsets
+    uncovered = set(range(inst.n))
+    subsets = members_of(inst)
+    order = sorted(range(inst.m), key=lambda sid: (-len(subsets[sid]), sid))
+    cards = [len(subsets[sid]) for sid in order]
     while uncovered:
-        ubits = uncovered._bits
         best_gain = 0
         best_sid = -1
         for sid, card in zip(order, cards):
             if card < best_gain:
                 break
-            gain = (subsets[sid]._bits & ubits).bit_count()
+            gain = len(subsets[sid] & uncovered)
             if gain > best_gain or (gain == best_gain and 0 < gain and sid < best_sid):
                 best_gain = gain
                 best_sid = sid
         if best_sid < 0:
             raise RuntimeError("no subset covers a remaining element")
-        cover.add(best_sid, subsets[best_sid])
-        uncovered.difference_inplace(subsets[best_sid])
+        cover.add(best_sid, inst.masks[best_sid])
+        uncovered -= subsets[best_sid]
     return cover
 
 
-def _reference_force(inst: Instance, active: List[bool], forced: List[int], covered: SuccinctSet) -> bool:
-    degree = [0] * inst.n
-    last = [-1] * inst.n
-    for sid, s in enumerate(inst.subsets):
+def _reference_force(subsets: Sequence[Set[int]], n: int, active: List[bool], forced: List[int], covered: Set[int]) -> bool:
+    degree = [0] * n
+    last = [-1] * n
+    for sid, s in enumerate(subsets):
         if not active[sid]:
             continue
         for e in s:
             degree[e] += 1
             last[e] = sid
     fired = False
-    for e in range(inst.n):
+    for e in range(n):
         if e in covered:
             continue
         if degree[e] == 1:
@@ -200,28 +212,28 @@ def _reference_force(inst: Instance, active: List[bool], forced: List[int], cove
             if active[sid]:
                 active[sid] = False
                 forced.append(sid)
-                covered.union_inplace(inst.subsets[sid])
+                covered |= subsets[sid]
                 fired = True
     return fired
 
 
-def _reference_dominated(inst: Instance, candidates: Sequence[int], restrict_mask: int) -> List[int]:
-    masked = {sid: inst.subsets[sid]._bits & restrict_mask for sid in candidates}
+def _reference_dominated(subsets: Sequence[Set[int]], candidates: Sequence[int], restrict: Set[int]) -> List[int]:
+    masked = {sid: subsets[sid] & restrict for sid in candidates}
     coverers: dict = {}
     for sid in candidates:
-        for e in SuccinctSet(inst.n, masked[sid]):
+        for e in sorted(masked[sid]):
             coverers.setdefault(e, []).append(sid)
     dominated = []
     for sid in candidates:
-        bits = masked[sid]
-        if bits == 0:
+        members = masked[sid]
+        if not members:
             continue
-        rarest = min(SuccinctSet(inst.n, bits), key=lambda e: len(coverers[e]))
+        rarest = min(sorted(members), key=lambda e: len(coverers[e]))
         for other in coverers[rarest]:
             if other == sid:
                 continue
-            other_bits = masked[other]
-            if bits & ~other_bits == 0 and (bits != other_bits or other < sid):
+            other_members = masked[other]
+            if members <= other_members and (members != other_members or other < sid):
                 dominated.append(sid)
                 break
     return dominated
@@ -234,54 +246,51 @@ def reference_reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     against every coverer of its rarest element; the residual is rebuilt
     member by member.
     """
+    subsets = members_of(inst)
     active = [True] * inst.m
     forced: List[int] = []
     excluded: List[int] = []
-    covered = SuccinctSet(inst.n)
-    universe = (1 << inst.n) - 1
+    covered: Set[int] = set()
+    universe = set(range(inst.n))
 
-    _reference_force(inst, active, forced, covered)
+    _reference_force(subsets, inst.n, active, forced, covered)
     while True:
         remaining = [sid for sid in range(inst.m) if active[sid]]
-        restrict = universe & ~covered._bits if fixpoint else universe
-        for sid in _reference_dominated(inst, remaining, restrict):
+        restrict = universe - covered if fixpoint else universe
+        for sid in _reference_dominated(subsets, remaining, restrict):
             active[sid] = False
             excluded.append(sid)
         for sid in remaining:
-            if active[sid] and inst.subsets[sid]._bits & ~covered._bits == 0:
+            if active[sid] and subsets[sid] <= covered:
                 active[sid] = False
                 excluded.append(sid)
         if not fixpoint:
             break
-        if not _reference_force(inst, active, forced, covered):
+        if not _reference_force(subsets, inst.n, active, forced, covered):
             break
 
     element_map = [e for e in range(inst.n) if e not in covered]
     local_of = {e: i for i, e in enumerate(element_map)}
     subset_map = [sid for sid in range(inst.m) if active[sid]]
-    residual_subsets = [
-        SuccinctSet.from_indices(
-            len(element_map),
-            (local_of[e] for e in SuccinctSet(inst.n, inst.subsets[sid]._bits & ~covered._bits)),
-        )
-        for sid in subset_map
+    residual_masks = [
+        mask_of(local_of[e] for e in subsets[sid] - covered) for sid in subset_map
     ]
     excluded.sort()
     return ReductionReport(
         original=inst,
         forced=tuple(forced),
         excluded=tuple(excluded),
-        covered=covered,
-        residual=Instance(len(element_map), residual_subsets),
+        covered=mask_of(covered),
+        residual=Instance(len(element_map), residual_masks),
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),
     )
 
 
 def reference_find_best_candidate(
-    candidates: Sequence[Tuple[int, SuccinctSet]],
+    candidates: Sequence[Tuple[int, Set[int]]],
     f: EvalFunction,
-    uncovered: SuccinctSet,
+    uncovered: Set[int],
     improve: bool,
     rng: random.Random,
 ) -> int:
@@ -292,10 +301,9 @@ def reference_find_best_candidate(
     """
     if not candidates:
         raise ValueError("candidate list is empty")
-    ubits = uncovered._bits
     scores = []
     for sid, members in candidates:
-        count = (members._bits & ubits).bit_count()
+        count = len(members & uncovered)
         if count == 0:
             raise ValueError(f"candidate subset {sid} covers nothing uncovered")
         scores.append((sid, f(count)))
@@ -307,31 +315,32 @@ def reference_find_best_candidate(
 
 def reference_rand_construct(
     partial: Cover,
-    uncovered: SuccinctSet,
+    uncovered: int,
     rowmap: RowMap,
     improve: bool,
     rng: random.Random,
     eval_set: Tuple[EvalFunction, ...] = EVAL_FUNCTIONS,
 ) -> Cover:
-    """The ``rand_construct`` that built (id, SuccinctSet) candidate lists and
-    scored each through ``reference_find_best_candidate``; mutates both
-    ``partial`` and ``uncovered``."""
-    if partial.covered._bits & uncovered._bits:
+    """The ``rand_construct`` that built (id, member set) candidate lists and
+    scored each through ``reference_find_best_candidate``; mutates
+    ``partial``."""
+    if partial.covered & uncovered:
         raise ValueError("partial cover overlaps the uncovered set")
-    subsets = rowmap.instance.subsets
+    masks = rowmap.instance.masks
+    left = set(iter_bits(uncovered))
     entries = rowmap.entries
     cursor = 0
-    while uncovered:
-        while not (uncovered._bits >> entries[cursor][0]) & 1:
+    while left:
+        while entries[cursor][0] not in left:
             cursor += 1
         element, _, coverer_ids = entries[cursor]
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
         f = rng.choice(eval_set)
-        candidates = [(sid, subsets[sid]) for sid in coverer_ids]
-        chosen = reference_find_best_candidate(candidates, f, uncovered, improve, rng)
-        partial.add(chosen, subsets[chosen])
-        uncovered.difference_inplace(subsets[chosen])
+        candidates = [(sid, set(iter_bits(masks[sid]))) for sid in coverer_ids]
+        chosen = reference_find_best_candidate(candidates, f, left, improve, rng)
+        partial.add(chosen, masks[chosen])
+        left -= set(iter_bits(masks[chosen]))
     return partial
 
 
@@ -339,23 +348,21 @@ def reference_remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
     """The per-element-count prune that ``remove_redundant_sets`` replaced."""
     if not cover_is_feasible(c, inst):
         raise ValueError("cover must be feasible before redundancy removal")
+    subsets = members_of(inst)
     counts = [0] * inst.n
     for sid in c.chosen:
-        for e in inst.subsets[sid]:
+        for e in subsets[sid]:
             counts[e] += 1
     dropped = set()
-    order = sorted(c.chosen, key=lambda sid: (-inst.subsets[sid].cardinality(), -sid))
+    order = sorted(c.chosen, key=lambda sid: (-len(subsets[sid]), -sid))
     for sid in order:
-        members = list(inst.subsets[sid])
+        members = subsets[sid]
         if all(counts[e] >= 2 for e in members):
             dropped.add(sid)
             for e in members:
                 counts[e] -= 1
     kept = [sid for sid in c.chosen if sid not in dropped]
-    covered = SuccinctSet(inst.n)
-    for sid in kept:
-        covered.union_inplace(inst.subsets[sid])
-    return Cover(kept, covered)
+    return Cover(kept, mask_of(e for sid in kept for e in subsets[sid]))
 
 
 _TOKEN = re.compile(rb"\S+")
@@ -389,7 +396,7 @@ class _ReferenceTokens:
 
 def _reference_build(n: int, member_lists: List[List[int]], tokens: _ReferenceTokens) -> Instance:
     try:
-        return Instance(n, [SuccinctSet.from_indices(n, ms) for ms in member_lists])
+        return Instance(n, [mask_of(ms) for ms in member_lists])
     except ValueError as exc:
         raise ParseError(str(exc), tokens.last_offset) from None
 
@@ -485,9 +492,10 @@ class UnionFind:
 def reference_find_groups(inst: Instance) -> Segmentation:
     """The ``find_groups`` that ran ``UnionFind`` methods per member and
     rebuilt every subset member by member."""
+    subsets = members_of(inst)
     uf = UnionFind(inst.n)
-    for s in inst.subsets:
-        it = iter(s)
+    for s in subsets:
+        it = iter(sorted(s))
         first = next(it)
         for e in it:
             uf.union(first, e)
@@ -510,14 +518,11 @@ def reference_find_groups(inst: Instance) -> Segmentation:
         for local, e in enumerate(elements):
             local_of[e] = local
 
-    comp_subsets: List[List[SuccinctSet]] = [[] for _ in comp_elements]
+    comp_subsets: List[List[int]] = [[] for _ in comp_elements]
     comp_families: List[List[int]] = [[] for _ in comp_elements]
-    for sid, s in enumerate(inst.subsets):
-        comp = comp_of[next(iter(s))]
-        sub_n = len(comp_elements[comp])
-        comp_subsets[comp].append(
-            SuccinctSet.from_indices(sub_n, (local_of[e] for e in s))
-        )
+    for sid, s in enumerate(subsets):
+        comp = comp_of[min(s)]
+        comp_subsets[comp].append(mask_of(local_of[e] for e in s))
         comp_families[comp].append(sid)
 
     components = []
@@ -658,7 +663,7 @@ def reference_run_restarts(
         params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed + k)
         su = SuParams(grasp=params, threads=threads)
         if work.n == 0:
-            cover = Cover.empty(0)
+            cover = Cover.empty()
         elif algorithm == "grasp":
             cover = grasp_solve(work, params)
         elif algorithm == "grasp-mst":
@@ -671,21 +676,23 @@ def reference_run_restarts(
     return best_seed, best
 
 
-def reference_from_indices(capacity: int, indices) -> SuccinctSet:
-    """The ``from_indices`` that OR-ed ``1 << i`` into a universe-wide int."""
+def reference_from_indices(capacity: int, indices) -> int:
+    """The mask of ``indices``, OR-ing ``1 << i`` into a universe-wide int,
+    each ``i`` checked against ``capacity``: the reference for
+    ``core.index_mask``."""
     bits = 0
     for i in indices:
         if not 0 <= i < capacity:
             raise ValueError(f"element {i} outside universe of size {capacity}")
         bits |= 1 << i
-    return SuccinctSet(capacity, bits)
+    return bits
 
 
 def write_rail_count_first(inst: Instance) -> bytes:
     """Column-major file without cost tokens (``layout="count-first"``)."""
     lines = [f"{inst.n} {inst.m}"]
-    for s in inst.subsets:
-        members = list(s)
+    for b in inst.masks:
+        members = list(iter_bits(b))
         lines.append(" ".join([str(len(members))] + [str(e + 1) for e in members]))
     return ("\n".join(lines) + "\n").encode()
 

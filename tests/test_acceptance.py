@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from segcover.core import Instance, SuccinctSet, cover_is_feasible
+from segcover.core import Instance, cover_is_feasible, index_mask, iter_bits
 from segcover.grasp import GraspParams, grasp_solve
 from segcover.grasp_su import SuParams, grasp_su_solve, rpd_star, run_components
 from segcover.greedy import greedy_solve
@@ -65,7 +65,7 @@ def test_criterion_02_reduction_exact(twelve_instance):
     ok = (
         report.forced == (5,)
         and report.excluded == (6,)
-        and report.covered.cardinality() == 4
+        and report.covered.bit_count() == 4
         and report.residual.n == 8
         and report.residual.m == 5
     )
@@ -73,7 +73,7 @@ def test_criterion_02_reduction_exact(twelve_instance):
         "2",
         ok,
         f"forced={report.forced} excluded={report.excluded} "
-        f"covered={report.covered.cardinality()} "
+        f"covered={report.covered.bit_count()} "
         f"residual={report.residual.n}x{report.residual.m}",
     )
 
@@ -84,14 +84,14 @@ def test_criterion_03_mst_cut_balance(twelve_instance):
     # still contributes its pair weight); with the post-dominance family the
     # same cut appears with side weights 4/6 instead.
     report = reduce(twelve_instance)
-    keep = [e for e in range(12) if e not in report.covered]
+    keep = [e for e in range(12) if not report.covered >> e & 1]
     local = {e: i for i, e in enumerate(keep)}
     subsets = []
-    for s in twelve_instance.subsets:
-        members = [local[e] for e in s if e in local]
+    for b in twelve_instance.masks:
+        members = {local[e] for e in iter_bits(b) if e in local}
         if members:
-            subsets.append(SuccinctSet.from_indices(len(keep), members))
-    fixture = Instance(len(keep), subsets)
+            subsets.append(members)
+    fixture = to_instance(len(keep), subsets)
     bip = mst_bipartition(build_cograph(fixture))
     cut_1based = (keep[bip.cut_edge[0]] + 1, keep[bip.cut_edge[1]] + 1, bip.cut_edge[2])
     ok = cut_1based == (2, 3, 2) and (bip.weight1, bip.weight2) == (5, 6)
@@ -144,16 +144,15 @@ def test_criterion_05_oracle_equivalence():
             cap = rng.randint(1, 400)
         xs = set(rng.sample(range(cap), rng.randint(0, min(cap, 200))))
         ys = set(rng.sample(range(cap), rng.randint(0, min(cap, 200))))
-        a = SuccinctSet.from_indices(cap, xs)
-        b = SuccinctSet.from_indices(cap, ys)
-        assert set(a.union(b)) == xs | ys
-        assert set(a.intersection(b)) == xs & ys
-        assert set(a.difference(b)) == xs - ys
-        assert a.intersection_count(b) == len(xs & ys)
-        assert a.is_subset_of(b) == (xs <= ys)
-        assert a.cardinality() == len(xs)
-        tail = a.union(b).words()
-        assert not tail or tail[-1] >> (cap - 64 * (len(tail) - 1)) == 0
+        a = index_mask(xs, 0, cap - 1)
+        b = index_mask(ys, 0, cap - 1)
+        assert list(iter_bits(a | b)) == sorted(xs | ys)
+        assert list(iter_bits(a & b)) == sorted(xs & ys)
+        assert list(iter_bits(a & ~b)) == sorted(xs - ys)
+        assert (a & b).bit_count() == len(xs & ys)
+        assert (a & ~b == 0) == (xs <= ys)
+        assert a.bit_count() == len(xs)
+        assert (a | b).bit_length() <= cap
     _report("5", True, "500 component checks + 1000 set-algebra trials agree")
 
 
@@ -167,7 +166,7 @@ def test_criterion_06_reduction_preserves_optimum():
         opt, _ = brute_force_min_cover(n, subsets)
         report = reduce(inst)
         res_opt, _ = brute_force_min_cover(
-            report.residual.n, [set(s) for s in report.residual.subsets]
+            report.residual.n, [set(iter_bits(b)) for b in report.residual.masks]
         )
         assert opt == len(report.forced) + res_opt, (n, subsets)
     _report("6", True, "200/200 instances: optimum == forced + residual optimum")

@@ -23,7 +23,7 @@ from segcover.cli import (
     main,
 )
 from segcover.core import Instance
-from segcover.io import GeneratorConfig, generate_segmentable, write_scp
+from segcover.io import GeneratorConfig, generate_segmentable, parse_scp, write_scp
 from segcover.preprocess import reduce
 
 from conftest import DATA_DIR, make_instance
@@ -465,3 +465,16 @@ def test_parallel_restarts_run_clean_in_dev_mode(tmp_path):
         )
         assert proc.returncode == 0, (algorithm, proc.stderr.decode())
         assert proc.stderr == b"", algorithm
+
+
+def test_python_dash_m_segcover_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "segcover", "generate", "--n", "6", "--m", "4", "--groups", "2"],
+        capture_output=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    inst = parse_scp(proc.stdout)
+    assert (inst.n, inst.m) == (6, 4)
+    assert proc.stdout == write_scp(generate_segmentable(GeneratorConfig(n=6, m=4, groups=2)))

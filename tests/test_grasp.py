@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import grasp
-from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
+from segcover.core import Cover, Instance, cover_is_feasible
 from segcover.grasp import (
     EVAL_FUNCTIONS,
     WEIGHT_EPSILON,
@@ -89,7 +89,7 @@ def _first_pick(inst, hub, f, improve, rng):
     entries = sorted(rowmap.entries, key=lambda entry: entry[0] != hub)
     rowmap = replace(rowmap, entries=tuple(entries))
     cover = rand_construct(
-        Cover.empty(inst.n), SuccinctSet.full(inst.n), rowmap, improve, rng, (f,)
+        Cover.empty(), (1 << inst.n) - 1, rowmap, improve, rng, (f,)
     )
     return cover.chosen[0]
 
@@ -100,7 +100,7 @@ def _hub_instance(counts):
     subsets = []
     start = 1
     for c in counts:
-        subsets.append(SuccinctSet.from_indices(n, [0, *range(start, start + c - 1)]))
+        subsets.append(sum(1 << e for e in [0, *range(start, start + c - 1)]))
         start += c - 1
     return Instance(n, subsets)
 
@@ -132,15 +132,14 @@ class TestFindBestCandidate:
         element, degree, _ = rowmap.entries[0]
         rowmap = replace(rowmap, entries=((element, degree, ()),) + rowmap.entries[1:])
         with pytest.raises(RuntimeError, match="no subset covers element"):
-            rand_construct(Cover.empty(12), SuccinctSet.full(12), rowmap, True, random.Random())
+            rand_construct(Cover.empty(), (1 << 12) - 1, rowmap, True, random.Random())
 
     def test_candidate_missing_uncovered_rejected(self, twelve):
         rowmap = create_row_map(twelve)
         assert rowmap.entries[0] == (11, 1, (5,))
         rowmap = replace(rowmap, entries=((11, 1, (0,)),) + rowmap.entries[1:])
-        uncovered = SuccinctSet.from_indices(12, (11,))
         with pytest.raises(ValueError, match="subset 0 covers nothing"):
-            rand_construct(Cover.empty(12), uncovered, rowmap, True, random.Random())
+            rand_construct(Cover.empty(), 1 << 11, rowmap, True, random.Random())
 
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=8))
     def test_improve_mode_equals_max_coverage_pick(self, counts):
@@ -172,16 +171,14 @@ class TestMatchesReference:
         rng, inst = _family(seed)
         rowmap = create_row_map(inst)
         partial = [sid for sid in range(inst.m) if rng.random() < 0.3]
-        covered = SuccinctSet(inst.n)
+        covered = 0
         for sid in partial:
-            covered.union_inplace(inst.subsets[sid])
-        uncovered = SuccinctSet.full(inst.n).difference(covered)
+            covered |= inst.masks[sid]
+        uncovered = ((1 << inst.n) - 1) & ~covered
         results = []
         for construct in (rand_construct, reference_rand_construct):
             draws = random.Random(seed)
-            cover = construct(
-                Cover(partial, covered.copy()), uncovered.copy(), rowmap, improve, draws
-            )
+            cover = construct(Cover(partial, covered), uncovered, rowmap, improve, draws)
             results.append((cover.chosen, cover.covered, draws.getstate()))
         assert results[0] == results[1]
 
@@ -191,7 +188,7 @@ class TestMatchesReference:
         rng, inst = _family(seed)
         order = list(range(inst.m))
         rng.shuffle(order)
-        cover = Cover(order, SuccinctSet.full(inst.n))
+        cover = Cover(order, (1 << inst.n) - 1)
         new = remove_redundant_sets(cover, inst)
         old = reference_remove_redundant_sets(cover, inst)
         assert (new.chosen, new.covered) == (old.chosen, old.covered)
@@ -212,7 +209,7 @@ class TestRandConstruct:
         rowmap = create_row_map(twelve)
         for improve in (True, False):
             cover = rand_construct(
-                Cover.empty(12), SuccinctSet.full(12), rowmap, improve,
+                Cover.empty(), (1 << 12) - 1, rowmap, improve,
                 random.Random(123),
             )
             assert cover.chosen[0] == 5
@@ -220,23 +217,23 @@ class TestRandConstruct:
 
     def test_empty_uncovered_returns_partial(self, twelve):
         rowmap = create_row_map(twelve)
-        partial = Cover.empty(12)
+        partial = Cover.empty()
         partial.add(3, twelve.masks[3])
         before = list(partial.chosen)
-        result = rand_construct(partial, SuccinctSet(12), rowmap, True, random.Random())
+        result = rand_construct(partial, 0, rowmap, True, random.Random())
         assert result.chosen == before
 
     def test_rejects_overlapping_partial(self, twelve):
         rowmap = create_row_map(twelve)
-        partial = Cover.empty(12)
+        partial = Cover.empty()
         partial.add(5, twelve.masks[5])
         with pytest.raises(ValueError, match="overlaps"):
-            rand_construct(partial, SuccinctSet.full(12), rowmap, True, random.Random())
+            rand_construct(partial, (1 << 12) - 1, rowmap, True, random.Random())
 
 
 class TestRemoveSets:
     def test_removes_half_of_four(self, twelve):
-        cover = Cover.empty(12)
+        cover = Cover.empty()
         for sid in (3, 4, 0, 5):
             cover.add(sid, twelve.masks[sid])
         out = remove_sets(cover, twelve, 0.5, random.Random(1))
@@ -245,13 +242,13 @@ class TestRemoveSets:
 
     def test_singleton_cover_still_loses_one(self):
         inst = make_instance(2, ((1, 2),))
-        cover = Cover.empty(2)
+        cover = Cover.empty()
         cover.add(0, inst.masks[0])
         out = remove_sets(cover, inst, 0.5, random.Random(1))
         assert len(out) == 0
 
     def test_seeded_reproducibility(self, twelve):
-        cover = Cover.empty(12)
+        cover = Cover.empty()
         for sid in (3, 4, 0, 5):
             cover.add(sid, twelve.masks[sid])
         a = remove_sets(cover, twelve, 0.5, random.Random(9)).chosen
@@ -259,23 +256,23 @@ class TestRemoveSets:
         assert a == b
 
     def test_coverage_recomputed(self, twelve):
-        cover = Cover.empty(12)
+        cover = Cover.empty()
         for sid in (3, 4, 0, 5):
             cover.add(sid, twelve.masks[sid])
         out = remove_sets(cover, twelve, 0.5, random.Random(4))
-        expected = SuccinctSet(12)
+        expected = 0
         for sid in out.chosen:
-            expected.union_inplace(twelve.subsets[sid])
+            expected |= twelve.masks[sid]
         assert out.covered == expected
 
     def test_empty_cover_rejected(self, twelve):
         with pytest.raises(ValueError, match="empty cover"):
-            remove_sets(Cover.empty(12), twelve, 0.5, random.Random())
+            remove_sets(Cover.empty(), twelve, 0.5, random.Random())
 
 
 class TestRemoveRedundantSets:
     def test_drops_redundant_large_subset(self, twelve):
-        cover = Cover.empty(12)
+        cover = Cover.empty()
         for sid in (0, 1, 3, 5):
             cover.add(sid, twelve.masks[sid])
         pruned = remove_redundant_sets(cover, twelve)
@@ -283,20 +280,20 @@ class TestRemoveRedundantSets:
         assert cover_is_feasible(pruned, twelve)
 
     def test_minimal_cover_unchanged(self, twelve):
-        cover = Cover.empty(12)
+        cover = Cover.empty()
         for sid in (0, 1, 5):
             cover.add(sid, twelve.masks[sid])
         assert remove_redundant_sets(cover, twelve).chosen == [0, 1, 5]
 
     def test_disjoint_cover_unchanged(self):
         inst = make_instance(4, ((1, 2), (3,), (4,)))
-        cover = Cover.empty(4)
+        cover = Cover.empty()
         for sid in range(3):
             cover.add(sid, inst.masks[sid])
         assert remove_redundant_sets(cover, inst).chosen == [0, 1, 2]
 
     def test_infeasible_input_rejected(self, twelve):
-        cover = Cover.empty(12)
+        cover = Cover.empty()
         cover.add(0, twelve.masks[0])
         with pytest.raises(ValueError, match="feasible"):
             remove_redundant_sets(cover, twelve)
@@ -307,17 +304,17 @@ class TestRemoveRedundantSets:
         rng = random.Random(seed)
         n = rng.randint(1, 30)
         inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 12)))
-        cover = Cover.empty(n)
+        cover = Cover.empty()
         for sid in range(inst.m):
             cover.add(sid, inst.masks[sid])
         pruned = remove_redundant_sets(cover, inst)
         assert cover_is_feasible(pruned, inst)
         for sid in pruned.chosen:
-            rest = SuccinctSet(n)
+            rest = 0
             for other in pruned.chosen:
                 if other != sid:
-                    rest.union_inplace(inst.subsets[other])
-            assert rest != SuccinctSet.full(n)
+                    rest |= inst.masks[other]
+            assert rest != (1 << n) - 1
 
 
 class TestGraspSolve:

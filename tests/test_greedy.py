@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import cover_is_feasible
+from segcover.core import cover_is_feasible, iter_bits
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable
 
@@ -59,12 +59,11 @@ def test_every_pick_has_positive_gain(seed):
     inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 15)))
     cover = greedy_solve(inst)
     assert cover_is_feasible(cover, inst)
-    from segcover.core import SuccinctSet
-
-    uncovered = SuccinctSet.full(inst.n)
+    uncovered = set(range(inst.n))
     for sid in cover.chosen:
-        assert inst.subsets[sid].intersection_count(uncovered) > 0
-        uncovered.difference_inplace(inst.subsets[sid])
+        members = set(iter_bits(inst.masks[sid]))
+        assert members & uncovered
+        uncovered -= members
 
 
 @given(st.integers(0, 100_000))

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import Instance, SuccinctSet
+from segcover.core import iter_bits
 from segcover.io import GeneratorConfig, generate_segmentable, parse_rail, parse_scp
 from segcover.io import write_rail, write_scp
 from segcover.mst import build_cograph, mst_bipartition
@@ -29,12 +29,11 @@ def assert_int_masks(inst, expected):
 
 def reference_side(inst, elements):
     """Subfamily and subinstance of one bipartition side, restricted member
-    by member through the SuccinctSet view."""
+    by member through Python sets."""
     local = {e: j for j, e in enumerate(elements)}
-    restricted = [[local[e] for e in s if e in local] for s in inst.subsets]
+    restricted = [{local[e] for e in iter_bits(b) if e in local} for b in inst.masks]
     family = tuple(sid for sid, ms in enumerate(restricted) if ms)
-    k = len(elements)
-    return family, Instance(k, [SuccinctSet.from_indices(k, restricted[sid]) for sid in family])
+    return family, to_instance(len(elements), [restricted[sid] for sid in family])
 
 
 def _instance(seed):

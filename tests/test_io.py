@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import io
-from segcover.core import SuccinctSet, iter_bits
+from segcover.core import iter_bits
 from segcover.io import (
     GeneratorConfig,
     ParseError,
@@ -36,7 +36,7 @@ class TestParseScp:
     def test_minimal(self):
         inst = parse_scp(b"1 1\n1\n1 1\n")
         assert inst.n == 1 and inst.m == 1
-        assert list(inst.subsets[0]) == [0]
+        assert inst.masks == (0b1,)
 
     def test_twelve_fixture(self, twelve_file, twelve):
         assert parse_scp(twelve_file) == twelve
@@ -64,16 +64,16 @@ class TestParseRail:
     def test_three_rows_two_columns(self):
         inst = parse_rail(b"3 2\n1 2 1 2\n1 2 2 3\n")
         assert inst.n == 3 and inst.m == 2
-        assert [list(s) for s in inst.subsets] == [[0, 1], [1, 2]]
+        assert inst.masks == (0b011, 0b110)
 
     def test_single_spanning_column(self):
         inst = parse_rail(b"4 1\n1 4 1 2 3 4\n")
         assert inst.m == 1
-        assert inst.subsets[0] == SuccinctSet.full(4)
+        assert inst.masks == (0b1111,)
 
     def test_count_first_layout(self):
         inst = parse_rail(b"3 2\n2 1 2\n2 2 3\n", layout="count-first")
-        assert [list(s) for s in inst.subsets] == [[0, 1], [1, 2]]
+        assert inst.masks == (0b011, 0b110)
 
     def test_unknown_layout(self):
         with pytest.raises(ValueError, match="layout"):
@@ -214,7 +214,7 @@ class TestGenerator:
     def test_connected_when_one_group(self):
         cfg = GeneratorConfig(n=200, m=80, groups=1, density=0.05, seed=9)
         inst = generate_segmentable(cfg)
-        groups = bfs_components(inst.n, [set(s) for s in inst.subsets])
+        groups = bfs_components(inst.n, [set(iter_bits(b)) for b in inst.masks])
         assert len(groups) == 1
 
     def test_deterministic(self):
@@ -227,10 +227,10 @@ class TestGenerator:
         cfg = GeneratorConfig(n=97, m=13, groups=5, density=0.02, seed=1)
         inst = generate_segmentable(cfg)
         assert inst.m == 13
-        union = SuccinctSet(inst.n)
-        for s in inst.subsets:
-            union.union_inplace(s)
-        assert union == SuccinctSet.full(inst.n)
+        union = set()
+        for b in inst.masks:
+            union |= set(iter_bits(b))
+        assert union == set(range(inst.n))
 
     @pytest.mark.parametrize(
         "kw",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import Instance, SuccinctSet, cover_is_feasible
+from segcover.core import cover_is_feasible, iter_bits
 from segcover.grasp import GraspParams
 from segcover.grasp_su import SuParams
 from segcover.mst import Bipartition, build_cograph, grasp_mst_solve, mst_bipartition
@@ -32,8 +32,7 @@ def graph_from_edges(n, edges):
     for v in range(n):
         if not any(v in s for s in subsets):
             subsets.append({v})
-    inst = Instance(n, [SuccinctSet.from_indices(n, s) for s in subsets])
-    return build_cograph(inst)
+    return build_cograph(to_instance(n, subsets))
 
 
 def reduced_cograph_instance(twelve):
@@ -43,14 +42,14 @@ def reduced_cograph_instance(twelve):
     that is what reproduces the documented cut balance (see test below).
     """
     report = reduce(twelve)
-    keep = [e for e in range(12) if e not in report.covered]
+    keep = [e for e in range(12) if not report.covered >> e & 1]
     local = {e: i for i, e in enumerate(keep)}
     subsets = []
-    for s in twelve.subsets:
-        members = [local[e] for e in s if e in local]
+    for b in twelve.masks:
+        members = {local[e] for e in iter_bits(b) if e in local}
         if members:
-            subsets.append(SuccinctSet.from_indices(len(keep), members))
-    return Instance(len(keep), subsets)
+            subsets.append(members)
+    return to_instance(len(keep), subsets)
 
 
 class TestBuildCograph:
@@ -69,6 +68,19 @@ class TestBuildCograph:
         inst = make_instance(4, ((1, 2), (3, 4)))
         g = build_cograph(inst)
         assert g.edges == ((0, 1, 1), (2, 3, 1))
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_weights_match_per_pair_count(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        family = random_covering_family(rng, n, rng.randint(1, 15))
+        expected = []
+        for i, j in combinations(range(n), 2):
+            w = sum(1 for s in family if i in s and j in s)
+            if w:
+                expected.append((i, j, w))
+        assert build_cograph(to_instance(n, family)).edges == tuple(expected)
 
 
 class TestMstBipartition:

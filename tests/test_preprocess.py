@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import preprocess
-from segcover.core import Cover, Instance, SuccinctSet, cover_is_feasible
+from segcover.core import Cover, Instance, cover_is_feasible, iter_bits
 from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.preprocess import reduce
 
@@ -27,8 +27,7 @@ class TestWorkedInstance:
         report = reduce(twelve)
         assert report.forced == (5,)          # the only coverer of element 12
         assert report.excluded == (6,)        # {1,5} sits inside subset 0
-        assert report.covered.cardinality() == 4
-        assert set(report.covered) == {8, 9, 10, 11}
+        assert report.covered == 0b1111 << 8
         assert report.residual.n == 8
         assert report.residual.m == 5
 
@@ -37,11 +36,11 @@ class TestWorkedInstance:
         assert report.element_to_original == tuple(range(8))
         assert report.subset_to_original == (0, 1, 2, 3, 4)
         # residual subset 0 is subset 0 restricted to the uncovered elements
-        assert list(report.residual.subsets[0]) == [0, 1, 4, 5]
+        assert list(iter_bits(report.residual.masks[0])) == [0, 1, 4, 5]
 
     def test_lift_restores_feasibility(self, twelve):
         report = reduce(twelve)
-        residual_cover = Cover.empty(report.residual.n)
+        residual_cover = Cover.empty()
         for sid in (0, 1):  # subsets 0 and 1 cover the whole residual
             residual_cover.add(sid, report.residual.masks[sid])
         assert cover_is_feasible(residual_cover, report.residual)
@@ -87,7 +86,7 @@ def test_counting_identities(seed):
     inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 15)))
     for fixpoint in (False, True):
         report = reduce(inst, fixpoint=fixpoint)
-        assert inst.n == report.covered.cardinality() + report.residual.n
+        assert inst.n == report.covered.bit_count() + report.residual.n
         assert inst.m == len(report.forced) + len(report.excluded) + report.residual.m
 
 
@@ -115,13 +114,14 @@ def test_solution_lifting(seed):
     inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 12)))
     for fixpoint in (False, True):
         report = reduce(inst, fixpoint=fixpoint)
-        residual_cover = Cover.empty(report.residual.n)
+        residual_cover = Cover.empty()
         # any feasible residual cover will do; greedily take everything useful
-        uncovered = SuccinctSet.full(report.residual.n)
-        for sid, s in enumerate(report.residual.subsets):
-            if s.intersection_count(uncovered):
-                residual_cover.add(sid, s)
-                uncovered.difference_inplace(s)
+        uncovered = set(range(report.residual.n))
+        for sid, b in enumerate(report.residual.masks):
+            members = set(iter_bits(b))
+            if members & uncovered:
+                residual_cover.add(sid, b)
+                uncovered -= members
         assert cover_is_feasible(residual_cover, report.residual)
         assert cover_is_feasible(report.lift_cover(residual_cover), inst)
 
@@ -136,7 +136,7 @@ def test_optimum_preserved_on_small_instances(seed):
     opt, _ = brute_force_min_cover(n, subsets)
     for fixpoint in (False, True):
         report = reduce(inst, fixpoint=fixpoint)
-        residual_sets = [set(s) for s in report.residual.subsets]
+        residual_sets = [set(iter_bits(b)) for b in report.residual.masks]
         res_opt, _ = brute_force_min_cover(report.residual.n, residual_sets)
         assert opt == len(report.forced) + res_opt
 
@@ -191,7 +191,9 @@ def test_residual_renumbers_across_scattered_covered_elements():
     assert report.forced == (2, 3, 4)
     assert report.excluded == (6,)
     assert report.element_to_original == (0, 1, 3, 4, 6, 7)
-    assert [list(s) for s in report.residual.subsets] == [[0, 1, 2, 3], [0, 2, 4, 5], [1, 3, 4, 5]]
+    assert [list(iter_bits(b)) for b in report.residual.masks] == [
+        [0, 1, 2, 3], [0, 2, 4, 5], [1, 3, 4, 5]
+    ]
     assert report == reference_reduce(inst)
 
 

@@ -84,7 +84,7 @@ def test_merge_two_singleton_components():
     seg = find_groups(inst)
     partials = []
     for comp in seg.components:
-        cover = Cover.empty(comp.subinstance.n)
+        cover = Cover.empty()
         cover.add(0, comp.subinstance.masks[0])
         partials.append(cover)
     merged = merge_partial_covers(seg, partials)
@@ -94,7 +94,7 @@ def test_merge_two_singleton_components():
 
 def test_merge_single_component_is_identity(twelve):
     seg = find_groups(twelve)
-    cover = Cover.empty(12)
+    cover = Cover.empty()
     for sid in (0, 1, 5):
         cover.add(sid, twelve.masks[sid])
     merged = merge_partial_covers(seg, [cover])
@@ -105,9 +105,20 @@ def test_merge_single_component_is_identity(twelve):
 def test_merge_rejects_infeasible_partial():
     inst = make_instance(3, ((1, 2), (3,)))
     seg = find_groups(inst)
-    bad = Cover.empty(2)  # empty partial for the first component
-    ok = Cover.empty(1)
+    bad = Cover.empty()  # empty partial for the first component
+    ok = Cover.empty()
     ok.add(0, seg.components[1].subinstance.masks[0])
+    with pytest.raises(ValueError, match="component 0"):
+        merge_partial_covers(seg, [bad, ok])
+
+
+def test_merge_rejects_partial_whose_own_mask_claims_too_much():
+    # component 0 is {1, 2} with subsets {1, 2} and {1}: subset 1 alone
+    # leaves element 2 uncovered, whatever the partial's mask says
+    inst = make_instance(3, ((1, 2), (1,), (3,)))
+    seg = find_groups(inst)
+    bad = Cover([1], 0b11)
+    ok = Cover([0], 0b1)
     with pytest.raises(ValueError, match="component 0"):
         merge_partial_covers(seg, [bad, ok])
 
