@@ -3,11 +3,12 @@
 Construction is element-first: the uncovered element with the smallest
 degree (fewest covering subsets) defines the candidate list, and one of four
 score functions of the candidate's fresh-coverage count ranks it.  In
-intensification mode the best-scored candidate wins deterministically; in
-diversification mode candidates are drawn with probability proportional to
-one minus their score, clamped below by a tiny epsilon so ill-scaled scores
-(above one) still leave a valid distribution.  Scores and weights are looked
-up in per-function tables indexed by the count, so a pick costs one
+intensification mode the best-scored candidate wins deterministically: the
+functions are strictly decreasing, so it is the first with the largest
+count.  In diversification mode candidates are drawn with probability
+proportional to one minus their score, clamped below by a tiny epsilon so
+ill-scaled scores (above one) still leave a valid distribution; weights are
+looked up in per-function tables indexed by the count.  A pick costs one
 AND-and-popcount per candidate on the instance's int masks.
 
 The improvement loop repeatedly deletes a fixed fraction of the incumbent,
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
@@ -77,7 +80,7 @@ class GraspParams:
             raise ValueError("eval_set must not be empty")
 
 
-ScoreTables = Tuple[Tuple[List[Optional[float]], List[Optional[float]]], ...]
+ScoreTables = Tuple[List[Optional[float]], ...]
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,8 @@ class RowMap:
     Each entry is ``(element, degree, covering subset ids)``, the ids
     ascending.  Degrees count covering subsets of the instance and never
     change during construction, so one sorted index serves a whole solve;
-    covered elements are skipped with a monotone cursor.  ``max_size`` is
-    the largest subset's size, which bounds every fresh-coverage count.
+    covered elements are skipped with one iterator.  ``max_size`` is the
+    largest subset's size, which bounds every fresh-coverage count.
     """
 
     instance: Instance
@@ -98,36 +101,24 @@ class RowMap:
         default_factory=dict, compare=False, repr=False
     )
 
-    def next_uncovered(
-        self, uncovered: int, cursor: int
-    ) -> Tuple[int, int, Tuple[int, ...]]:
-        """(new cursor, element, coverer ids) of the first entry whose
-        element is set in the ``uncovered`` mask."""
-        entries = self.entries
-        for i in range(cursor, len(entries)):
-            element, _, coverer_ids = entries[i]
-            if (uncovered >> element) & 1:
-                return i, element, coverer_ids
-        raise RuntimeError("uncovered elements missing from the row map")
-
     def score_tables(self, eval_set: Tuple[EvalFunction, ...]) -> ScoreTables:
-        """Per function, ``(scores, weights)`` indexed by fresh-coverage count.
+        """Per function, the weights ``max(WEIGHT_EPSILON, 1 - f(c))``
+        indexed by fresh-coverage count c in 1..max_size; index 0 holds
+        None, as no candidate of a pick covers nothing.  Built once per eval
+        set and kept.
 
-        ``scores[c] = f(c)`` and ``weights[c] = max(WEIGHT_EPSILON, 1 - f(c))``
-        for c in 1..max_size; index 0 holds None, as no candidate of a pick
-        covers nothing.  Built once per eval set and kept.
+        Raises ValueError, naming the tag, for a function not strictly
+        decreasing over 1..max_size: intensifying relies on it.
         """
         tables = self._tables.get(eval_set)
         if tables is None:
-            counts = range(1, self.max_size + 1)
-            tables = tuple(
-                (
-                    [None] + [f(c) for c in counts],
-                    [None] + [max(WEIGHT_EPSILON, 1.0 - f(c)) for c in counts],
-                )
-                for f in eval_set
-            )
-            self._tables[eval_set] = tables
+            tables = []
+            for f in eval_set:
+                scores = [f(c) for c in range(1, self.max_size + 1)]
+                if any(a <= b for a, b in zip(scores, scores[1:])):
+                    raise ValueError(f"eval function {f.tag!r} is not strictly decreasing")
+                tables.append([None] + [max(WEIGHT_EPSILON, 1.0 - s) for s in scores])
+            tables = self._tables[eval_set] = tuple(tables)
         return tables
 
 
@@ -158,29 +149,34 @@ def rand_construct(
     Each round: take the lowest-degree uncovered element, draw a score
     function uniformly from ``eval_set``, and add one subset covering the
     element.  Intensifying, that is the subset minimising ``f(fresh
-    coverage)``, ties to the lowest id; diversifying, a draw weighted by
-    ``max(eps, 1 - f(count))``, uniform when every weight clamps to eps.
+    coverage)``, ties to the lowest id: the first with the largest count.
+    Diversifying, a draw weighted by ``max(eps, 1 - f(count))``, uniform
+    when every weight clamps to eps, made as ``rng.choices`` makes it.
     Mutates and returns ``partial``.
     """
     if partial.covered & uncovered:
         raise ValueError("partial cover overlaps the uncovered set")
     masks = rowmap.instance.masks
     tables = rowmap.score_tables(eval_set)
-    cursor = 0
+    entries = iter(rowmap.entries)
     while uncovered:
-        cursor, element, coverer_ids = rowmap.next_uncovered(uncovered, cursor)
+        for element, _, coverer_ids in entries:
+            if (uncovered >> element) & 1:
+                break
+        else:
+            raise RuntimeError("uncovered elements missing from the row map")
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
-        scores, weights = rng.choice(tables)
+        weights = rng.choice(tables)
         counts = [(masks[sid] & uncovered).bit_count() for sid in coverer_ids]
         if 0 in counts:
             sid = coverer_ids[counts.index(0)]
             raise ValueError(f"candidate subset {sid} covers nothing uncovered")
         if improve:
-            scored = [scores[c] for c in counts]
-            chosen = coverer_ids[scored.index(min(scored))]
+            chosen = coverer_ids[counts.index(max(counts))]
         else:
-            chosen = rng.choices(coverer_ids, weights=[weights[c] for c in counts])[0]
+            sums = list(accumulate(map(weights.__getitem__, counts)))
+            chosen = coverer_ids[bisect(sums, rng.random() * sums[-1], 0, len(sums) - 1)]
         partial.add(chosen, masks[chosen])
         uncovered &= ~masks[chosen]
     return partial

@@ -10,30 +10,35 @@ def greedy_solve(inst: Instance) -> Cover:
     """Pick the subset covering the most uncovered elements until feasible.
 
     Ties break toward the lowest subset id.  Gains are evaluated lazily
-    (Minoux's accelerated greedy): a heap holds ``(-bound, id)`` where the
-    bound is a gain the subset had earlier, seeded with its size.  Gains
-    only shrink as elements get covered, so when the top entry's fresh gain
-    still equals its bound no other subset can beat it, and the heap order
-    has already put any equal-gain subset with a lower id above it.  A stale
-    top is pushed back with its fresh gain, or dropped once the gain is 0.
+    (Minoux's accelerated greedy): a heap holds ``((n - bound) << id_bits)
+    | id``, one int that orders as ``(-bound, id)``, where the bound is a
+    gain the subset had earlier, seeded with its size.  Gains only shrink as
+    elements get covered, so when the top entry's fresh gain still equals
+    its bound no other subset can beat it, and the heap order has already
+    put any equal-gain subset with a lower id above it.  A stale top is
+    pushed back with its fresh gain, or dropped once the gain is 0.
     """
     cover = Cover.empty()
     masks = inst.masks
-    uncovered = (1 << inst.n) - 1
-    heap = [(-b.bit_count(), sid) for sid, b in enumerate(masks)]
+    n = inst.n
+    uncovered = (1 << n) - 1
+    id_bits = inst.m.bit_length()
+    id_mask = (1 << id_bits) - 1
+    heap = [((n - b.bit_count()) << id_bits) | sid for sid, b in enumerate(masks)]
     heapify(heap)
     while uncovered:
         if not heap:
             raise RuntimeError("no subset covers a remaining element")
-        bound, sid = heap[0]
+        top = heap[0]
+        sid = top & id_mask
         bits = masks[sid]
         gain = (bits & uncovered).bit_count()
-        if gain == -bound:
+        if gain == n - (top >> id_bits):
             heappop(heap)
             cover.add(sid, bits)
             uncovered &= ~bits
         elif gain:
-            heapreplace(heap, (-gain, sid))
+            heapreplace(heap, ((n - gain) << id_bits) | sid)
         else:
             heappop(heap)
     return cover

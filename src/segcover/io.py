@@ -107,9 +107,9 @@ class _Ints:
         self.data = data
         self._starts = [0]
         self._firsts = [0]
-        self.values = chain.from_iterable(self._chunks())
+        self.values = chain.from_iterable(map(int, tokens) for tokens in self._chunks())
 
-    def _chunks(self) -> Iterator[Iterator[int]]:
+    def _chunks(self) -> Iterator[List[bytes]]:
         data = self.data
         size = len(data)
         start = 0
@@ -123,7 +123,7 @@ class _Ints:
             tokens = data[start:end].split()
             self._starts.append(end)
             self._firsts.append(self._firsts[-1] + len(tokens))
-            yield map(int, tokens)
+            yield tokens
             start = end
 
     def offset(self, index: int) -> int:
@@ -300,22 +300,22 @@ def _scp_shaped(data: bytes) -> bool:
     ``n m``, ``m`` costs, then ``n`` rows, each a positive count and that
     many more tokens, and nothing after.
 
-    Only the header and the row counts are looked at; the other tokens are
-    skipped in C, and no mask is built.
+    Only the header and the row counts are converted to ints; the other
+    tokens are skipped in C as they were split, and no mask is built.
     """
-    values = _Ints(data).values
+    tokens = chain.from_iterable(_Ints(data)._chunks())
     try:
-        head = list(islice(values, 2))
+        head = list(map(int, islice(tokens, 2)))
         if len(head) < 2:
             return False
         n, m = head
-        if m > 0 and next(islice(values, m - 1, m), None) is None:
+        if m > 0 and next(islice(tokens, m - 1, m), None) is None:
             return False
         for _ in range(n):
-            count = next(values, 0)
-            if count <= 0 or next(islice(values, count - 1, count), None) is None:
+            count = int(next(tokens, 0))
+            if count <= 0 or next(islice(tokens, count - 1, count), None) is None:
                 return False
-        return next(values, None) is None
+        return next(tokens, None) is None
     except ValueError:
         return False
 

@@ -1,12 +1,16 @@
 """Connected components of the element co-occurrence graph via union-find.
 
 Two elements co-occur when some subset contains both.  The graph is never
-materialised: each subset's elements are union-ed against its first element
-(star unions).  With path halving, even without union by rank, that costs
-O(M log_{1+M/n} n) for M memberships (Tarjan and van Leeuwen 1984): near
-linear when subsets are large.  Every subset lies entirely inside one
-component, so the instance splits into independent subinstances whose
-covers merge back without repair.
+materialised.  Each union-find root is its set's smallest element and keeps
+the set's elements as a mask shifted down by the root.  A subset finds the
+root of its lowest element (path halving, Tarjan and van Leeuwen 1984) and
+tests its own mask against that root's in one shift and one AND-NOT.  Only
+the members the test leaves are walked, and then at least two sets link;
+there are at most n - 1 links, so at most n - 1 subsets are walked member by
+member and every other one costs a find and a few word-parallel operations
+on its mask.  Every subset lies entirely inside one component, so the
+instance splits into independent subinstances whose covers merge back
+without repair.
 """
 from __future__ import annotations
 
@@ -36,29 +40,41 @@ class Segmentation:
 def find_groups(inst: Instance) -> Segmentation:
     """Split an instance along the connected components of co-occurrence.
 
-    The unions run inline with path halving, and link the larger root under
-    the smaller, so every parent is at most its child and each root is its
-    component's smallest element.  A component whose elements are one run of
-    consecutive ids takes its subsets' masks by a shift.
+    Links put the larger root under the smaller, so every parent is at most
+    its child; a link ORs the other set's mask into the root's at its
+    offset.  A connected instance is its own subinstance; otherwise a
+    component of consecutive ids takes its subsets' masks by a shift.
     """
     n = inst.n
     bits = inst.masks
+    lows = [(b & -b).bit_length() - 1 for b in bits]
     parent = list(range(n))
-    for b in bits:
-        members = iter_bits(b)
-        root = next(members)
+    held = [1] * n
+    for b, root in zip(bits, lows):
         while parent[root] != root:
             parent[root] = parent[parent[root]]
             root = parent[root]
-        for e in members:
+        rest = (b >> root) & ~held[root]
+        if not rest:
+            continue
+        base = root
+        for e in iter_bits(rest):
+            e += base
             while parent[e] != e:
                 parent[e] = parent[parent[e]]
                 e = parent[e]
             if e < root:
                 parent[root] = e
+                held[e] |= held[root] << (root - e)
+                held[root] = 0
                 root = e
             elif e > root:
                 parent[e] = root
+                held[root] |= held[e] << (e - root)
+                held[e] = 0
+    if n and held[0].bit_count() == n:
+        whole = Component(tuple(range(inst.m)), inst, tuple(range(n)))
+        return Segmentation(instance=inst, components=(whole,))
     for e in range(n):  # ascending, so parent[e]'s own parent is already a root
         parent[e] = parent[parent[e]]
 
@@ -66,8 +82,8 @@ def find_groups(inst: Instance) -> Segmentation:
     for e, root in enumerate(parent):
         element_lists[root].append(e)
     families: Dict[int, List[int]] = {root: [] for root in element_lists}
-    for sid, b in enumerate(bits):
-        families[parent[(b & -b).bit_length() - 1]].append(sid)
+    for sid, low in enumerate(lows):
+        families[parent[low]].append(sid)
 
     components = []
     for root, elements in element_lists.items():

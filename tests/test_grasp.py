@@ -71,15 +71,31 @@ class TestRowMap:
         rowmap = create_row_map(twelve)
         assert sorted(entry[0] for entry in rowmap.entries) == list(range(12))
 
-    def test_score_tables_hold_scores_and_clamped_weights(self, twelve):
+    def test_score_tables_hold_clamped_weights(self, twelve):
         rowmap = create_row_map(twelve)
         assert rowmap.max_size == 6
         tables = rowmap.score_tables(EVAL_FUNCTIONS)
         assert rowmap.score_tables(EVAL_FUNCTIONS) is tables
-        for f, (scores, weights) in zip(EVAL_FUNCTIONS, tables):
-            assert scores[1:] == [f(c) for c in range(1, 7)]
-            assert weights[1:] == [max(WEIGHT_EPSILON, 1.0 - f(c)) for c in range(1, 7)]
-        assert tables[0][1][1] == WEIGHT_EPSILON  # 1 - inverse(1) = 0 clamps
+        assert len(tables) == len(EVAL_FUNCTIONS)
+        for f, weights in zip(EVAL_FUNCTIONS, tables):
+            assert weights == [None] + [max(WEIGHT_EPSILON, 1.0 - f(c)) for c in range(1, 7)]
+        assert tables[0][1] == WEIGHT_EPSILON  # 1 - inverse(1) = 0 clamps
+
+    @pytest.mark.parametrize("fn", [lambda c: 0.5, lambda c: c, lambda c: 1.0 / min(c, 3)])
+    def test_score_tables_reject_a_function_not_strictly_decreasing(self, twelve, fn):
+        # max_size is 6, so a function flat from 3 on fails too
+        rowmap = create_row_map(twelve)
+        f = grasp.EvalFunction("flat", fn)
+        with pytest.raises(ValueError, match="'flat' is not strictly decreasing"):
+            rowmap.score_tables((INVERSE, f))
+        with pytest.raises(ValueError, match="'flat'"):
+            rand_construct(Cover.empty(), (1 << 12) - 1, rowmap, True, random.Random(), (f,))
+
+    def test_score_tables_check_only_counts_up_to_max_size(self):
+        # 1 / min(c, 3) is strictly decreasing over 1..2
+        rowmap = create_row_map(make_instance(3, ((1, 2), (2, 3))))
+        f = grasp.EvalFunction("flat-from-3", lambda c: 1.0 / min(c, 3))
+        assert len(rowmap.score_tables((f,))) == 1
 
 
 def _first_pick(inst, hub, f, improve, rng):
@@ -133,6 +149,15 @@ class TestFindBestCandidate:
         rowmap = replace(rowmap, entries=((element, degree, ()),) + rowmap.entries[1:])
         with pytest.raises(RuntimeError, match="no subset covers element"):
             rand_construct(Cover.empty(), (1 << 12) - 1, rowmap, True, random.Random())
+
+    def test_row_map_missing_an_uncovered_element_rejected(self, twelve):
+        rowmap = create_row_map(twelve)
+        assert rowmap.entries[0] == (11, 1, (5,))
+        rowmap = replace(rowmap, entries=rowmap.entries[1:])
+        # element 0's coverers, subsets 0 and 6, leave element 11 for last
+        for uncovered in (1 << 11, 1 << 11 | 1):
+            with pytest.raises(RuntimeError, match="^uncovered elements missing from the row map$"):
+                rand_construct(Cover.empty(), uncovered, rowmap, True, random.Random())
 
     def test_candidate_missing_uncovered_rejected(self, twelve):
         rowmap = create_row_map(twelve)

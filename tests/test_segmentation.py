@@ -64,6 +64,47 @@ def test_matches_reference_find_groups_on_generator_blocks(groups):
     assert len(seg.components) == groups
 
 
+def _many_small_subsets(rng):
+    """A family with m >> n: many subsets of one to three elements inside a
+    few components, each component opened by a bridge.
+
+    In a component with sorted elements g, ``{g0, g4}`` and ``{g1, g3}``
+    come first, so the bridge ``{g3, g4}`` finds its lowest element under
+    the root g1 and its other one under g0: the set with the higher root
+    joins the other.  The subsets after it mostly lie in one set already.
+    """
+    n = rng.randint(5, 80)
+    labels = rng.sample(range(n), n) if rng.random() < 0.5 else list(range(n))
+    k = rng.randint(1, max(1, n // 5))
+    groups = [sorted(labels[i::k]) for i in range(k)]
+    subsets = []
+    for g in groups:
+        if len(g) >= 5:
+            subsets += [{g[0], g[4]}, {g[1], g[3]}, {g[3], g[4]}]
+    small = []
+    for g in groups:
+        for _ in range(rng.randint(3 * len(g), 8 * len(g))):
+            small.append(set(rng.sample(g, min(len(g), rng.randint(1, 3)))))
+        small += [{e} for e in g]
+    rng.shuffle(small)
+    return n, subsets + small
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=150, deadline=None)
+def test_matches_reference_find_groups_on_many_small_subsets(seed):
+    n, subsets = _many_small_subsets(random.Random(seed))
+    inst = to_instance(n, subsets)
+    assert find_groups(inst) == reference_find_groups(inst)
+
+
+def test_connected_instance_is_its_own_subinstance(twelve):
+    (comp,) = find_groups(twelve).components
+    assert comp.subinstance is twelve
+    inst = generate_segmentable(GeneratorConfig(n=300, m=200, groups=1, seed=4))
+    assert find_groups(inst).components[0].subinstance is inst
+
+
 def test_connected_instance_keeps_its_masks(twelve):
     (comp,) = find_groups(twelve).components
     assert all(a is b for a, b in zip(comp.subinstance.masks, twelve.masks))
