@@ -2,8 +2,10 @@
 """Sweep the synthetic group count and compare solvers.
 
 Generates one segmentable instance per group count, runs the greedy
-baseline, sequential GRASP, and segmented GRASP, and writes one CSV row per
-(solver, groups) cell with quality relative to greedy plus phase timings.
+baseline, sequential GRASP, and segmented GRASP through
+``cli.run_algorithm`` (unreduced; every cover is validated), and writes one
+CSV row per (solver, groups) cell with quality relative to greedy plus phase
+timings.
 
 Example:
     python scripts/sweep_groups.py --n 10000 --m 20000 --iterations 50 \
@@ -11,16 +13,11 @@ Example:
 """
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from segcover.cli import RunRecord
-from segcover.core import cover_is_feasible
-from segcover.grasp import GraspParams, grasp_solve
-from segcover.grasp_su import SuParams, grasp_su_solve, rpd_star
-from segcover.greedy import greedy_solve
+from segcover.cli import run_algorithm
 from segcover.io import GeneratorConfig, emit_results_csv, generate_segmentable
 
 
@@ -45,49 +42,20 @@ def main() -> int:
         inst = generate_segmentable(cfg)
         name = f"synthetic-n{args.n}-m{args.m}-k{k}"
 
-        t0 = time.perf_counter()
-        greedy_cover = greedy_solve(inst)
-        greedy_ms = (time.perf_counter() - t0) * 1e3
-        assert cover_is_feasible(greedy_cover, inst)
-        baseline = len(greedy_cover)
-        records.append(
-            RunRecord(
-                instance=name, algorithm="greedy", seed=args.seed, threads=1,
-                cardinality=baseline, rpd_star=0.0, solve_ms=greedy_ms,
-                wall_ms=greedy_ms,
+        greedy, _ = run_algorithm(inst, name, "greedy", seed=args.seed, preprocess=False)
+        greedy.rpd_star = 0.0  # greedy is its own baseline
+        baseline = greedy.cardinality
+        records.append(greedy)
+        for algorithm, threads in (("grasp", 1), ("grasp-uf", args.threads)):
+            record, _ = run_algorithm(
+                inst, name, algorithm, iterations=args.iterations,
+                max_rm=args.max_rm, seed=args.seed, threads=threads,
+                preprocess=False, greedy_baseline=baseline,
             )
-        )
-
-        params = GraspParams(num_iter=args.iterations, max_rm=args.max_rm,
-                             seed=args.seed)
-        t0 = time.perf_counter()
-        plain = grasp_solve(inst, params)
-        plain_ms = (time.perf_counter() - t0) * 1e3
-        records.append(
-            RunRecord(
-                instance=name, algorithm="grasp", seed=args.seed, threads=1,
-                cardinality=len(plain), rpd_star=rpd_star(len(plain), baseline),
-                solve_ms=plain_ms, wall_ms=plain_ms,
-            )
-        )
-
-        phase = {}
-        t0 = time.perf_counter()
-        segmented = grasp_su_solve(
-            inst, SuParams(grasp=params, threads=args.threads), phase_times=phase
-        )
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        records.append(
-            RunRecord(
-                instance=name, algorithm="grasp-uf", seed=args.seed,
-                threads=args.threads, cardinality=len(segmented),
-                rpd_star=rpd_star(len(segmented), baseline),
-                segment_ms=phase["segment_ms"], solve_ms=phase["solve_ms"],
-                merge_ms=phase["merge_ms"], wall_ms=wall_ms,
-            )
-        )
+            records.append(record)
         print(
-            f"k={k}: greedy={baseline} grasp={len(plain)} grasp-uf={len(segmented)}",
+            f"k={k}: greedy={baseline} grasp={records[-2].cardinality} "
+            f"grasp-uf={records[-1].cardinality}",
             file=sys.stderr,
         )
 

@@ -8,7 +8,6 @@ from .core import (
 )
 from .grasp import (
     EVAL_FUNCTIONS,
-    EvalFunction,
     GraspParams,
     RowMap,
     create_row_map,
@@ -30,7 +29,7 @@ from .io import (
     write_rail,
     write_scp,
 )
-from .mst import Bipartition, WeightedCoGraph, build_cograph, grasp_mst_solve, mst_bipartition
+from .mst import Bipartition, WeightedCoGraph, build_cograph, mst_bipartition
 from .preprocess import ReductionReport, reduce
 from .segmentation import Component, Segmentation, find_groups, merge_partial_covers
 
@@ -41,7 +40,6 @@ __all__ = [
     "Component",
     "Cover",
     "EVAL_FUNCTIONS",
-    "EvalFunction",
     "GeneratorConfig",
     "GraspParams",
     "Instance",
@@ -57,7 +55,6 @@ __all__ = [
     "emit_results_csv",
     "find_groups",
     "generate_segmentable",
-    "grasp_mst_solve",
     "grasp_solve",
     "grasp_su_solve",
     "greedy_solve",

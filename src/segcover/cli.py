@@ -14,20 +14,16 @@ import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from functools import partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
-from .grasp_su import SuParams, rpd, rpd_star, solve_restarts
+from .grasp_su import SuParams, rpd, rpd_star, solve_restarts, split
 from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
-from .mst import build_cograph, merge_sides, mst_bipartition
 from .preprocess import ReductionReport, reduce
-from .segmentation import find_groups, merge_partial_covers
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -92,10 +88,9 @@ def _restart_covers(
     """The cover of ``work`` for each restart, in restart order.
 
     Restart ``k`` runs with seed ``params.seed + k``.  A GRASP algorithm
-    splits ``work`` once, and every restart of ``solve_restarts`` reuses
-    the pieces: ``grasp`` solves ``work`` as its one piece, ``grasp-uf``
-    its co-occurrence components, ``grasp-mst`` the two sides of the forced
-    bipartition.  Phase times are added to ``phase_sums``.
+    splits ``work`` once, by ``split``, and every restart of
+    ``solve_restarts`` reuses the pieces.  Phase times are added to
+    ``phase_sums``.
     """
     if work.n == 0:
         return [Cover.empty()] * restarts
@@ -104,16 +99,7 @@ def _restart_covers(
         cover = greedy_solve(work)
         phase_sums["solve_ms"] += (time.perf_counter() - t0) * 1e3
         return [cover]
-    if algorithm == "grasp":
-        pieces, merge = [work], itemgetter(0)
-    elif algorithm == "grasp-uf":
-        seg = find_groups(work)
-        pieces = [c.subinstance for c in seg.components]
-        merge = partial(merge_partial_covers, seg)
-    else:
-        bip = mst_bipartition(build_cograph(work))
-        pieces = [bip.side1.subinstance, bip.side2.subinstance]
-        merge = partial(merge_sides, work, bip)
+    pieces, merge = split(work, algorithm)
     phase_sums["segment_ms"] += (time.perf_counter() - t0) * 1e3
     su = SuParams(grasp=params, threads=threads)
     return solve_restarts(pieces, merge, su, restarts, phase_sums)

@@ -1,15 +1,16 @@
 """Randomized greedy construction and the sequential GRASP improvement loop.
 
 Construction is element-first: the uncovered element with the smallest
-degree (fewest covering subsets) defines the candidate list, and one of four
-score functions of the candidate's fresh-coverage count ranks it.  In
-intensification mode the best-scored candidate wins deterministically: the
-functions are strictly decreasing, so it is the first with the largest
-count.  In diversification mode candidates are drawn with probability
-proportional to one minus their score, clamped below by a tiny epsilon so
-ill-scaled scores (above one) still leave a valid distribution; weights are
-looked up in per-function tables indexed by the count.  A pick costs one
-AND-and-popcount per candidate on the instance's int masks.
+degree (fewest covering subsets) defines the candidate list, and one of the
+four fixed score functions in ``EVAL_FUNCTIONS``, drawn per pick, ranks each
+candidate by its fresh-coverage count.  In intensification mode the
+best-scored candidate wins deterministically: the functions are strictly
+decreasing, so it is the first with the largest count.  In diversification
+mode candidates are drawn with probability proportional to one minus their
+score, clamped below by a tiny epsilon so ill-scaled scores (above one) still
+leave a valid distribution; weights are looked up in the per-function tables
+``create_row_map`` builds once per solve, indexed by the count.  A pick costs
+one AND-and-popcount per candidate on the instance's int masks.
 
 The improvement loop repeatedly deletes a fixed fraction of the incumbent,
 rebuilds with the construction procedure, prunes redundant picks, and keeps
@@ -23,9 +24,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
 
@@ -45,22 +46,8 @@ def _inverse_square(c: int) -> float:
     return 1.0 / (c * c)
 
 
-@dataclass(frozen=True)
-class EvalFunction:
-    """A strictly decreasing score of the fresh-coverage count (>= 1)."""
-
-    tag: str
-    fn: Callable[[int], float]
-
-    def __call__(self, count: int) -> float:
-        return self.fn(count)
-
-
-EVAL_FUNCTIONS: Tuple[EvalFunction, ...] = (
-    EvalFunction("inverse", _inverse),
-    EvalFunction("inverse-sqrt", _inverse_sqrt),
-    EvalFunction("inverse-log", _inverse_log),
-    EvalFunction("inverse-square", _inverse_square),
+EVAL_FUNCTIONS: Tuple[Callable[[int], float], ...] = (
+    _inverse, _inverse_sqrt, _inverse_log, _inverse_square,
 )
 
 
@@ -69,18 +56,12 @@ class GraspParams:
     num_iter: int = 300
     max_rm: float = 0.5
     seed: int = 0
-    eval_set: Tuple[EvalFunction, ...] = EVAL_FUNCTIONS
 
     def __post_init__(self) -> None:
         if self.num_iter < 0:
             raise ValueError(f"num_iter must be >= 0, got {self.num_iter}")
         if not 0.0 < self.max_rm < 1.0:
             raise ValueError(f"max_rm must lie in (0, 1), got {self.max_rm}")
-        if not self.eval_set:
-            raise ValueError("eval_set must not be empty")
-
-
-ScoreTables = Tuple[List[Optional[float]], ...]
 
 
 @dataclass(frozen=True)
@@ -90,36 +71,15 @@ class RowMap:
     Each entry is ``(element, degree, covering subset ids)``, the ids
     ascending.  Degrees count covering subsets of the instance and never
     change during construction, so one sorted index serves a whole solve;
-    covered elements are skipped with one iterator.  ``max_size`` is the
-    largest subset's size, which bounds every fresh-coverage count.
+    covered elements are skipped with one iterator.  ``weights`` holds, per
+    score function f, the weights ``max(WEIGHT_EPSILON, 1 - f(c))`` indexed
+    by fresh-coverage count c up to the largest subset's size; index 0 holds
+    None, as no candidate of a pick covers nothing.
     """
 
     instance: Instance
     entries: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
-    max_size: int
-    _tables: Dict[Tuple[EvalFunction, ...], ScoreTables] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-
-    def score_tables(self, eval_set: Tuple[EvalFunction, ...]) -> ScoreTables:
-        """Per function, the weights ``max(WEIGHT_EPSILON, 1 - f(c))``
-        indexed by fresh-coverage count c in 1..max_size; index 0 holds
-        None, as no candidate of a pick covers nothing.  Built once per eval
-        set and kept.
-
-        Raises ValueError, naming the tag, for a function not strictly
-        decreasing over 1..max_size: intensifying relies on it.
-        """
-        tables = self._tables.get(eval_set)
-        if tables is None:
-            tables = []
-            for f in eval_set:
-                scores = [f(c) for c in range(1, self.max_size + 1)]
-                if any(a <= b for a, b in zip(scores, scores[1:])):
-                    raise ValueError(f"eval function {f.tag!r} is not strictly decreasing")
-                tables.append([None] + [max(WEIGHT_EPSILON, 1.0 - s) for s in scores])
-            tables = self._tables[eval_set] = tuple(tables)
-        return tables
+    weights: Tuple[List[Optional[float]], ...]
 
 
 def create_row_map(inst: Instance) -> RowMap:
@@ -128,10 +88,14 @@ def create_row_map(inst: Instance) -> RowMap:
         ((e, len(ids), tuple(ids)) for e, ids in enumerate(coverers)),
         key=lambda entry: (entry[1], entry[0]),
     )
+    counts = range(1, max((b.bit_count() for b in inst.masks), default=0) + 1)
     return RowMap(
         instance=inst,
         entries=tuple(entries),
-        max_size=max((b.bit_count() for b in inst.masks), default=0),
+        weights=tuple(
+            [None] + [max(WEIGHT_EPSILON, 1.0 - f(c)) for c in counts]
+            for f in EVAL_FUNCTIONS
+        ),
     )
 
 
@@ -141,23 +105,22 @@ def rand_construct(
     rowmap: RowMap,
     improve: bool,
     rng: random.Random,
-    eval_set: Tuple[EvalFunction, ...] = EVAL_FUNCTIONS,
 ) -> Cover:
     """Complete ``partial`` until every element of the ``uncovered`` mask is
     covered.
 
-    Each round: take the lowest-degree uncovered element, draw a score
-    function uniformly from ``eval_set``, and add one subset covering the
-    element.  Intensifying, that is the subset minimising ``f(fresh
-    coverage)``, ties to the lowest id: the first with the largest count.
-    Diversifying, a draw weighted by ``max(eps, 1 - f(count))``, uniform
-    when every weight clamps to eps, made as ``rng.choices`` makes it.
+    Each round: take the lowest-degree uncovered element, draw one of the
+    row map's weight tables (so one score function f) uniformly, and add
+    one subset covering the element.  Intensifying, that is the subset
+    minimising ``f(fresh coverage)``, ties to the lowest id: the first with
+    the largest count.  Diversifying, a draw weighted by ``max(eps, 1 -
+    f(count))``, uniform when every weight clamps to eps, made as
+    ``rng.choices`` makes it.
     Mutates and returns ``partial``.
     """
     if partial.covered & uncovered:
         raise ValueError("partial cover overlaps the uncovered set")
     masks = rowmap.instance.masks
-    tables = rowmap.score_tables(eval_set)
     entries = iter(rowmap.entries)
     while uncovered:
         for element, _, coverer_ids in entries:
@@ -167,7 +130,7 @@ def rand_construct(
             raise RuntimeError("uncovered elements missing from the row map")
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
-        weights = rng.choice(tables)
+        weights = rng.choice(rowmap.weights)
         counts = [(masks[sid] & uncovered).bit_count() for sid in coverer_ids]
         if 0 in counts:
             sid = coverer_ids[counts.index(0)]
@@ -256,7 +219,7 @@ def improvement_loop(
     for iteration in range(1, params.num_iter + 1):
         candidate = remove_sets(best, inst, params.max_rm, rng)
         candidate = rand_construct(
-            candidate, universe & ~candidate.covered, rowmap, improve, rng, params.eval_set
+            candidate, universe & ~candidate.covered, rowmap, improve, rng
         )
         candidate = remove_redundant_sets(candidate, inst)
         accepted = len(candidate) < len(best)
@@ -278,9 +241,7 @@ def _grasp_run(
     if inst.n == 0:
         return Cover.empty()
     rowmap = create_row_map(inst)
-    cover = rand_construct(
-        Cover.empty(), (1 << inst.n) - 1, rowmap, False, rng, params.eval_set
-    )
+    cover = rand_construct(Cover.empty(), (1 << inst.n) - 1, rowmap, False, rng)
     cover = remove_redundant_sets(cover, inst)
     return improvement_loop(cover, inst, rowmap, params, rng, trace)
 

@@ -1,15 +1,15 @@
-"""Segmented GRASP: solve independent pieces of an instance, then merge.
+"""Segmented GRASP: split an instance into independent pieces, solve, merge.
 
-``solve_restarts`` is the one restart path of every GRASP algorithm: the
-caller splits the instance once (``grasp`` into itself, ``grasp-uf`` into
-co-occurrence components, ``grasp-mst`` into the two sides of a forced
-bipartition) and says how the pieces' covers merge back.  Restarts then run
-in batches on ``run_components``, which dispatches the pieces of every
-restart in a batch longest-family-first to one worker pool, with RNG
-streams derived as ``(master_seed + restart) XOR piece index``, so results
-are identical for any worker count or scheduling order.  Workers are
-separate processes (the practical route to CPU parallelism in CPython); the
-``threads`` knob caps the pool size.
+``split`` is the one place that decides the pieces of every GRASP algorithm
+and how their covers merge back: ``grasp`` keeps the instance whole,
+``grasp-uf`` splits it into co-occurrence components, ``grasp-mst`` into
+the two sides of a forced bipartition.  ``solve_restarts`` is the one
+restart path: restarts run in batches on ``run_components``, which
+dispatches the pieces of every restart in a batch longest-family-first to
+one worker pool, with RNG streams derived as ``(master_seed + restart) XOR
+piece index``, so results are identical for any worker count or scheduling
+order.  Workers are separate processes (the practical route to CPU
+parallelism in CPython); the ``threads`` knob caps the pool size.
 """
 from __future__ import annotations
 
@@ -19,11 +19,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance
 from .grasp import GraspParams, _grasp_run
+from .mst import build_cograph, merge_sides, mst_bipartition
 from .segmentation import find_groups, merge_partial_covers
+
+Merge = Callable[[Sequence[Cover]], Cover]
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,28 @@ def run_components(
     return [results[index] for index in range(len(tasks))]
 
 
+def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
+    """The pieces ``algorithm`` solves ``work`` as, and how their covers merge.
+
+    ``grasp``: ``[work]`` itself, merged by taking its cover.  ``grasp-uf``:
+    the ``find_groups`` components, merged by ``merge_partial_covers``.
+    ``grasp-mst``: the two sides of ``mst_bipartition``, merged by
+    ``merge_sides``; a disconnected ``work`` raises its ValueError.
+    """
+    if algorithm == "grasp":
+        return [work], itemgetter(0)
+    if algorithm == "grasp-uf":
+        seg = find_groups(work)
+        return [c.subinstance for c in seg.components], partial(merge_partial_covers, seg)
+    if algorithm == "grasp-mst":
+        bip = mst_bipartition(build_cograph(work))
+        return [bip.side1.subinstance, bip.side2.subinstance], partial(merge_sides, work, bip)
+    raise ValueError(f"no split for algorithm {algorithm!r}")
+
+
 def solve_restarts(
     subinstances: Sequence[Instance],
-    merge: Callable[[Sequence[Cover]], Cover],
+    merge: Merge,
     params: SuParams,
     restarts: int,
     phase_times: Dict[str, float],
@@ -141,12 +164,9 @@ def grasp_su_solve(
     """
     params = params if params is not None else SuParams()
     t0 = time.perf_counter()
-    seg = find_groups(inst)
+    pieces, merge = split(inst, "grasp-uf")
     times = {"segment_ms": (time.perf_counter() - t0) * 1e3}
-    subinstances = [c.subinstance for c in seg.components]
-    [cover] = solve_restarts(
-        subinstances, partial(merge_partial_covers, seg), params, 1, times
-    )
+    [cover] = solve_restarts(pieces, merge, params, 1, times)
     if phase_times is not None:
         phase_times.update(times)
     return cover

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import Cover, Instance, iter_bits, lift, restrict_masks
 from .grasp import remove_redundant_sets
-from .grasp_su import SuParams, solve_restarts
 from .segmentation import Component
 
 Edge = Tuple[int, int, int]
@@ -156,17 +154,3 @@ def merge_sides(inst: Instance, bip: Bipartition, partials: Sequence[Cover]) -> 
     """
     families = (bip.side1.subfamily, bip.side2.subfamily)
     return remove_redundant_sets(lift(inst, families, partials), inst)
-
-
-def grasp_mst_solve(inst: Instance, params: Optional[SuParams] = None) -> Cover:
-    """Segmented solve using the forced bipartition instead of union-find.
-
-    Both sides are solved independently, then merged by ``merge_sides``.
-    Known to degrade quality versus un-segmented search: subsets spanning
-    the cut are effectively halved.
-    """
-    params = params if params is not None else SuParams()
-    bip = mst_bipartition(build_cograph(inst))
-    sides = [bip.side1.subinstance, bip.side2.subinstance]
-    [cover] = solve_restarts(sides, partial(merge_sides, inst, bip), params, 1, {})
-    return cover

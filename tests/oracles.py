@@ -10,20 +10,27 @@ from __future__ import annotations
 import random
 import re
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, restrict_masks
 from segcover.grasp import (
     EVAL_FUNCTIONS,
     WEIGHT_EPSILON,
-    EvalFunction,
     GraspParams,
     RowMap,
+    _grasp_run,
     grasp_solve,
 )
 from segcover.grasp_su import SuParams, grasp_su_solve
 from segcover.io import ParseError, write_rail, write_scp
-from segcover.mst import Bipartition, Edge, WeightedCoGraph, grasp_mst_solve
+from segcover.mst import (
+    Bipartition,
+    Edge,
+    WeightedCoGraph,
+    build_cograph,
+    merge_sides,
+    mst_bipartition,
+)
 from segcover.preprocess import ReductionReport, reduce
 from segcover.segmentation import Component, Segmentation
 
@@ -289,7 +296,7 @@ def reference_reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
 
 def reference_find_best_candidate(
     candidates: Sequence[Tuple[int, Set[int]]],
-    f: EvalFunction,
+    f: Callable[[int], float],
     uncovered: Set[int],
     improve: bool,
     rng: random.Random,
@@ -319,7 +326,6 @@ def reference_rand_construct(
     rowmap: RowMap,
     improve: bool,
     rng: random.Random,
-    eval_set: Tuple[EvalFunction, ...] = EVAL_FUNCTIONS,
 ) -> Cover:
     """The ``rand_construct`` that built (id, member set) candidate lists and
     scored each through ``reference_find_best_candidate``; mutates
@@ -336,7 +342,7 @@ def reference_rand_construct(
         element, _, coverer_ids = entries[cursor]
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
-        f = rng.choice(eval_set)
+        f = rng.choice(EVAL_FUNCTIONS)
         candidates = [(sid, set(iter_bits(masks[sid]))) for sid in coverer_ids]
         chosen = reference_find_best_candidate(candidates, f, left, improve, rng)
         partial.add(chosen, masks[chosen])
@@ -654,22 +660,29 @@ def reference_run_restarts(
 ) -> Tuple[int, Cover]:
     """The restart loop ``cli.run_algorithm`` ran before restarts were
     batched, for ``grasp``, ``grasp-uf`` and ``grasp-mst``: one solve per
-    restart, back to back.  Returns the seed and the lifted cover of the
-    first strictly smallest restart."""
+    restart, back to back.  ``grasp-mst`` is built from its primitives (the
+    bipartition, one ``_grasp_run`` per side on stream ``(seed + k) ^ side``,
+    ``merge_sides``), not through ``split``.  Returns the seed and the lifted
+    cover of the first strictly smallest restart."""
     report = reduce(inst) if preprocess else None
     work = report.residual if report is not None else inst
     best_seed, best = seed, None
     for k in range(restarts):
         params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed + k)
-        su = SuParams(grasp=params, threads=threads)
         if work.n == 0:
             cover = Cover.empty()
         elif algorithm == "grasp":
             cover = grasp_solve(work, params)
         elif algorithm == "grasp-mst":
-            cover = grasp_mst_solve(work, su)
+            bip = mst_bipartition(build_cograph(work))
+            sides = [bip.side1.subinstance, bip.side2.subinstance]
+            partials = [
+                _grasp_run(side, params, random.Random((seed + k) ^ i))
+                for i, side in enumerate(sides)
+            ]
+            cover = merge_sides(work, bip, partials)
         else:
-            cover = grasp_su_solve(work, su)
+            cover = grasp_su_solve(work, SuParams(grasp=params, threads=threads))
         full = report.lift_cover(cover) if report is not None else cover
         if best is None or len(full) < len(best):
             best_seed, best = seed + k, full

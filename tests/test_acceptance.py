@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from segcover.cli import run_algorithm
 from segcover.core import Instance, cover_is_feasible, index_mask, iter_bits
 from segcover.grasp import GraspParams, grasp_solve
 from segcover.grasp_su import SuParams, grasp_su_solve, rpd_star, run_components
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable, parse_scp
-from segcover.mst import build_cograph, grasp_mst_solve, mst_bipartition
+from segcover.mst import build_cograph, mst_bipartition
 from segcover.preprocess import reduce
 from segcover.segmentation import find_groups, merge_partial_covers
 
@@ -279,7 +280,9 @@ def test_criterion_10c_forced_bipartition_degrades():
             continue
         inst = to_instance(n, family)
         seed = rng.randrange(2**63)
-        mst_cover = grasp_mst_solve(inst, SuParams(grasp=GraspParams(num_iter=40, seed=seed)))
+        _, mst_cover = run_algorithm(
+            inst, "10c", "grasp-mst", iterations=40, seed=seed, preprocess=False
+        )
         plain_cover = grasp_solve(inst, GraspParams(num_iter=40, seed=seed))
         assert cover_is_feasible(mst_cover, inst)
         mst_sizes.append(len(mst_cover))

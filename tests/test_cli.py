@@ -286,7 +286,6 @@ def test_grasp_uf_segments_once_per_run(monkeypatch):
         calls.append(inst)
         return segmentation.find_groups(inst)
 
-    monkeypatch.setattr(cli, "find_groups", counted)
     monkeypatch.setattr(grasp_su, "find_groups", counted)
     inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
     record, _ = cli.run_algorithm(inst, "gen", "grasp-uf", iterations=5, restarts=3)

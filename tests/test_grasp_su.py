@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import grasp
-from segcover.core import cover_is_feasible
+from segcover.core import Cover, cover_is_feasible
 from segcover.grasp import GraspParams, grasp_solve
 from segcover.grasp_su import (
     SuParams,
@@ -14,9 +14,11 @@ from segcover.grasp_su import (
     rpd,
     rpd_star,
     run_components,
+    split,
 )
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable
+from segcover.mst import build_cograph, merge_sides, mst_bipartition
 from segcover.segmentation import find_groups, merge_partial_covers
 
 from conftest import make_instance
@@ -93,6 +95,34 @@ def test_feasible_across_many_random_segmentable_instances():
         inst = generate_segmentable(cfg)
         cover = grasp_su_solve(inst, SuParams(grasp=GraspParams(num_iter=3, seed=1)))
         assert cover_is_feasible(cover, inst)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("algorithm", ["greedy", "grasp-su"])
+    def test_unknown_algorithm_rejected(self, twelve, algorithm):
+        with pytest.raises(ValueError, match="no split"):
+            split(twelve, algorithm)
+
+    def test_grasp_keeps_the_instance_whole(self, twelve):
+        pieces, merge = split(twelve, "grasp")
+        assert len(pieces) == 1 and pieces[0] is twelve
+        cover = Cover([0, 5], twelve.masks[0] | twelve.masks[5])
+        assert merge([cover]) is cover
+
+    def test_grasp_uf_pieces_are_the_components(self):
+        inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
+        pieces, merge = split(inst, "grasp-uf")
+        seg = find_groups(inst)
+        assert pieces == [c.subinstance for c in seg.components]
+        partials = run_components(pieces, SuParams(grasp=GraspParams(num_iter=3)))
+        assert merge(partials).chosen == merge_partial_covers(seg, partials).chosen
+
+    def test_grasp_mst_pieces_are_the_two_sides(self, twelve):
+        pieces, merge = split(twelve, "grasp-mst")
+        bip = mst_bipartition(build_cograph(twelve))
+        assert pieces == [bip.side1.subinstance, bip.side2.subinstance]
+        partials = run_components(pieces, SuParams(grasp=GraspParams(num_iter=3)))
+        assert merge(partials).chosen == merge_sides(twelve, bip, partials).chosen
 
 
 class TestDeviationMetrics:

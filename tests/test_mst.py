@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segcover.cli import run_algorithm
 from segcover.core import cover_is_feasible, iter_bits
-from segcover.grasp import GraspParams
-from segcover.grasp_su import SuParams
-from segcover.mst import Bipartition, build_cograph, grasp_mst_solve, mst_bipartition
+from segcover.mst import Bipartition, build_cograph, mst_bipartition
 from segcover.preprocess import reduce
 
 from conftest import make_instance
@@ -180,16 +179,24 @@ def test_matches_reference_mst_bipartition(seed):
         assert getattr(bip, field.name) == getattr(expected, field.name), field.name
 
 
+def grasp_mst_cover(inst, num_iter, seed):
+    """One unreduced ``grasp-mst`` restart: both sides solved, then merged."""
+    _, cover = run_algorithm(
+        inst, "mst", "grasp-mst", iterations=num_iter, seed=seed, preprocess=False
+    )
+    return cover
+
+
 class TestGraspMstSolve:
     def test_reduced_worked_instance_feasible(self, twelve):
         inst = reduced_cograph_instance(twelve)
-        cover = grasp_mst_solve(inst, SuParams(grasp=GraspParams(num_iter=10, seed=3)))
+        cover = grasp_mst_cover(inst, 10, 3)
         assert cover_is_feasible(cover, inst)
 
     def test_chosen_ids_are_original_ids(self):
         # one subset spans the cut; merged ids must refer to the full family
         inst = make_instance(4, ((1, 2), (2, 3), (3, 4)))
-        cover = grasp_mst_solve(inst, SuParams(grasp=GraspParams(num_iter=5, seed=1)))
+        cover = grasp_mst_cover(inst, 5, 1)
         assert cover_is_feasible(cover, inst)
         assert all(0 <= sid < inst.m for sid in cover.chosen)
 
@@ -204,8 +211,7 @@ class TestGraspMstSolve:
             if len(bfs_components(n, family)) != 1:
                 continue
             inst = to_instance(n, family)
-            params = SuParams(grasp=GraspParams(num_iter=2, seed=solved))
-            chosen = grasp_mst_solve(inst, params).chosen
+            chosen = grasp_mst_cover(inst, 2, solved).chosen
             for sid in chosen:
                 rest = 0
                 for other in chosen:
@@ -216,13 +222,9 @@ class TestGraspMstSolve:
 
     def test_deterministic(self, twelve):
         inst = reduced_cograph_instance(twelve)
-        params = SuParams(grasp=GraspParams(num_iter=8, seed=21))
-        assert (
-            grasp_mst_solve(inst, params).chosen
-            == grasp_mst_solve(inst, params).chosen
-        )
+        assert grasp_mst_cover(inst, 8, 21).chosen == grasp_mst_cover(inst, 8, 21).chosen
 
     def test_disconnected_instance_directed_to_union_find(self):
         inst = make_instance(3, ((1, 2), (3,)))
         with pytest.raises(ValueError, match="union-find"):
-            grasp_mst_solve(inst, SuParams(grasp=GraspParams(num_iter=1, seed=0)))
+            grasp_mst_cover(inst, 1, 0)

@@ -90,6 +90,34 @@ def test_counting_identities(seed):
         assert inst.m == len(report.forced) + len(report.excluded) + report.residual.m
 
 
+@given(seeds, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_summary_obeys_counting_identities(seed, tie_rich):
+    rng = random.Random(seed)
+    if tie_rich:
+        n, subsets = tie_rich_family(rng)
+    else:
+        n = rng.randint(1, 30)
+        subsets = random_covering_family(rng, n, rng.randint(1, 15))
+    inst = to_instance(n, subsets)
+    for fixpoint in (False, True):
+        report = reduce(inst, fixpoint=fixpoint)
+        summary = report.summary()
+        assert summary == {
+            "elements": inst.n,
+            "covered": report.covered.bit_count(),
+            "uncovered": report.residual.n,
+            "subsets": inst.m,
+            "forced": len(report.forced),
+            "excluded": len(report.excluded),
+            "remaining": report.residual.m,
+        }
+        assert summary["elements"] == summary["covered"] + summary["uncovered"]
+        assert summary["subsets"] == (
+            summary["forced"] + summary["excluded"] + summary["remaining"]
+        )
+
+
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_forced_subsets_were_unique_coverers(seed):
