@@ -4,11 +4,24 @@ A set of elements is one non-negative int, bit ``e`` set iff element ``e``
 is a member: the paper's succinct bit-level representation.  CPython stores
 big ints in machine-word limbs, so union, intersection, difference and
 popcount run word-parallel in C.
+
+Where a layer walks the members themselves (dominance in ``reduce``, the
+row map's coverer lists), it reads them from ``Members``, the same family as
+two flat ``array('I')``: ``starts``, ``m + 1`` offsets into ``ids``, and
+``ids``, each subset's ascending, distinct elements.  Parsers, the generator,
+``reduce`` and ``find_groups`` hand these arrays along beside the masks, so
+no mask on that path is decomposed bit by bit.
 """
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Sequence
+import sys
+from array import array
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+# Per subset, its ascending, distinct elements: subset ``sid`` holds
+# ``ids[starts[sid]:starts[sid + 1]]`` of the pair ``(starts, ids)``.
+Members = Tuple[array, array]
 
 
 def iter_bits(bits: int) -> Iterator[int]:
@@ -36,6 +49,66 @@ def index_mask(indices: Iterable[int], lo: int, hi: int) -> int:
     for i in indices:
         bits |= 1 << (i - lo)
     return bits << lo
+
+
+def member_arrays(lists: Iterable[Iterable[int]]) -> Members:
+    """The ``Members`` pair of the ascending, distinct element lists ``lists``,
+    one per subset in id order."""
+    starts = array("I", [0])
+    ids = array("I")
+    for elements in lists:
+        ids.extend(elements)
+        starts.append(len(ids))
+    return starts, ids
+
+
+def lower_ids(ids: array, by: int) -> array:
+    """``ids`` with ``by`` taken from each entry, none of which is below ``by``.
+
+    The entries are read as the digits of one int, base ``2 ** 32``, and
+    ``by`` is taken from every digit in one big-int subtraction, which
+    borrows across none of them: C-level work, not one Python step per entry.
+    """
+    if not by or not ids:
+        return ids
+    order = sys.byteorder
+    packed = int.from_bytes(ids, order) - int.from_bytes(array("I", [by]) * len(ids), order)
+    out = array("I")
+    out.frombytes(packed.to_bytes(len(ids) * ids.itemsize, order))
+    return out
+
+
+def _gathered(
+    members: Members, family: Sequence[int], keep: Optional[Callable[[int], Optional[int]]] = None
+) -> Members:
+    """The member arrays of the subsets ``family``, in that order, each
+    element ``e`` replaced by ``keep(e)`` and dropped where that is ``None``."""
+    starts, ids = members
+    out_starts = array("I", [0])
+    out = array("I")
+    for sid in family:
+        chunk = ids[starts[sid]:starts[sid + 1]]
+        out.extend(chunk if keep is None else [j for j in map(keep, chunk) if j is not None])
+        out_starts.append(len(out))
+    return out_starts, out
+
+
+def select_members(members: Members, family: Sequence[int], lo: int = 0) -> Members:
+    """The member arrays of the subsets ``family``, in that order, with ``lo``
+    taken from every element, none of which is below ``lo``: one slice per
+    subset and one C-level ``lower_ids``."""
+    starts, ids = _gathered(members, family)
+    return starts, lower_ids(ids, lo)
+
+
+def restrict_members(
+    members: Members, family: Sequence[int], element_ids: Sequence[int]
+) -> Members:
+    """The member arrays of the subsets ``family``, in that order, each
+    restricted to the ascending ``element_ids``, with ``element_ids[j]``
+    renumbered to ``j``: ``restrict_masks`` on the arrays, member by member.
+    """
+    return _gathered(members, family, dict(zip(element_ids, range(len(element_ids)))).get)
 
 
 def uncovered_message(union: int) -> str:
@@ -83,12 +156,11 @@ class Instance:
     The family must cover the universe and contain no empty subset.
     Instances are immutable after construction and safe to share.
 
-    ``members`` is optional: per subset, the ascending list of its distinct
-    elements, exactly the set bits of its mask, or ``None`` (the default).
-    A parser or generator that already holds those lists passes them so that
-    ``reduce`` need not decompose the masks again.  They are trusted as
-    given, apart from their count; they are never pickled and take no part
-    in ``==``.
+    ``members`` is optional: the ``Members`` arrays of the same family,
+    exactly the set bits of each mask, or ``None`` (the default).  A layer
+    that already holds the element lists passes them so that no later one
+    need decompose the masks.  They are trusted as given, apart from their
+    shape; they are never pickled and take no part in ``==``.
     """
 
     __slots__ = ("n", "masks", "members")
@@ -97,7 +169,7 @@ class Instance:
         self,
         n: int,
         subsets: Iterable[int],
-        members: Optional[Sequence[Sequence[int]]] = None,
+        members: Optional[Members] = None,
     ) -> None:
         if n < 0:
             raise ValueError(f"universe size must be >= 0, got {n}")
@@ -116,8 +188,13 @@ class Instance:
         # allocation of n bits before the family is known to cover it.
         if union.bit_count() != n:
             raise ValueError(uncovered_message(union))
-        if members is not None and len(members) != len(masks):
-            raise ValueError(f"{len(members)} member lists for {len(masks)} subsets")
+        if members is not None:
+            starts, ids = members
+            if len(starts) != len(masks) + 1 or starts[-1] != len(ids):
+                raise ValueError(
+                    f"member arrays of {len(starts)} offsets and {len(ids)} ids"
+                    f" for {len(masks)} subsets"
+                )
         self.n = n
         self.masks = tuple(masks)
         self.members = members
@@ -127,11 +204,21 @@ class Instance:
         return len(self.masks)
 
     def coverers(self) -> List[List[int]]:
-        """Per element, the ascending list of subset ids containing it."""
+        """Per element, the ascending list of subset ids containing it: the
+        member arrays transposed when the instance has them."""
         lists: List[List[int]] = [[] for _ in range(self.n)]
-        for sid, b in enumerate(self.masks):
-            for e in iter_bits(b):
-                lists[e].append(sid)
+        add = [held.append for held in lists]
+        if self.members is None:
+            for sid, b in enumerate(self.masks):
+                for e in iter_bits(b):
+                    add[e](sid)
+        else:
+            starts, ids = self.members
+            s = 0
+            for sid, t in enumerate(islice(starts, 1, None)):
+                for e in ids[s:t]:
+                    add[e](sid)
+                s = t
         return lists
 
     def __eq__(self, other: object) -> bool:
@@ -195,10 +282,11 @@ def cover_is_feasible(c: Cover, inst: Instance) -> bool:
     cover whose own mask overstates its coverage is still caught.
     """
     masks = inst.masks
+    m = len(masks)
     union = 0
     for sid in c.chosen:
-        if not 0 <= sid < inst.m:
-            raise ValueError(f"unknown subset id {sid} for instance with m={inst.m}")
+        if not 0 <= sid < m:
+            raise ValueError(f"unknown subset id {sid} for instance with m={m}")
         union |= masks[sid]
     return union.bit_count() == inst.n
 

@@ -30,12 +30,21 @@ import csv
 import io as _io
 import random
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Iterator, List, NoReturn, Optional, Tuple
 
-from .core import Instance, index_mask, iter_bits, uncovered_message
+from .core import (
+    Instance,
+    Members,
+    index_mask,
+    iter_bits,
+    lower_ids,
+    member_arrays,
+    uncovered_message,
+)
 
 CSV_HEADER = (
     "instance",
@@ -196,7 +205,7 @@ def _read_rail_column(tokens: _Tokens, n: int, col: int, layout: str) -> None:
 
 
 def _build_instance(
-    n: int, masks: List[int], ints: _Ints, taken: int, members: Optional[List[List[int]]] = None
+    n: int, masks: List[int], ints: _Ints, taken: int, members: Optional[Members]
 ) -> Instance:
     try:
         return Instance(n, masks, members)
@@ -207,8 +216,8 @@ def _build_instance(
 def parse_scp(data: bytes) -> Instance:
     """Parse a row-major set-cover file; rows are elements, columns subsets.
 
-    The instance keeps each column's row list as ``members``, unless some
-    row names a column twice.
+    The instance keeps each column's rows as its ``members`` arrays, unless
+    some row names a column twice.
     """
     ints = _Ints(data)
     values = ints.values
@@ -246,40 +255,50 @@ def parse_scp(data: bytes) -> Instance:
     # Rows are read in order, so each list ascends; it is distinct unless a
     # row named a column twice, and then the masks hold fewer bits than
     # the rows named columns.
-    if sum(map(int.bit_count, masks)) != taken - 2 - m - n:
-        members = None
-    return _build_instance(n, masks, ints, taken, members)
+    distinct = sum(map(int.bit_count, masks)) == taken - 2 - m - n
+    flat = member_arrays(members) if distinct else None
+    del members, add
+    return _build_instance(n, masks, ints, taken, flat)
 
 
 def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
-    """Parse a column-major set-cover file; one record per column (subset)."""
+    """Parse a column-major set-cover file; one record per column (subset).
+
+    Each column's rows are sorted as they are read, which also gives their
+    range; the instance keeps them as its ``members`` arrays, unless some
+    column names a row twice.
+    """
     if layout not in ("cost-first", "count-first"):
         raise ValueError(f"unknown rail layout {layout!r}")
     ints = _Ints(data)
     values = ints.values
     n, m = ints.header()
-    lead = 2 if layout == "cost-first" else 1
+    costed = layout == "cost-first"
+    lead = 2 if costed else 1
     masks: List[int] = []
+    ids = array("I")  # 1-based rows, as read
     most = len(data)  # as in parse_scp: no record holds more tokens
     col = 0
     start = taken = 2
     try:
         for col in range(m):
             start = taken
-            head = list(islice(values, lead))
-            count = head[-1] if len(head) == lead else 0
+            if costed:
+                next(values, None)
+            count = next(values, 0)
             if not 0 < count <= most:
                 raise ValueError
-            rows = list(islice(values, count))
+            rows = sorted(islice(values, count))
             if len(rows) < count:
                 raise ValueError
-            lo, hi = min(rows), max(rows)
+            lo, hi = rows[0], rows[-1]
             if lo < 1 or hi > n:
                 raise ValueError
             if hi > most:  # then n > most as well: see below
                 rows = [r for r in rows if r <= most]
-                lo, hi = (min(rows), max(rows)) if rows else (1, 1)
+                lo, hi = (rows[0], rows[-1]) if rows else (1, 1)
             masks.append(index_mask(rows, lo, hi) >> 1)
+            ids.extend(rows)
             taken += lead + count
     except ValueError:  # a non-integer token, or a record that failed a check
         ints.replay(start, _read_rail_column, n, col, layout)
@@ -292,7 +311,12 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
         for bits in masks:
             union |= bits
         raise ParseError(uncovered_message(union), ints.offset(taken - 1))
-    return _build_instance(n, masks, ints, taken)
+    # A column's mask holds one bit per row it names, unless it names a row
+    # twice; then the masks hold fewer bits than the columns named rows.
+    starts = array("I", accumulate(map(int.bit_count, masks), initial=0))
+    members = (starts, lower_ids(ids, 1)) if starts[-1] == len(ids) else None
+    del ids
+    return _build_instance(n, masks, ints, taken, members)
 
 
 def _scp_shaped(data: bytes) -> bool:
@@ -402,14 +426,12 @@ def generate_segmentable(cfg: GeneratorConfig) -> Instance:
     block's first element in addition to the random draw.  Elements left
     uncovered by the random draws are repaired by inserting them into their
     block's first subset, which keeps the subset count at exactly ``cfg.m``.
-    The instance keeps the member lists as ``members``.  Deterministic in
-    ``cfg.seed``.
+    The instance keeps the member lists as its ``members`` arrays.
+    Deterministic in ``cfg.seed``.
     """
     rng = random.Random(cfg.seed)
     k = cfg.groups
     base, extra = divmod(cfg.n, k)
-    # Blocks are slices of one list of ids, so the member lists the
-    # instance keeps share one int object per element.
     ids = list(range(cfg.n))
     blocks: List[List[int]] = []
     start = 0
@@ -436,9 +458,8 @@ def generate_segmentable(cfg: GeneratorConfig) -> Instance:
         if repaired:
             member_lists[b] = sorted(member_lists[b] + repaired)
 
-    return Instance(
-        cfg.n, [index_mask(ms, ms[0], ms[-1]) for ms in member_lists], member_lists
-    )
+    masks = [index_mask(ms, ms[0], ms[-1]) for ms in member_lists]
+    return Instance(cfg.n, masks, member_arrays(member_lists))
 
 
 def _fmt(value) -> str:

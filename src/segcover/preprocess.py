@@ -10,19 +10,37 @@ as is any subset left with an empty restriction to the uncovered elements.
 with dominance evaluated on the restricted (residual) element sets.  This
 reduces strictly more but is a different, more aggressive contract; both
 modes preserve feasibility and the optimal cardinality.
+
+Dominance reads each subset's elements from the instance's member arrays
+(``core.Members``), which are decomposed from the masks once only when the
+instance has none.  Its element columns share one frame, so testing a
+candidate is a chain of plain ANDs, and each column lives only from the
+first candidate that needs it to its element's last holder.  The residual
+carries the member arrays of its kept subsets, renumbered past the covered
+elements.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from .core import Cover, Instance, iter_bits, lift, restrict_masks
+from .core import (
+    Cover,
+    Instance,
+    Members,
+    iter_bits,
+    lift,
+    member_arrays,
+    restrict_masks,
+    restrict_members,
+    select_members,
+)
 
-# Positions spanned per member above which a dominance column is built bit
-# by bit rather than from a '0'/'1' buffer; on CPython 3.11 (x86-64) the two
-# cost the same near 45.
-_SPARSE = 40
+# Bits spanned per member above which a dominance column is built bit by
+# bit rather than from a '0'/'1' buffer; on CPython 3.11 (x86-64) the two
+# cost the same near 35.
+_SPARSE = 35
 
 
 @dataclass(frozen=True)
@@ -91,37 +109,31 @@ def _force_unique_coverers(
     return covered
 
 
-def _column(positions: array) -> int:
-    """Bitmask with bit ``hi - p`` set for each ``p`` in the ascending
-    ``positions``, where ``hi`` is the highest of them.
+def _column(bits: array) -> int:
+    """Bitmask with bit ``q`` set for each ``q`` in the descending ``bits``.
 
-    A dense column is written as one ``'0'``/``'1'`` byte per position from
-    the lowest to ``hi``, in position order, which ``int(buf, 2)`` reads as
-    the reversed mask in one C-level conversion: one store per member plus
-    a C-level pass over every spanned position.  A sparse one, with more
-    than ``_SPARSE`` positions spanned per member, sets one bit per position
-    instead: more work per member, an eighth of the bytes.
+    A dense column is written as one ``'0'``/``'1'`` byte per bit from the
+    highest, ``hi``, down to the lowest, ``lo``, which ``int(buf, 2)`` reads
+    as the mask shifted down by ``lo`` in one C-level conversion: one store
+    per member plus a C-level pass over every spanned bit.  A sparse one,
+    with more than ``_SPARSE`` bits spanned per member, ORs one bit per
+    member into a little-endian byte buffer instead: more work per member,
+    an eighth of the bytes.
     """
-    lo, hi = positions[0], positions[-1]
-    if hi - lo < _SPARSE * len(positions):
+    hi, lo = bits[0], bits[-1]
+    if hi - lo < _SPARSE * len(bits):
         buf = bytearray(b"0") * (hi - lo + 1)
-        for p in positions:
-            buf[p - lo] = 49  # '1'
-        return int(buf, 2)
-    buf = bytearray(((hi - lo) >> 3) + 1)
-    for p in positions:
-        p = hi - p
-        buf[p >> 3] |= 1 << (p & 7)
+        for q in bits:
+            buf[hi - q] = 49  # '1'
+        return int(buf, 2) << lo
+    buf = bytearray((hi >> 3) + 1)
+    for q in bits:
+        buf[q >> 3] |= 1 << (q & 7)
     return int.from_bytes(buf, "little")
 
 
-def _dominated(
-    n: int,
-    masks: Union[Sequence[int], Mapping[int, int]],
-    candidates: Sequence[int],
-    members: Optional[Sequence[Sequence[int]]] = None,
-) -> List[int]:
-    """Candidates whose element set, ``masks[id]``, is inside another
+def _dominated(n: int, candidates: Sequence[int], members: Members) -> List[int]:
+    """Candidates whose element set, read from ``members``, is inside another
     candidate's.
 
     Equal sets keep the lowest id.  Candidates are ranked by ``(lowest
@@ -131,70 +143,64 @@ def _dominated(
     everything that dominates S ranks before S, and anything ranked before S
     that contains S dominates it: S is dominated iff some position before
     S's lies in the column of every element of S, where an element's column
-    is the bitmask of the positions of the candidates holding it.  Columns
-    are stored reversed from their highest position, so one right shift
-    keeps just the positions before S's and aligns them on the position just
-    before it.  Each column is built on its own (see ``_column``); a dense
-    one is one C-level ``int(buf, 2)`` over a ``'0'``/``'1'`` buffer.  The
-    AND starts from the rarest column and stops once it is zero.  Empty
-    sets are neither dominated nor dominators.
+    is the bitmask of the positions of the candidates holding it.
 
-    ``members``, when given, holds each id's ascending, distinct elements
-    (exactly the bits of its mask) and is read instead of decomposing the
-    masks.
+    Of ``M`` ranked candidates, position ``p`` is bit ``M - 1 - p`` of every
+    column, so the positions before S's are the bits above S's own in one
+    frame: S's rarest column is taken as it is, the others are ANDed in
+    without a shift, and the test stops once no such bit is left.  A column
+    (see ``_column``) is built when a candidate first needs it and dropped
+    after its element's last holder, so on block-structured instances only
+    the current block's columns are alive at once.  Empty sets are neither
+    dominated nor dominators.
     """
+    starts, ids = members
     id_bits = max(candidates, default=0).bit_length()
     size_bits = n.bit_length()
-    if members is None:
-        keys = []
-        for sid in candidates:
-            b = masks[sid]
-            if b:
-                low = (b & -b).bit_length()
-                keys.append((((low << size_bits) | (n - b.bit_count())) << id_bits) | sid)
-    else:
-        keys = [
-            (((members[sid][0] << size_bits) | (n - len(members[sid]))) << id_bits) | sid
-            for sid in candidates
-        ]
+    keys = []
+    for sid in candidates:
+        s, t = starts[sid], starts[sid + 1]
+        if s < t:
+            keys.append((((ids[s] << size_bits) | (n - t + s)) << id_bits) | sid)
     keys.sort()
     id_mask = (1 << id_bits) - 1
     ranked = [key & id_mask for key in keys]
     del keys
+    top = len(ranked) - 1
 
-    # The one fork: where each ranked candidate's element list comes from.
-    if members is None:
-        flat = array("I")
-        ends = array("I", [0])
-        for sid in ranked:
-            flat.extend(iter_bits(masks[sid]))
-            ends.append(len(flat))
-
-        def element_lists() -> Iterator[Sequence[int]]:
-            return (flat[ends[pos]:ends[pos + 1]] for pos in range(len(ranked)))
-    else:
-        def element_lists() -> Iterator[Sequence[int]]:
-            return map(members.__getitem__, ranked)
-
+    # Each element's holders as column bits, descending.
     holders = [array("I") for _ in range(n)]
     add = [h.append for h in holders]
-    for pos, elements in enumerate(element_lists()):
-        for e in elements:
-            add[e](pos)
+    for q, sid in zip(range(top, -1, -1), ranked):
+        for e in ids[starts[sid]:starts[sid + 1]]:
+            add[e](q)
     del add
     count = [len(h) for h in holders]
-    hi = [h[-1] if h else 0 for h in holders]
-    columns = [_column(h) if h else 0 for h in holders]
-    del holders
+    # Elements in the order the scan passes their last holder; the walk
+    # below always stops at an element of the current candidate.
+    last = array("i", (h[-1] if h else -1 for h in holders))
+    closing = sorted(range(n), key=last.__getitem__, reverse=True)
+    columns: List[Optional[int]] = [None] * n
+
+    def opened(e: int) -> int:
+        column = columns[e] = _column(holders[e])
+        holders[e] = None
+        return column
 
     dominated = []
-    for pos, (sid, elements) in enumerate(zip(ranked, element_lists())):
-        common = -1
-        for e in sorted(elements, key=count.__getitem__):
-            common &= columns[e] >> (hi[e] - pos + 1)
-            if not common:
+    k = 0
+    for q, sid in zip(range(top, -1, -1), ranked):
+        while last[closing[k]] > q:
+            columns[closing[k]] = None
+            k += 1
+        rarest, *others = sorted(ids[starts[sid]:starts[sid + 1]], key=count.__getitem__)
+        common = columns[rarest] or opened(rarest)
+        q += 1  # a dominator's bit lies at or above this
+        for e in others:
+            if common.bit_length() <= q:
                 break
-        else:
+            common &= columns[e] or opened(e)
+        if common.bit_length() > q:
             dominated.append(sid)
     return dominated
 
@@ -203,10 +209,14 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     """Reduce an instance, reporting forced/excluded subsets and the residual.
 
     Always succeeds; a fully reducible instance yields an empty residual.
-    Dominance on the unrestricted sets reads ``inst.members`` when the
-    instance has them.
+    Element lists are read from ``inst.members``, or decomposed from the
+    masks once when the instance has none; the residual carries them, kept
+    subsets only and renumbered past the covered elements.
     """
     bits = inst.masks
+    members = inst.members
+    if members is None:
+        members = member_arrays(map(iter_bits, bits))
     active = [True] * inst.m
     forced: List[int] = []
     excluded: List[int] = []
@@ -216,11 +226,12 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     while True:
         remaining = [sid for sid in range(inst.m) if active[sid]]
         if fixpoint and covered:
-            masked = {sid: bits[sid] & ~covered for sid in remaining}
-            members = None
+            sets = member_arrays(
+                iter_bits(b & ~covered) if active[sid] else () for sid, b in enumerate(bits)
+            )
         else:
-            masked, members = bits, inst.members
-        for sid in _dominated(inst.n, masked, remaining, members):
+            sets = members
+        for sid in _dominated(inst.n, remaining, sets):
             active[sid] = False
             excluded.append(sid)
         if covered:
@@ -243,11 +254,15 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
         if len(subset_map) == inst.m:
             residual = inst
         else:
-            residual = Instance(inst.n, [bits[sid] for sid in subset_map])
+            residual = Instance(
+                inst.n, [bits[sid] for sid in subset_map], select_members(members, subset_map)
+            )
     else:
         element_map = list(iter_bits(universe & ~covered))
         residual = Instance(
-            len(element_map), restrict_masks((bits[sid] for sid in subset_map), element_map)
+            len(element_map),
+            restrict_masks((bits[sid] for sid in subset_map), element_map),
+            restrict_members(members, subset_map, element_map),
         )
 
     excluded.sort()
@@ -260,4 +275,3 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),
     )
-

@@ -15,9 +15,19 @@ without repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
-from .core import Cover, Instance, cover_is_feasible, iter_bits, lift, restrict_masks
+from .core import (
+    Cover,
+    Instance,
+    cover_is_feasible,
+    iter_bits,
+    lift,
+    restrict_masks,
+    restrict_members,
+    select_members,
+)
 
 
 @dataclass(frozen=True)
@@ -43,11 +53,18 @@ def find_groups(inst: Instance) -> Segmentation:
     Links put the larger root under the smaller, so every parent is at most
     its child; a link ORs the other set's mask into the root's at its
     offset.  A connected instance is its own subinstance; otherwise a
-    component of consecutive ids takes its subsets' masks by a shift.
+    component of consecutive ids takes its subsets' masks, and member
+    arrays when the instance has them, by a shift.  A subset's lowest
+    element is the first of its member ids, or found from its mask.
     """
     n = inst.n
     bits = inst.masks
-    lows = [(b & -b).bit_length() - 1 for b in bits]
+    members = inst.members
+    if members is None:
+        lows = [(b & -b).bit_length() - 1 for b in bits]
+    else:
+        starts, ids = members
+        lows = list(map(ids.__getitem__, islice(starts, inst.m)))
     parent = list(range(n))
     held = [1] * n
     for b, root in zip(bits, lows):
@@ -89,10 +106,16 @@ def find_groups(inst: Instance) -> Segmentation:
     for root, elements in element_lists.items():
         family = families[root]
         masks = restrict_masks([bits[sid] for sid in family], elements)
+        if members is None:
+            sub = None
+        elif elements[-1] - elements[0] == len(elements) - 1:
+            sub = select_members(members, family, elements[0])
+        else:
+            sub = restrict_members(members, family, elements)
         components.append(
             Component(
                 subfamily=tuple(family),
-                subinstance=Instance(len(elements), masks),
+                subinstance=Instance(len(elements), masks, sub),
                 element_ids=tuple(elements),
             )
         )

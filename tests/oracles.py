@@ -160,6 +160,41 @@ def members_of(inst: Instance) -> List[Set[int]]:
     return [set(iter_bits(b)) for b in inst.masks]
 
 
+def member_lists(inst: Instance) -> List[List[int]]:
+    """Each subset's elements as ``inst.members`` holds them."""
+    starts, ids = inst.members
+    return [list(ids[starts[sid]:starts[sid + 1]]) for sid in range(inst.m)]
+
+
+def assert_members_are_the_mask_bits(inst: Instance) -> None:
+    """``inst`` has member arrays, and they hold exactly its masks' bits."""
+    assert inst.members is not None
+    starts, ids = inst.members
+    assert starts.typecode == ids.typecode == "I"
+    assert member_lists(inst) == [list(iter_bits(b)) for b in inst.masks]
+
+
+def rail_bytes(n: int, columns: Sequence[Sequence[int]]) -> bytes:
+    """Cost-first rail bytes listing each column's 0-based rows as given,
+    in that order, repeats included."""
+    lines = [f"{n} {len(columns)}"]
+    lines += [" ".join(["1", str(len(rows))] + [str(r + 1) for r in rows]) for rows in columns]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def rail_family(rng: random.Random) -> Tuple[int, List[Set[int]]]:
+    """A rail-shaped covering family: few elements, many more subsets, each
+    of 2 to 10 random elements (fewer when n is smaller)."""
+    n = rng.randint(2, 30)
+    subsets = [
+        set(rng.sample(range(n), rng.randint(2, min(10, n))))
+        for _ in range(rng.randint(n, 6 * n))
+    ]
+    for e in range(n):
+        subsets[rng.randrange(len(subsets))].add(e)
+    return n, subsets
+
+
 def to_instance(n: int, subsets: Sequence[Set[int]]) -> Instance:
     return Instance(n, [mask_of(s) for s in subsets])
 

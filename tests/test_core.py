@@ -2,12 +2,14 @@ import multiprocessing
 import pickle
 import random
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import segcover
+from segcover import core
 from segcover.core import (
     Cover,
     Instance,
@@ -15,11 +17,14 @@ from segcover.core import (
     index_mask,
     iter_bits,
     lift,
+    member_arrays,
     restrict_masks,
+    restrict_members,
+    select_members,
 )
 
 from conftest import TWELVE_SUBSETS_1BASED
-from oracles import reference_from_indices
+from oracles import member_lists, random_covering_family, reference_from_indices, to_instance
 
 
 class TestCoverFeasibility:
@@ -153,13 +158,46 @@ def test_instance_holds_int_masks_of_succinct_sets(twelve):
     ]
 
 
-def test_instance_member_lists_are_optional_and_not_compared(twelve):
-    members = [list(iter_bits(b)) for b in twelve.masks]
+def test_instance_member_arrays_are_optional_and_not_compared(twelve):
+    members = member_arrays(map(iter_bits, twelve.masks))
     inst = Instance(12, twelve.masks, members)
     assert inst.members is members and twelve.members is None
     assert inst == twelve
-    with pytest.raises(ValueError, match="^6 member lists for 7 subsets$"):
-        Instance(12, twelve.masks, members[:-1])
+    assert member_lists(inst) == [sorted(e - 1 for e in s) for s in TWELVE_SUBSETS_1BASED]
+    starts, ids = members
+    with pytest.raises(ValueError, match="^member arrays of 7 offsets and 27 ids for 7 subsets$"):
+        Instance(12, twelve.masks, (starts[:-1], ids))
+    with pytest.raises(ValueError, match="^member arrays of 8 offsets and 26 ids for 7 subsets$"):
+        Instance(12, twelve.masks, (starts, ids[:-1]))
+
+
+def test_coverers_read_from_member_arrays_match_the_masks(twelve):
+    inst = Instance(12, twelve.masks, member_arrays(map(iter_bits, twelve.masks)))
+    expected = twelve.coverers()
+    with mock.patch.object(core, "iter_bits", side_effect=AssertionError("decomposed")):
+        assert inst.coverers() == expected
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=200, deadline=None)
+def test_member_restrictions_match_the_masks(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 20)
+    inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 10)))
+    members = member_arrays(map(iter_bits, inst.masks))
+    family = sorted(rng.sample(range(inst.m), rng.randint(0, inst.m)))
+    element_ids = sorted(rng.sample(range(n), rng.randint(0, n)))
+    restricted = restrict_masks([inst.masks[sid] for sid in family], element_ids)
+    starts, ids = restrict_members(members, family, element_ids)
+    assert [list(ids[starts[j]:starts[j + 1]]) for j in range(len(family))] == [
+        list(iter_bits(b)) for b in restricted
+    ]
+    lows = [(inst.masks[sid] & -inst.masks[sid]).bit_length() - 1 for sid in family]
+    lo = rng.randint(0, min(lows, default=0))
+    starts, ids = select_members(members, family, lo)
+    assert [list(ids[starts[j]:starts[j + 1]]) for j in range(len(family))] == [
+        [e - lo for e in iter_bits(inst.masks[sid])] for sid in family
+    ]
 
 
 class _BadInstance:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover import io
-from segcover.core import iter_bits
+from segcover import core, io, preprocess
+from segcover.core import Instance, iter_bits
+from segcover.grasp import create_row_map
+from segcover.grasp_su import split
 from segcover.io import (
     GeneratorConfig,
     ParseError,
@@ -20,14 +22,19 @@ from segcover.io import (
     write_rail,
     write_scp,
 )
+from segcover.preprocess import reduce
 from segcover.segmentation import find_groups
 
 from oracles import (
+    assert_members_are_the_mask_bits,
     bfs_components,
+    member_lists,
     mutated_file,
+    rail_bytes,
     random_covering_family,
     reference_parse_rail,
     reference_parse_scp,
+    reference_reduce,
     to_instance,
 )
 
@@ -312,18 +319,13 @@ def test_every_scp_file_has_the_scp_shape(seed):
         assert io._scp_shaped(data)
 
 
-def _assert_members_match_masks(inst):
-    assert inst.members is not None
-    assert [list(ms) for ms in inst.members] == [list(iter_bits(b)) for b in inst.masks]
-
-
 @given(family_strategy)
 @settings(max_examples=100, deadline=None)
 def test_scp_members_are_the_mask_bits(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 30)
     inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 10)))
-    _assert_members_match_masks(parse_scp(write_scp(inst)))
+    assert_members_are_the_mask_bits(parse_scp(write_scp(inst)))
 
 
 def test_scp_row_naming_a_column_twice_leaves_members_out():
@@ -331,17 +333,58 @@ def test_scp_row_naming_a_column_twice_leaves_members_out():
     inst = parse_scp(data)
     assert inst.masks == (0b01, 0b11)
     assert inst.members is None
-    assert parse_scp(b"2 2\n1 1\n2 1 2\n1 2\n").members == [[0], [0, 1]]
+    assert member_lists(parse_scp(b"2 2\n1 1\n2 1 2\n1 2\n")) == [[0], [0, 1]]
 
 
-def test_rail_parser_passes_no_members():
-    assert parse_rail(b"2 1\n1 2 1 2\n").members is None
+@given(family_strategy)
+@settings(max_examples=200, deadline=None)
+def test_rail_members_are_the_listed_rows_unless_one_is_named_twice(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 20)
+    columns = [
+        rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(1, 12))
+    ]
+    columns[0] = list(range(n))  # every row covered
+    for rows in columns:
+        kind = rng.random()
+        if kind < 0.5:
+            rows.sort()
+        elif kind < 0.6:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))  # a row twice
+        # otherwise in the order drawn
+    data = rail_bytes(n, columns)
+    inst = parse_rail(data)
+    assert inst.masks == reference_parse_rail(data).masks
+    if all(len(set(rows)) == len(rows) for rows in columns):
+        assert_members_are_the_mask_bits(inst)
+    else:
+        assert inst.members is None
+
+
+def test_rail_path_never_decomposes_masks():
+    # Every row has many columns, so nothing is forced: parse, reduce, split
+    # and the row map read the rows each column lists, never a mask's bits.
+    rng = random.Random(4)
+    n = 60
+    columns = [sorted(rng.sample(range(n), rng.randint(2, 10))) for _ in range(900)]
+    data = rail_bytes(n, columns)
+    decomposed = AssertionError("a mask was decomposed")
+    with mock.patch.object(core, "iter_bits", side_effect=decomposed), \
+            mock.patch.object(preprocess, "iter_bits", side_effect=decomposed):
+        inst = parse_rail(data)
+        report = reduce(inst)
+        pieces, _ = split(report.residual, "grasp-uf")
+        row_maps = [create_row_map(piece) for piece in pieces]
+    assert report.forced == () and report.excluded
+    assert report == reference_reduce(inst)
+    for piece, row_map in zip(pieces, row_maps):
+        assert row_map.entries == create_row_map(Instance(piece.n, piece.masks)).entries
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_generator_members_are_the_mask_bits(seed):
     # Dense enough draws leave no element to repair; sparse ones repair many.
     for density in (0.02, 0.5):
-        _assert_members_match_masks(
+        assert_members_are_the_mask_bits(
             generate_segmentable(GeneratorConfig(n=200, m=60, groups=5, density=density, seed=seed))
         )

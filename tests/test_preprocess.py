@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import preprocess
-from segcover.core import Cover, Instance, cover_is_feasible, iter_bits
+from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, member_arrays
 from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.preprocess import reduce
 
 from conftest import make_instance
 from oracles import (
+    assert_members_are_the_mask_bits,
     brute_force_min_cover,
+    member_lists,
+    rail_family,
     random_covering_family,
     reference_reduce,
     tie_rich_family,
@@ -200,8 +203,18 @@ def test_matches_reference_reduce(seed):
 @settings(max_examples=100, deadline=None)
 def test_each_column_kernel_matches_reference_reduce(sparse, seed):
     # Small families build dense columns only; the threshold forces one kernel.
+    family = rail_family if seed % 2 else tie_rich_family
     with mock.patch.object(preprocess, "_SPARSE", sparse):
-        assert_same_reduction(to_instance(*tie_rich_family(random.Random(seed))))
+        assert_same_reduction(to_instance(*family(random.Random(seed))))
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_matches_reference_reduce_on_rail_families(seed):
+    # Many more subsets than elements, each of 2 to 10 elements: columns
+    # open and close at varied ranks.
+    n, subsets = rail_family(random.Random(seed))
+    assert_same_reduction(with_members(n, subsets))
 
 
 def test_matches_reference_reduce_on_segmentable():
@@ -222,12 +235,13 @@ def test_residual_renumbers_across_scattered_covered_elements():
     assert [list(iter_bits(b)) for b in report.residual.masks] == [
         [0, 1, 2, 3], [0, 2, 4, 5], [1, 3, 4, 5]
     ]
+    assert member_lists(report.residual) == [[0, 1, 2, 3], [0, 2, 4, 5], [1, 3, 4, 5]]
     assert report == reference_reduce(inst)
 
 
 def with_members(n, subsets):
     masks = to_instance(n, subsets).masks
-    return Instance(n, masks, [sorted(s) for s in subsets])
+    return Instance(n, masks, member_arrays(sorted(s) for s in subsets))
 
 
 def duplicate_rich_family(rng):
@@ -252,6 +266,18 @@ def test_member_lists_give_the_same_reduction(seed, fixpoint, duplicates):
     report = reduce(inst, fixpoint=fixpoint)
     assert report == reduce(bare, fixpoint=fixpoint)
     assert report == reference_reduce(bare, fixpoint=fixpoint)
+
+
+@given(seeds, st.booleans(), st.sampled_from(["tie_rich", "duplicates", "rail"]))
+@settings(max_examples=300, deadline=None)
+def test_residual_carries_member_arrays(seed, fixpoint, kind):
+    rng = random.Random(seed)
+    family = {"tie_rich": tie_rich_family, "duplicates": duplicate_rich_family, "rail": rail_family}
+    n, subsets = family[kind](rng)
+    for inst in (with_members(n, subsets), to_instance(n, subsets)):
+        residual = reduce(inst, fixpoint=fixpoint).residual
+        if residual is not inst:
+            assert_members_are_the_mask_bits(residual)
 
 
 def test_single_pass_reads_members_instead_of_masks():
@@ -287,3 +313,11 @@ def test_members_do_not_raise_the_reduce_peak():
     inst = generate_segmentable(GeneratorConfig(n=3000, m=6000, groups=8, density=0.05, seed=3))
     bare = Instance(inst.n, inst.masks)
     assert _reduce_peak(inst) <= _reduce_peak(bare)
+
+
+def test_dominance_keeps_only_live_columns():
+    # Each of the 32 blocks' columns lives only while the scan is in that
+    # block (about 5 MB peak); a scan that never drops a column, each as
+    # wide as the rank range above it, peaks near 11 MB.
+    inst = generate_segmentable(GeneratorConfig(n=10_000, m=20_000, groups=32, density=0.05, seed=3))
+    assert _reduce_peak(inst) < 10_000_000

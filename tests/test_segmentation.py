@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import Cover, cover_is_feasible
+from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, member_arrays
 from segcover.segmentation import find_groups, merge_partial_covers
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable
 
 from conftest import make_instance
-from oracles import bfs_components, random_covering_family, reference_find_groups, to_instance
+from oracles import (
+    assert_members_are_the_mask_bits,
+    bfs_components,
+    random_covering_family,
+    reference_find_groups,
+    to_instance,
+)
 
 
 def test_worked_instance_is_one_component(twelve):
@@ -43,6 +49,19 @@ def test_components_partition_universe():
     assert total == inst.m
 
 
+def with_member_arrays(inst):
+    return Instance(inst.n, inst.masks, member_arrays(map(iter_bits, inst.masks)))
+
+
+def assert_subinstances_carry_members(inst):
+    """find_groups on an instance with member arrays gives the reference
+    split, and every subinstance's arrays hold exactly its masks' bits."""
+    seg = find_groups(inst)
+    assert seg == reference_find_groups(inst)
+    for comp in seg.components:
+        assert_members_are_the_mask_bits(comp.subinstance)
+
+
 @given(st.integers(0, 100_000))
 @settings(max_examples=300, deadline=None)
 def test_matches_reference_find_groups(seed):
@@ -54,6 +73,7 @@ def test_matches_reference_find_groups(seed):
     for family in (subsets, [{labels[e] for e in s} for s in subsets]):
         inst = to_instance(n, family)
         assert find_groups(inst) == reference_find_groups(inst)
+        assert_subinstances_carry_members(with_member_arrays(inst))
 
 
 @pytest.mark.parametrize("groups", [1, 5, 32])
@@ -62,6 +82,7 @@ def test_matches_reference_find_groups_on_generator_blocks(groups):
     seg = find_groups(inst)
     assert seg == reference_find_groups(inst)
     assert len(seg.components) == groups
+    assert_subinstances_carry_members(inst)
 
 
 def _many_small_subsets(rng):
@@ -96,6 +117,7 @@ def test_matches_reference_find_groups_on_many_small_subsets(seed):
     n, subsets = _many_small_subsets(random.Random(seed))
     inst = to_instance(n, subsets)
     assert find_groups(inst) == reference_find_groups(inst)
+    assert_subinstances_carry_members(with_member_arrays(inst))
 
 
 def test_connected_instance_is_its_own_subinstance(twelve):
