@@ -5,12 +5,15 @@ is a member: the paper's succinct bit-level representation.  CPython stores
 big ints in machine-word limbs, so union, intersection, difference and
 popcount run word-parallel in C.
 
-Where a layer walks the members themselves (dominance in ``reduce``, the
-row map's coverer lists), it reads them from ``Members``, the same family as
-two flat ``array('I')``: ``starts``, ``m + 1`` offsets into ``ids``, and
-``ids``, each subset's ascending, distinct elements.  Parsers, the generator,
-``reduce`` and ``find_groups`` hand these arrays along beside the masks, so
-no mask on that path is decomposed bit by bit.
+Every instance also carries ``Members``, the same family as two flat
+``array('I')``: ``starts``, ``m + 1`` offsets into ``ids``, and ``ids``, each
+subset's ascending, distinct elements.  A layer that walks the members
+themselves (dominance in ``reduce``, the row map's coverer lists) reads
+them there.  Parsers, the generator, ``reduce`` and ``find_groups`` hand the
+arrays along beside the masks; only an instance built from masks alone
+decomposes them, once.  A restricted piece (``restrict``) gets its masks
+from its restricted arrays, or by one shift per mask where its element ids
+are consecutive and no subset reaches past them.
 """
 from __future__ import annotations
 
@@ -106,8 +109,7 @@ def restrict_members(
 ) -> Members:
     """The member arrays of the subsets ``family``, in that order, each
     restricted to the ascending ``element_ids``, with ``element_ids[j]``
-    renumbered to ``j``: ``restrict_masks`` on the arrays, member by member.
-    """
+    renumbered to ``j``."""
     return _gathered(members, family, dict(zip(element_ids, range(len(element_ids)))).get)
 
 
@@ -115,37 +117,6 @@ def uncovered_message(union: int) -> str:
     """The error for a family whose union of masks is ``union`` and misses
     some element: it names the lowest one, the lowest zero bit of ``union``."""
     return f"family does not cover element {(~union & (union + 1)).bit_length() - 1}"
-
-
-def restrict_masks(masks: Iterable[int], element_ids: Sequence[int]) -> List[int]:
-    """Each mask restricted to the ascending ``element_ids``, with
-    ``element_ids[j]`` renumbered to bit ``j``.
-
-    Consecutive ids ``lo..lo+k-1`` cost one shift per mask, plus an AND only
-    where the mask reaches past them; a mask needing neither is returned as
-    it is.  Any other ids are remapped member by member.
-    """
-    k = len(element_ids)
-    if k == 0:
-        return [0 for _ in masks]
-    lo = element_ids[0]
-    if element_ids[-1] - lo == k - 1:
-        window = (1 << k) - 1
-        out = []
-        for b in masks:
-            if lo:
-                b >>= lo
-            if b.bit_length() > k:
-                b &= window
-            out.append(b)
-        return out
-    keep = index_mask(element_ids, lo, element_ids[-1])
-    local = {e: j for j, e in enumerate(element_ids)}
-    out = []
-    for b in masks:
-        ids = [local[e] for e in iter_bits(b & keep)]
-        out.append(index_mask(ids, ids[0], ids[-1]) if ids else 0)
-    return out
 
 
 class Instance:
@@ -156,11 +127,11 @@ class Instance:
     The family must cover the universe and contain no empty subset.
     Instances are immutable after construction and safe to share.
 
-    ``members`` is optional: the ``Members`` arrays of the same family,
-    exactly the set bits of each mask, or ``None`` (the default).  A layer
-    that already holds the element lists passes them so that no later one
-    need decompose the masks.  They are trusted as given, apart from their
-    shape; they are never pickled and take no part in ``==``.
+    ``members`` is the ``Members`` arrays of the same family, exactly the
+    set bits of each mask.  A caller that already holds the element lists
+    passes them, trusted as given apart from their shape; without them the
+    constructor decomposes the masks once.  They are never pickled (an
+    unpickled instance builds them again) and take no part in ``==``.
     """
 
     __slots__ = ("n", "masks", "members")
@@ -188,13 +159,12 @@ class Instance:
         # allocation of n bits before the family is known to cover it.
         if union.bit_count() != n:
             raise ValueError(uncovered_message(union))
-        if members is not None:
-            starts, ids = members
-            if len(starts) != len(masks) + 1 or starts[-1] != len(ids):
-                raise ValueError(
-                    f"member arrays of {len(starts)} offsets and {len(ids)} ids"
-                    f" for {len(masks)} subsets"
-                )
+        starts, ids = members = members or member_arrays(map(iter_bits, masks))
+        if len(starts) != len(masks) + 1 or starts[-1] != len(ids):
+            raise ValueError(
+                f"member arrays of {len(starts)} offsets and {len(ids)} ids"
+                f" for {len(masks)} subsets"
+            )
         self.n = n
         self.masks = tuple(masks)
         self.members = members
@@ -205,20 +175,15 @@ class Instance:
 
     def coverers(self) -> List[List[int]]:
         """Per element, the ascending list of subset ids containing it: the
-        member arrays transposed when the instance has them."""
+        member arrays transposed."""
         lists: List[List[int]] = [[] for _ in range(self.n)]
         add = [held.append for held in lists]
-        if self.members is None:
-            for sid, b in enumerate(self.masks):
-                for e in iter_bits(b):
-                    add[e](sid)
-        else:
-            starts, ids = self.members
-            s = 0
-            for sid, t in enumerate(islice(starts, 1, None)):
-                for e in ids[s:t]:
-                    add[e](sid)
-                s = t
+        starts, ids = self.members
+        s = 0
+        for sid, t in enumerate(islice(starts, 1, None)):
+            for e in ids[s:t]:
+                add[e](sid)
+            s = t
         return lists
 
     def __eq__(self, other: object) -> bool:
@@ -228,11 +193,25 @@ class Instance:
 
     def __reduce__(self):
         # Pickled as n and the int masks, loaded through the validating
-        # constructor; member lists are left behind.
+        # constructor, which builds the member arrays again.
         return Instance, (self.n, self.masks)
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, m={self.m})"
+
+
+def restrict(inst: Instance, family: Sequence[int], element_ids: Sequence[int]) -> Instance:
+    """The subsets ``family`` of ``inst``, in that order, each restricted to
+    the ascending ``element_ids`` with ``element_ids[j]`` renumbered to
+    ``j``, as an instance on ``len(element_ids)`` elements.
+
+    Its masks are built from its restricted member arrays; no restriction
+    may be empty.
+    """
+    starts, ids = members = restrict_members(inst.members, family, element_ids)
+    spans = zip(starts, islice(starts, 1, None))
+    masks = [index_mask(ids[s:t], ids[s], ids[t - 1]) for s, t in spans]
+    return Instance(len(element_ids), masks, members)
 
 
 class Cover:

@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from typing import Callable, Iterable, Iterator, List, NoReturn, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NoReturn, Tuple
 
 from .core import (
     Instance,
@@ -205,7 +205,7 @@ def _read_rail_column(tokens: _Tokens, n: int, col: int, layout: str) -> None:
 
 
 def _build_instance(
-    n: int, masks: List[int], ints: _Ints, taken: int, members: Optional[Members]
+    n: int, masks: List[int], ints: _Ints, taken: int, members: Members
 ) -> Instance:
     try:
         return Instance(n, masks, members)
@@ -216,8 +216,7 @@ def _build_instance(
 def parse_scp(data: bytes) -> Instance:
     """Parse a row-major set-cover file; rows are elements, columns subsets.
 
-    The instance keeps each column's rows as its ``members`` arrays, unless
-    some row names a column twice.
+    The instance keeps each column's distinct rows as its ``members`` arrays.
     """
     ints = _Ints(data)
     values = ints.values
@@ -255,8 +254,9 @@ def parse_scp(data: bytes) -> Instance:
     # Rows are read in order, so each list ascends; it is distinct unless a
     # row named a column twice, and then the masks hold fewer bits than
     # the rows named columns.
-    distinct = sum(map(int.bit_count, masks)) == taken - 2 - m - n
-    flat = member_arrays(members) if distinct else None
+    if sum(map(int.bit_count, masks)) != taken - 2 - m - n:
+        members = [list(dict.fromkeys(ms)) for ms in members]
+    flat = member_arrays(members)
     del members, add
     return _build_instance(n, masks, ints, taken, flat)
 
@@ -265,8 +265,7 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
     """Parse a column-major set-cover file; one record per column (subset).
 
     Each column's rows are sorted as they are read, which also gives their
-    range; the instance keeps them as its ``members`` arrays, unless some
-    column names a row twice.
+    range; the instance keeps the distinct ones as its ``members`` arrays.
     """
     if layout not in ("cost-first", "count-first"):
         raise ValueError(f"unknown rail layout {layout!r}")
@@ -312,11 +311,14 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
             union |= bits
         raise ParseError(uncovered_message(union), ints.offset(taken - 1))
     # A column's mask holds one bit per row it names, unless it names a row
-    # twice; then the masks hold fewer bits than the columns named rows.
+    # twice; then the masks hold fewer bits than the columns named rows, and
+    # each column's distinct rows are its mask's bits.
     starts = array("I", accumulate(map(int.bit_count, masks), initial=0))
-    members = (starts, lower_ids(ids, 1)) if starts[-1] == len(ids) else None
-    del ids
-    return _build_instance(n, masks, ints, taken, members)
+    if starts[-1] == len(ids):
+        ids = lower_ids(ids, 1)
+    else:
+        ids = array("I", chain.from_iterable(map(iter_bits, masks)))
+    return _build_instance(n, masks, ints, taken, (starts, ids))
 
 
 def _scp_shaped(data: bytes) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import List, Sequence, Tuple
 
-from .core import Cover, Instance, iter_bits, lift, restrict_masks
+from .core import Cover, Instance, index_mask, iter_bits, lift, restrict
 from .grasp import remove_redundant_sets
 from .segmentation import Component
 
@@ -55,11 +55,11 @@ def build_cograph(inst: Instance) -> WeightedCoGraph:
 
 def _side_component(inst: Instance, elements: List[int]) -> Component:
     """Restrict the family to one side; empty restrictions are dropped."""
-    masks = restrict_masks(inst.masks, elements)
-    family = [sid for sid, b in enumerate(masks) if b]
+    side = index_mask(elements, 0, inst.n - 1)
+    family = [sid for sid, b in enumerate(inst.masks) if b & side]
     return Component(
         subfamily=tuple(family),
-        subinstance=Instance(len(elements), [masks[sid] for sid in family]),
+        subinstance=restrict(inst, family, elements),
         element_ids=tuple(elements),
     )
 

@@ -12,12 +12,11 @@ reduces strictly more but is a different, more aggressive contract; both
 modes preserve feasibility and the optimal cardinality.
 
 Dominance reads each subset's elements from the instance's member arrays
-(``core.Members``), which are decomposed from the masks once only when the
-instance has none.  Its element columns share one frame, so testing a
+(``core.Members``).  Its element columns share one frame, so testing a
 candidate is a chain of plain ANDs, and each column lives only from the
 first candidate that needs it to its element's last holder.  The residual
-carries the member arrays of its kept subsets, renumbered past the covered
-elements.
+carries the member arrays of its kept subsets; past covered elements it is
+``core.restrict``, whose masks are built from the restricted arrays.
 """
 from __future__ import annotations
 
@@ -32,8 +31,7 @@ from .core import (
     iter_bits,
     lift,
     member_arrays,
-    restrict_masks,
-    restrict_members,
+    restrict,
     select_members,
 )
 
@@ -209,14 +207,11 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     """Reduce an instance, reporting forced/excluded subsets and the residual.
 
     Always succeeds; a fully reducible instance yields an empty residual.
-    Element lists are read from ``inst.members``, or decomposed from the
-    masks once when the instance has none; the residual carries them, kept
-    subsets only and renumbered past the covered elements.
+    Element lists are read from ``inst.members``; the residual carries them,
+    kept subsets only and renumbered past the covered elements.
     """
     bits = inst.masks
     members = inst.members
-    if members is None:
-        members = member_arrays(map(iter_bits, bits))
     active = [True] * inst.m
     forced: List[int] = []
     excluded: List[int] = []
@@ -259,11 +254,7 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
             )
     else:
         element_map = list(iter_bits(universe & ~covered))
-        residual = Instance(
-            len(element_map),
-            restrict_masks((bits[sid] for sid in subset_map), element_map),
-            restrict_members(members, subset_map, element_map),
-        )
+        residual = restrict(inst, subset_map, element_map)
 
     excluded.sort()
     return ReductionReport(

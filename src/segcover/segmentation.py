@@ -24,8 +24,7 @@ from .core import (
     cover_is_feasible,
     iter_bits,
     lift,
-    restrict_masks,
-    restrict_members,
+    restrict,
     select_members,
 )
 
@@ -52,19 +51,15 @@ def find_groups(inst: Instance) -> Segmentation:
 
     Links put the larger root under the smaller, so every parent is at most
     its child; a link ORs the other set's mask into the root's at its
-    offset.  A connected instance is its own subinstance; otherwise a
-    component of consecutive ids takes its subsets' masks, and member
-    arrays when the instance has them, by a shift.  A subset's lowest
-    element is the first of its member ids, or found from its mask.
+    offset.  A subset's lowest element is the first of its member ids.  A
+    connected instance is its own subinstance.  Otherwise a component of
+    consecutive ids, which no subset reaches past, takes its subsets' masks
+    and member arrays by one shift each; any other is ``restrict``.
     """
     n = inst.n
     bits = inst.masks
-    members = inst.members
-    if members is None:
-        lows = [(b & -b).bit_length() - 1 for b in bits]
-    else:
-        starts, ids = members
-        lows = list(map(ids.__getitem__, islice(starts, inst.m)))
+    starts, ids = members = inst.members
+    lows = list(map(ids.__getitem__, islice(starts, inst.m)))
     parent = list(range(n))
     held = [1] * n
     for b, root in zip(bits, lows):
@@ -105,19 +100,14 @@ def find_groups(inst: Instance) -> Segmentation:
     components = []
     for root, elements in element_lists.items():
         family = families[root]
-        masks = restrict_masks([bits[sid] for sid in family], elements)
-        if members is None:
-            sub = None
-        elif elements[-1] - elements[0] == len(elements) - 1:
-            sub = select_members(members, family, elements[0])
+        lo = elements[0]
+        if elements[-1] - lo == len(elements) - 1:
+            masks = [bits[sid] >> lo for sid in family]
+            sub = Instance(len(elements), masks, select_members(members, family, lo))
         else:
-            sub = restrict_members(members, family, elements)
+            sub = restrict(inst, family, elements)
         components.append(
-            Component(
-                subfamily=tuple(family),
-                subinstance=Instance(len(elements), masks, sub),
-                element_ids=tuple(elements),
-            )
+            Component(subfamily=tuple(family), subinstance=sub, element_ids=tuple(elements))
         )
     return Segmentation(instance=inst, components=tuple(components))
 

@@ -12,7 +12,7 @@ import re
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, restrict_masks
+from segcover.core import Cover, Instance, cover_is_feasible, iter_bits
 from segcover.grasp import (
     EVAL_FUNCTIONS,
     WEIGHT_EPSILON,
@@ -664,11 +664,12 @@ def reference_mst_bipartition(g: WeightedCoGraph) -> Bipartition:
         elems1, elems2 = side_rest, side_child
 
     def side(elements: List[int]) -> Component:
-        masks = restrict_masks(inst.masks, elements)
-        family = [sid for sid, b in enumerate(masks) if b]
+        local = {e: j for j, e in enumerate(elements)}
+        restricted = [{local[e] for e in s if e in local} for s in members_of(inst)]
+        family = [sid for sid, s in enumerate(restricted) if s]
         return Component(
             subfamily=tuple(family),
-            subinstance=Instance(len(elements), [masks[sid] for sid in family]),
+            subinstance=Instance(len(elements), [mask_of(restricted[sid]) for sid in family]),
             element_ids=tuple(elements),
         )
 

@@ -1,5 +1,6 @@
 """Every layer holds its family as plain int masks, equal to those of the
-reference implementations in ``oracles.py``."""
+reference implementations in ``oracles.py``, and member arrays that hold
+exactly the masks' bits."""
 import random
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from segcover.preprocess import reduce
 from segcover.segmentation import find_groups
 
 from oracles import (
+    assert_members_are_the_mask_bits,
     reference_find_groups,
     reference_parse_rail,
     reference_parse_scp,
@@ -25,6 +27,7 @@ from oracles import (
 def assert_int_masks(inst, expected):
     assert all(type(b) is int for b in inst.masks)
     assert (inst.n, inst.masks) == (expected.n, expected.masks)
+    assert_members_are_the_mask_bits(inst)
 
 
 def reference_side(inst, elements):

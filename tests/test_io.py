@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from functools import partial
@@ -35,6 +36,7 @@ from oracles import (
     reference_parse_rail,
     reference_parse_scp,
     reference_reduce,
+    tie_rich_family,
     to_instance,
 )
 
@@ -328,11 +330,11 @@ def test_scp_members_are_the_mask_bits(seed):
     assert_members_are_the_mask_bits(parse_scp(write_scp(inst)))
 
 
-def test_scp_row_naming_a_column_twice_leaves_members_out():
+def test_scp_row_naming_a_column_twice_keeps_distinct_members():
     data = b"2 2\n1 1\n3 1 2 1\n1 2\n"
     inst = parse_scp(data)
     assert inst.masks == (0b01, 0b11)
-    assert inst.members is None
+    assert member_lists(inst) == [[0], [0, 1]]
     assert member_lists(parse_scp(b"2 2\n1 1\n2 1 2\n1 2\n")) == [[0], [0, 1]]
 
 
@@ -355,10 +357,46 @@ def test_rail_members_are_the_listed_rows_unless_one_is_named_twice(seed):
     data = rail_bytes(n, columns)
     inst = parse_rail(data)
     assert inst.masks == reference_parse_rail(data).masks
-    if all(len(set(rows)) == len(rows) for rows in columns):
-        assert_members_are_the_mask_bits(inst)
+    assert_members_are_the_mask_bits(inst)
+    assert member_lists(inst) == [sorted(set(rows)) for rows in columns]
+
+
+def scp_bytes(n, subsets, rng):
+    """Scp bytes of the family in which some rows name a column twice."""
+    lines = [f"{n} {len(subsets)}", " ".join(["1"] * len(subsets))]
+    for e in range(n):
+        cols = [sid + 1 for sid, s in enumerate(subsets) if e in s]
+        for _ in range(rng.randint(0, 2)):
+            cols.insert(rng.randrange(len(cols) + 1), rng.choice(cols))
+        lines.append(" ".join(map(str, [len(cols)] + cols)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@given(family_strategy, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_every_instance_carries_its_member_arrays(seed, tie_rich):
+    rng = random.Random(seed)
+    if tie_rich:
+        n, subsets = tie_rich_family(rng)
     else:
-        assert inst.members is None
+        n = rng.randint(1, 20)
+        subsets = random_covering_family(rng, n, rng.randint(1, 10))
+    want = [sorted(s) for s in subsets]
+    built = to_instance(n, subsets)  # from masks alone
+    columns = [rng.sample(sorted(s), len(s)) for s in subsets]
+    for rows in columns:
+        if rng.random() < 0.5:
+            rows.sort()
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(rows))  # a row twice
+    for inst in (
+        built,
+        pickle.loads(pickle.dumps(built)),
+        parse_scp(scp_bytes(n, subsets, rng)),
+        parse_rail(rail_bytes(n, columns)),
+    ):
+        assert inst == built
+        assert_members_are_the_mask_bits(inst)
+        assert member_lists(inst) == want
 
 
 def test_rail_path_never_decomposes_masks():

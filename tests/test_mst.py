@@ -13,8 +13,10 @@ from segcover.preprocess import reduce
 
 from conftest import make_instance
 from oracles import (
+    assert_members_are_the_mask_bits,
     bfs_components,
     brute_force_max_spanning_tree,
+    member_lists,
     random_covering_family,
     reference_mst_bipartition,
     tie_rich_family,
@@ -177,6 +179,9 @@ def test_matches_reference_mst_bipartition(seed):
     bip = mst_bipartition(g)
     for field in dataclasses.fields(Bipartition):
         assert getattr(bip, field.name) == getattr(expected, field.name), field.name
+    for side, ref in ((bip.side1, expected.side1), (bip.side2, expected.side2)):
+        assert_members_are_the_mask_bits(side.subinstance)
+        assert member_lists(side.subinstance) == member_lists(ref.subinstance)
 
 
 def grasp_mst_cover(inst, num_iter, seed):

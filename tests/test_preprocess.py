@@ -185,11 +185,15 @@ REPORT_FIELDS = (
 
 
 def assert_same_reduction(inst):
+    """Both modes give the reference report, and the residual's member
+    arrays hold exactly its masks' bits, as the reference residual's do."""
     for fixpoint in (False, True):
         report = reduce(inst, fixpoint=fixpoint)
         expected = reference_reduce(inst, fixpoint=fixpoint)
         for field in REPORT_FIELDS:
             assert getattr(report, field) == getattr(expected, field), (fixpoint, field)
+        assert_members_are_the_mask_bits(report.residual)
+        assert member_lists(report.residual) == member_lists(expected.residual)
 
 
 @given(seeds)
@@ -258,14 +262,16 @@ def duplicate_rich_family(rng):
 @given(seeds, st.booleans(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_member_lists_give_the_same_reduction(seed, fixpoint, duplicates):
+    # Arrays passed with the masks, and arrays the constructor builds from
+    # the masks alone, give the reference report.
     rng = random.Random(seed)
     n, subsets = duplicate_rich_family(rng) if duplicates else tie_rich_family(rng)
     inst = with_members(n, subsets)
-    bare = Instance(n, inst.masks)
-    assert bare.members is None
+    built = Instance(n, inst.masks)
+    assert member_lists(built) == member_lists(inst)
     report = reduce(inst, fixpoint=fixpoint)
-    assert report == reduce(bare, fixpoint=fixpoint)
-    assert report == reference_reduce(bare, fixpoint=fixpoint)
+    assert report == reduce(built, fixpoint=fixpoint)
+    assert report == reference_reduce(built, fixpoint=fixpoint)
 
 
 @given(seeds, st.booleans(), st.sampled_from(["tie_rich", "duplicates", "rail"]))
@@ -284,7 +290,6 @@ def test_single_pass_reads_members_instead_of_masks():
     # Every element has two coverers, so nothing is forced or covered and
     # no mask needs decomposing.
     inst = generate_segmentable(GeneratorConfig(n=60, m=180, groups=3, density=0.3, seed=2))
-    assert inst.members is not None
     expected = reference_reduce(inst)
     assert expected.forced == ()
     with mock.patch.object(preprocess, "iter_bits", side_effect=AssertionError("decomposed")):
@@ -292,9 +297,12 @@ def test_single_pass_reads_members_instead_of_masks():
 
 
 def test_pickled_instance_drops_members_and_reduces_the_same():
+    # The pickle holds n and the masks only; loading builds the arrays again.
     inst = generate_segmentable(GeneratorConfig(n=120, m=200, groups=4, density=0.1, seed=7))
+    assert inst.__reduce__() == (Instance, (inst.n, inst.masks))
     loaded = pickle.loads(pickle.dumps(inst))
-    assert inst.members is not None and loaded.members is None
+    assert loaded.members is not inst.members
+    assert member_lists(loaded) == member_lists(inst)
     assert loaded == inst
     for fixpoint in (False, True):
         assert reduce(loaded, fixpoint=fixpoint) == reduce(inst, fixpoint=fixpoint)
@@ -307,12 +315,6 @@ def _reduce_peak(inst):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_members_do_not_raise_the_reduce_peak():
-    inst = generate_segmentable(GeneratorConfig(n=3000, m=6000, groups=8, density=0.05, seed=3))
-    bare = Instance(inst.n, inst.masks)
-    assert _reduce_peak(inst) <= _reduce_peak(bare)
 
 
 def test_dominance_keeps_only_live_columns():

@@ -1,10 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, member_arrays
+from segcover import core, segmentation
+from segcover.core import Cover, cover_is_feasible
 from segcover.segmentation import find_groups, merge_partial_covers
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable
@@ -13,6 +15,7 @@ from conftest import make_instance
 from oracles import (
     assert_members_are_the_mask_bits,
     bfs_components,
+    member_lists,
     random_covering_family,
     reference_find_groups,
     to_instance,
@@ -49,17 +52,16 @@ def test_components_partition_universe():
     assert total == inst.m
 
 
-def with_member_arrays(inst):
-    return Instance(inst.n, inst.masks, member_arrays(map(iter_bits, inst.masks)))
-
-
-def assert_subinstances_carry_members(inst):
-    """find_groups on an instance with member arrays gives the reference
-    split, and every subinstance's arrays hold exactly its masks' bits."""
+def assert_matches_reference(inst):
+    """find_groups gives the reference split, and every subinstance's member
+    arrays hold exactly its masks' bits, as the reference subinstance's do."""
     seg = find_groups(inst)
-    assert seg == reference_find_groups(inst)
-    for comp in seg.components:
+    expected = reference_find_groups(inst)
+    assert seg == expected
+    for comp, ref in zip(seg.components, expected.components):
         assert_members_are_the_mask_bits(comp.subinstance)
+        assert member_lists(comp.subinstance) == member_lists(ref.subinstance)
+    return seg
 
 
 @given(st.integers(0, 100_000))
@@ -71,18 +73,13 @@ def test_matches_reference_find_groups(seed):
     # Shuffled labels make components that are not runs of consecutive ids.
     labels = rng.sample(range(n), n)
     for family in (subsets, [{labels[e] for e in s} for s in subsets]):
-        inst = to_instance(n, family)
-        assert find_groups(inst) == reference_find_groups(inst)
-        assert_subinstances_carry_members(with_member_arrays(inst))
+        assert_matches_reference(to_instance(n, family))
 
 
 @pytest.mark.parametrize("groups", [1, 5, 32])
 def test_matches_reference_find_groups_on_generator_blocks(groups):
     inst = generate_segmentable(GeneratorConfig(n=400, m=300, groups=groups, seed=groups))
-    seg = find_groups(inst)
-    assert seg == reference_find_groups(inst)
-    assert len(seg.components) == groups
-    assert_subinstances_carry_members(inst)
+    assert len(assert_matches_reference(inst).components) == groups
 
 
 def _many_small_subsets(rng):
@@ -115,9 +112,7 @@ def _many_small_subsets(rng):
 @settings(max_examples=150, deadline=None)
 def test_matches_reference_find_groups_on_many_small_subsets(seed):
     n, subsets = _many_small_subsets(random.Random(seed))
-    inst = to_instance(n, subsets)
-    assert find_groups(inst) == reference_find_groups(inst)
-    assert_subinstances_carry_members(with_member_arrays(inst))
+    assert_matches_reference(to_instance(n, subsets))
 
 
 def test_connected_instance_is_its_own_subinstance(twelve):
@@ -130,6 +125,24 @@ def test_connected_instance_is_its_own_subinstance(twelve):
 def test_connected_instance_keeps_its_masks(twelve):
     (comp,) = find_groups(twelve).components
     assert all(a is b for a, b in zip(comp.subinstance.masks, twelve.masks))
+
+
+def test_consecutive_components_are_shifted_and_others_restricted():
+    # Generator blocks are runs of consecutive ids: their subinstances take
+    # one shift per mask and a slice of the arrays, and decompose no mask.
+    # Interleaved components are restricted through their member arrays.
+    inst = generate_segmentable(GeneratorConfig(n=400, m=300, groups=8, seed=5))
+    with mock.patch.object(segmentation, "restrict", side_effect=AssertionError("restricted")), \
+            mock.patch.object(core, "iter_bits", side_effect=AssertionError("decomposed")):
+        seg = find_groups(inst)
+    assert len(seg.components) == 8
+    interleaved = make_instance(4, ((1, 3), (2, 4), (3,)))
+    with mock.patch.object(segmentation, "restrict", wraps=segmentation.restrict) as restricted:
+        seg = find_groups(interleaved)
+    assert [c.element_ids for c in seg.components] == [(0, 2), (1, 3)]
+    assert restricted.call_count == 2
+    assert [c.subinstance.masks for c in seg.components] == [(0b11, 0b10), (0b11,)]
+    assert [member_lists(c.subinstance) for c in seg.components] == [[[0, 1], [1]], [[0, 1]]]
 
 
 @given(st.integers(0, 100_000))
