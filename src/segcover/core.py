@@ -9,11 +9,9 @@ Every instance also carries ``Members``, the same family as two flat
 ``array('I')``: ``starts``, ``m + 1`` offsets into ``ids``, and ``ids``, each
 subset's ascending, distinct elements.  A layer that walks the members
 themselves (dominance in ``reduce``, the row map's coverer lists) reads
-them there.  Parsers, the generator, ``reduce`` and ``find_groups`` hand the
-arrays along beside the masks; only an instance built from masks alone
-decomposes them, once.  A restricted piece (``restrict``) gets its masks
-from its restricted arrays, or by one shift per mask where its element ids
-are consecutive and no subset reaches past them.
+them there.  Parsers, the generator and ``restrict``, which builds every
+piece that is solved apart, hand the arrays along beside the masks; only an
+instance built from masks alone decomposes them, once.
 """
 from __future__ import annotations
 
@@ -96,7 +94,7 @@ def _gathered(
     return out_starts, out
 
 
-def select_members(members: Members, family: Sequence[int], lo: int = 0) -> Members:
+def select_members(members: Members, family: Sequence[int], lo: int) -> Members:
     """The member arrays of the subsets ``family``, in that order, with ``lo``
     taken from every element, none of which is below ``lo``: one slice per
     subset and one C-level ``lower_ids``."""
@@ -205,13 +203,29 @@ def restrict(inst: Instance, family: Sequence[int], element_ids: Sequence[int]) 
     the ascending ``element_ids`` with ``element_ids[j]`` renumbered to
     ``j``, as an instance on ``len(element_ids)`` elements.
 
-    Its masks are built from its restricted member arrays; no restriction
-    may be empty.
+    This builds every piece the pipeline solves apart: the reduced residual,
+    each union-find component and each bipartition side.  Where
+    ``element_ids`` run consecutively from ``lo`` and every subset's first
+    and last member lie inside them, each mask is shifted down by ``lo``
+    (kept as it is when ``lo`` is 0) and the arrays are lowered by ``lo``.
+    Otherwise the masks are built from the restricted member arrays; no
+    restriction may be empty.
     """
+    starts, ids = inst.members
+    size = len(element_ids)
+    lo = element_ids[0] if size else 0
+    hi = lo + size - 1
+    # Every subset fits a run as long as the universe, which is all of it.
+    if size and element_ids[-1] == hi and (size == inst.n or all(
+        lo <= ids[starts[sid]] and ids[starts[sid + 1] - 1] <= hi for sid in family
+    )):
+        bits = inst.masks
+        masks = [bits[sid] >> lo for sid in family] if lo else [bits[sid] for sid in family]
+        return Instance(size, masks, select_members(inst.members, family, lo))
     starts, ids = members = restrict_members(inst.members, family, element_ids)
     spans = zip(starts, islice(starts, 1, None))
     masks = [index_mask(ids[s:t], ids[s], ids[t - 1]) for s, t in spans]
-    return Instance(len(element_ids), masks, members)
+    return Instance(size, masks, members)
 
 
 class Cover:

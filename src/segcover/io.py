@@ -388,9 +388,9 @@ def write_scp(inst: Instance) -> bytes:
 def write_rail(inst: Instance) -> bytes:
     """Serialize in column-major cost-first format (round-trips parse_rail)."""
     lines = [f"{inst.n} {inst.m}"]
-    for b in inst.masks:
-        members = list(iter_bits(b))
-        lines.append(" ".join(["1", str(len(members))] + [str(e + 1) for e in members]))
+    starts, ids = inst.members
+    for s, t in zip(starts, islice(starts, 1, None)):
+        lines.append(" ".join(["1", str(t - s)] + [str(e + 1) for e in ids[s:t]]))
     return ("\n".join(lines) + "\n").encode()
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import List, Sequence, Tuple
 
-from .core import Cover, Instance, index_mask, iter_bits, lift, restrict
+from .core import Cover, Instance, index_mask, lift, restrict
 from .grasp import remove_redundant_sets
 from .segmentation import Component
 
@@ -48,7 +48,9 @@ class Bipartition:
 
 def build_cograph(inst: Instance) -> WeightedCoGraph:
     """Count co-occurring element pairs across all subsets."""
-    weights = Counter(chain.from_iterable(combinations(iter_bits(b), 2) for b in inst.masks))
+    starts, ids = inst.members
+    spans = zip(starts, islice(starts, 1, None))
+    weights = Counter(chain.from_iterable(combinations(ids[s:t], 2) for s, t in spans))
     edges = tuple(sorted((i, j, w) for (i, j), w in weights.items()))
     return WeightedCoGraph(instance=inst, edges=edges)
 

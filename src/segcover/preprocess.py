@@ -15,8 +15,8 @@ Dominance reads each subset's elements from the instance's member arrays
 (``core.Members``).  Its element columns share one frame, so testing a
 candidate is a chain of plain ANDs, and each column lives only from the
 first candidate that needs it to its element's last holder.  The residual
-carries the member arrays of its kept subsets; past covered elements it is
-``core.restrict``, whose masks are built from the restricted arrays.
+is the instance itself when nothing is forced or excluded, and otherwise
+``core.restrict`` of the kept subsets to the uncovered elements.
 """
 from __future__ import annotations
 
@@ -24,16 +24,7 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import (
-    Cover,
-    Instance,
-    Members,
-    iter_bits,
-    lift,
-    member_arrays,
-    restrict,
-    select_members,
-)
+from .core import Cover, Instance, Members, iter_bits, lift, member_arrays, restrict
 
 # Bits spanned per member above which a dominance column is built bit by
 # bit rather than from a '0'/'1' buffer; on CPython 3.11 (x86-64) the two
@@ -242,19 +233,9 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
             break
 
     subset_map = [sid for sid in range(inst.m) if active[sid]]
-    if not covered:
-        # The residual's elements are 0..n-1 and its masks the kept ones as
-        # they are; with nothing excluded either, it is the instance itself.
-        element_map: Sequence[int] = range(inst.n)
-        if len(subset_map) == inst.m:
-            residual = inst
-        else:
-            residual = Instance(
-                inst.n, [bits[sid] for sid in subset_map], select_members(members, subset_map)
-            )
-    else:
-        element_map = list(iter_bits(universe & ~covered))
-        residual = restrict(inst, subset_map, element_map)
+    element_map = list(iter_bits(universe & ~covered)) if covered else range(inst.n)
+    # Nothing forced or excluded leaves the instance itself.
+    residual = inst if len(subset_map) == inst.m else restrict(inst, subset_map, element_map)
 
     excluded.sort()
     return ReductionReport(

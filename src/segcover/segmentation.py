@@ -18,15 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
-from .core import (
-    Cover,
-    Instance,
-    cover_is_feasible,
-    iter_bits,
-    lift,
-    restrict,
-    select_members,
-)
+from .core import Cover, Instance, cover_is_feasible, iter_bits, lift, restrict
 
 
 @dataclass(frozen=True)
@@ -52,13 +44,12 @@ def find_groups(inst: Instance) -> Segmentation:
     Links put the larger root under the smaller, so every parent is at most
     its child; a link ORs the other set's mask into the root's at its
     offset.  A subset's lowest element is the first of its member ids.  A
-    connected instance is its own subinstance.  Otherwise a component of
-    consecutive ids, which no subset reaches past, takes its subsets' masks
-    and member arrays by one shift each; any other is ``restrict``.
+    connected instance is its own subinstance; otherwise each component's is
+    ``core.restrict`` of its subsets to its elements.
     """
     n = inst.n
     bits = inst.masks
-    starts, ids = members = inst.members
+    starts, ids = inst.members
     lows = list(map(ids.__getitem__, islice(starts, inst.m)))
     parent = list(range(n))
     held = [1] * n
@@ -97,19 +88,15 @@ def find_groups(inst: Instance) -> Segmentation:
     for sid, low in enumerate(lows):
         families[parent[low]].append(sid)
 
-    components = []
-    for root, elements in element_lists.items():
-        family = families[root]
-        lo = elements[0]
-        if elements[-1] - lo == len(elements) - 1:
-            masks = [bits[sid] >> lo for sid in family]
-            sub = Instance(len(elements), masks, select_members(members, family, lo))
-        else:
-            sub = restrict(inst, family, elements)
-        components.append(
-            Component(subfamily=tuple(family), subinstance=sub, element_ids=tuple(elements))
+    components = tuple(
+        Component(
+            subfamily=tuple(families[root]),
+            subinstance=restrict(inst, families[root], elements),
+            element_ids=tuple(elements),
         )
-    return Segmentation(instance=inst, components=tuple(components))
+        for root, elements in element_lists.items()
+    )
+    return Segmentation(instance=inst, components=components)
 
 
 def merge_partial_covers(seg: Segmentation, partials: Sequence[Cover]) -> Cover:

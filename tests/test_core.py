@@ -99,23 +99,41 @@ def test_from_indices_matches_reference(case, wrap):
     assert index_mask(wrap(indices), lo, hi) == want
 
 
-@given(st.integers(0, 10_000), st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_restrict_renumbers_kept_elements(seed, as_run):
+@given(st.integers(0, 10_000), st.sampled_from(["scattered", "run", "inside", "overhanging"]))
+@settings(max_examples=400, deadline=None)
+def test_restrict_renumbers_kept_elements(seed, shape):
+    # "scattered" and "run" restrict a random family.  "inside" restricts a
+    # family lying wholly inside a run of ids, which takes the shift path;
+    # "overhanging" adds one subset reaching below the run's first id or
+    # past its last, which sends the family down the array path.
     rng = random.Random(seed)
     n = rng.randint(1, 40)
     subsets = random_covering_family(rng, n, rng.randint(1, 10))
     element_ids = sorted(rng.sample(range(n), rng.randint(1, n)))
-    if as_run:
+    if shape != "scattered":
         element_ids = list(range(element_ids[0], element_ids[-1] + 1))
     local = {e: j for j, e in enumerate(element_ids)}
+    if shape in ("inside", "overhanging"):
+        lo, hi = element_ids[0], element_ids[-1]
+        run = random_covering_family(rng, len(element_ids), rng.randint(1, 6))
+        family = list(range(len(subsets), len(subsets) + len(run)))
+        subsets += [{lo + e for e in s} for s in run]
+        if shape == "overhanging":
+            outside = [e for e in (lo - 1, hi + 1) if 0 <= e < n] or [n]
+            n = max(n, outside[-1] + 1)
+            family.append(len(subsets))
+            subsets.append({rng.choice(outside), rng.randint(lo, hi)})
+    else:
+        family = [sid for sid, s in enumerate(subsets) if any(e in local for e in s)]
     kept = [sorted(local[e] for e in s if e in local) for s in subsets]
-    family = [sid for sid, ids in enumerate(kept) if ids]
     rng.shuffle(family)
-    piece = restrict(to_instance(n, subsets), family, element_ids)
+    with mock.patch.object(core, "restrict_members", wraps=core.restrict_members) as by_arrays:
+        piece = restrict(to_instance(n, subsets), family, element_ids)
     assert piece.n == len(element_ids)
     assert piece.masks == tuple(mask_of(kept[sid]) for sid in family)
     assert member_lists(piece) == [kept[sid] for sid in family]
+    if shape in ("inside", "overhanging"):
+        assert by_arrays.call_count == (shape == "overhanging")
 
 
 def test_instance_requires_cover():

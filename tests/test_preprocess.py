@@ -288,12 +288,16 @@ def test_residual_carries_member_arrays(seed, fixpoint, kind):
 
 def test_single_pass_reads_members_instead_of_masks():
     # Every element has two coverers, so nothing is forced or covered and
-    # no mask needs decomposing.
+    # no mask needs decomposing.  Subsets are excluded, and the residual
+    # holds the kept masks themselves, not shifted copies.
     inst = generate_segmentable(GeneratorConfig(n=60, m=180, groups=3, density=0.3, seed=2))
     expected = reference_reduce(inst)
-    assert expected.forced == ()
+    assert expected.forced == () and expected.excluded
     with mock.patch.object(preprocess, "iter_bits", side_effect=AssertionError("decomposed")):
-        assert reduce(inst) == expected
+        report = reduce(inst)
+    assert report == expected
+    kept = map(inst.masks.__getitem__, report.subset_to_original)
+    assert all(a is b for a, b in zip(report.residual.masks, kept, strict=True))
 
 
 def test_pickled_instance_drops_members_and_reduces_the_same():

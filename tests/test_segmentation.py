@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover import core, segmentation
+from segcover import core
 from segcover.core import Cover, cover_is_feasible
 from segcover.segmentation import find_groups, merge_partial_covers
 from segcover.greedy import greedy_solve
@@ -132,12 +132,12 @@ def test_consecutive_components_are_shifted_and_others_restricted():
     # one shift per mask and a slice of the arrays, and decompose no mask.
     # Interleaved components are restricted through their member arrays.
     inst = generate_segmentable(GeneratorConfig(n=400, m=300, groups=8, seed=5))
-    with mock.patch.object(segmentation, "restrict", side_effect=AssertionError("restricted")), \
+    with mock.patch.object(core, "restrict_members", side_effect=AssertionError("restricted")), \
             mock.patch.object(core, "iter_bits", side_effect=AssertionError("decomposed")):
         seg = find_groups(inst)
     assert len(seg.components) == 8
     interleaved = make_instance(4, ((1, 3), (2, 4), (3,)))
-    with mock.patch.object(segmentation, "restrict", wraps=segmentation.restrict) as restricted:
+    with mock.patch.object(core, "restrict_members", wraps=core.restrict_members) as restricted:
         seg = find_groups(interleaved)
     assert [c.element_ids for c in seg.components] == [(0, 2), (1, 3)]
     assert restricted.call_count == 2
