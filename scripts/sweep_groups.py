@@ -4,8 +4,9 @@
 Generates one segmentable instance per group count, runs the greedy
 baseline, sequential GRASP, and segmented GRASP through
 ``cli.run_algorithm`` (unreduced; every cover is validated), and writes one
-CSV row per (solver, groups) cell with quality relative to greedy plus phase
-timings.
+CSV row per (solver, groups) cell with quality relative to greedy and the
+wall time (``io.CSV_HEADER``, whose only timing is ``wall_ms``; the phase
+timings appear only in ``segcover solve/bench --output json``).
 
 Example:
     python scripts/sweep_groups.py --n 10000 --m 20000 --iterations 50 \

@@ -127,6 +127,8 @@ def run_algorithm(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if fixpoint_reduce and not preprocess:
+        raise ValueError("fixpoint_reduce needs preprocess")
 
     wall_start = time.perf_counter()
     report: Optional[ReductionReport] = None
@@ -255,8 +257,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r} in --algorithms")
     thread_counts = [int(t) for t in args.threads.split(",") if t.strip()]
-    if not thread_counts:
-        raise ValueError("--threads needs at least one value")
+    for flag, values in (("--algorithms", algorithms), ("--threads", thread_counts)):
+        if not values:
+            raise ValueError(f"{flag} needs at least one value")
 
     records: List[RunRecord] = []
     for entry in entries:
@@ -328,10 +331,11 @@ def _add_common_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--rail-layout", choices=("cost-first", "count-first"), default="cost-first",
         help="column record layout for rail files",
     )
-    parser.add_argument(
+    reduction = parser.add_mutually_exclusive_group()
+    reduction.add_argument(
         "--no-preprocess", action="store_true", help="solve the raw instance"
     )
-    parser.add_argument(
+    reduction.add_argument(
         "--fixpoint-reduce",
         action="store_true",
         help="alternate forcing and residual-set dominance until stable",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # Per subset, its ascending, distinct elements: subset ``sid`` holds
 # ``ids[starts[sid]:starts[sid + 1]]`` of the pair ``(starts, ids)``.
@@ -77,38 +77,6 @@ def lower_ids(ids: array, by: int) -> array:
     out = array("I")
     out.frombytes(packed.to_bytes(len(ids) * ids.itemsize, order))
     return out
-
-
-def _gathered(
-    members: Members, family: Sequence[int], keep: Optional[Callable[[int], Optional[int]]] = None
-) -> Members:
-    """The member arrays of the subsets ``family``, in that order, each
-    element ``e`` replaced by ``keep(e)`` and dropped where that is ``None``."""
-    starts, ids = members
-    out_starts = array("I", [0])
-    out = array("I")
-    for sid in family:
-        chunk = ids[starts[sid]:starts[sid + 1]]
-        out.extend(chunk if keep is None else [j for j in map(keep, chunk) if j is not None])
-        out_starts.append(len(out))
-    return out_starts, out
-
-
-def select_members(members: Members, family: Sequence[int], lo: int) -> Members:
-    """The member arrays of the subsets ``family``, in that order, with ``lo``
-    taken from every element, none of which is below ``lo``: one slice per
-    subset and one C-level ``lower_ids``."""
-    starts, ids = _gathered(members, family)
-    return starts, lower_ids(ids, lo)
-
-
-def restrict_members(
-    members: Members, family: Sequence[int], element_ids: Sequence[int]
-) -> Members:
-    """The member arrays of the subsets ``family``, in that order, each
-    restricted to the ascending ``element_ids``, with ``element_ids[j]``
-    renumbered to ``j``."""
-    return _gathered(members, family, dict(zip(element_ids, range(len(element_ids)))).get)
 
 
 def uncovered_message(union: int) -> str:
@@ -205,27 +173,40 @@ def restrict(inst: Instance, family: Sequence[int], element_ids: Sequence[int]) 
 
     This builds every piece the pipeline solves apart: the reduced residual,
     each union-find component and each bipartition side.  Where
-    ``element_ids`` run consecutively from ``lo`` and every subset's first
-    and last member lie inside them, each mask is shifted down by ``lo``
-    (kept as it is when ``lo`` is 0) and the arrays are lowered by ``lo``.
-    Otherwise the masks are built from the restricted member arrays; no
-    restriction may be empty.
+    ``element_ids`` run consecutively from ``lo`` to ``hi``, one pass copies
+    each subset's slice of the member arrays and stops at the first subset
+    whose first or last member lies outside the run.  If none does, each mask
+    is shifted down by ``lo`` (kept as it is when ``lo`` is 0) and the arrays
+    are lowered by ``lo``.  Otherwise one pass renumbers the slices into
+    fresh arrays and the masks are built from them; no restriction may be
+    empty.
     """
     starts, ids = inst.members
     size = len(element_ids)
     lo = element_ids[0] if size else 0
     hi = lo + size - 1
-    # Every subset fits a run as long as the universe, which is all of it.
-    if size and element_ids[-1] == hi and (size == inst.n or all(
-        lo <= ids[starts[sid]] and ids[starts[sid + 1] - 1] <= hi for sid in family
-    )):
-        bits = inst.masks
-        masks = [bits[sid] >> lo for sid in family] if lo else [bits[sid] for sid in family]
-        return Instance(size, masks, select_members(inst.members, family, lo))
-    starts, ids = members = restrict_members(inst.members, family, element_ids)
-    spans = zip(starts, islice(starts, 1, None))
-    masks = [index_mask(ids[s:t], ids[s], ids[t - 1]) for s, t in spans]
-    return Instance(size, masks, members)
+    if size and element_ids[-1] == hi:
+        # Every subset fits a run as long as the universe, which is all of it.
+        whole = size == inst.n
+        cuts, out = array("I", [0]), array("I")
+        for sid in family:
+            s, t = starts[sid], starts[sid + 1]
+            if not whole and (ids[s] < lo or hi < ids[t - 1]):
+                break
+            out += ids[s:t]
+            cuts.append(len(out))
+        else:
+            bits = inst.masks
+            masks = [bits[sid] >> lo for sid in family] if lo else [bits[sid] for sid in family]
+            return Instance(size, masks, (cuts, lower_ids(out, lo)))
+    keep = dict(zip(element_ids, range(size))).get
+    cuts, out = array("I", [0]), array("I")
+    for sid in family:
+        out.extend([j for j in map(keep, ids[starts[sid]:starts[sid + 1]]) if j is not None])
+        cuts.append(len(out))
+    spans = zip(cuts, islice(cuts, 1, None))
+    masks = [index_mask(out[s:t], out[s], out[t - 1]) for s, t in spans]
+    return Instance(size, masks, (cuts, out))
 
 
 class Cover:

@@ -110,6 +110,35 @@ class TestSolve:
             main(["solve", "--input", FIXTURE, "--format", "scp", *flags])
         assert exit_info.value.code == EXIT_USAGE_ERROR
 
+    def test_fixpoint_reduce_reaches_reduce(self, monkeypatch, capsys):
+        fixpoints = []
+
+        def recorded(inst, fixpoint=False):
+            fixpoints.append(fixpoint)
+            return reduce(inst, fixpoint=fixpoint)
+
+        monkeypatch.setattr(cli, "reduce", recorded)
+        for flags in ((), ("--fixpoint-reduce",)):
+            code, out, _ = run(
+                capsys, "solve", "--input", FIXTURE, "--format", "scp",
+                "--algorithm", "greedy", *flags,
+            )
+            assert code == EXIT_OK
+            assert out.strip().splitlines()[1].split(",")[4] == "3"
+        assert fixpoints == [False, True]
+
+    def test_fixpoint_reduce_without_preprocess_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--input", FIXTURE, "--format", "scp",
+                  "--no-preprocess", "--fixpoint-reduce"])
+        assert exit_info.value.code == EXIT_USAGE_ERROR
+        assert "not allowed with argument --no-preprocess" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="^fixpoint_reduce needs preprocess$"):
+            cli.run_algorithm(
+                parse_scp(Path(FIXTURE).read_bytes()), "example12", "greedy",
+                preprocess=False, fixpoint_reduce=True,
+            )
+
     def test_restarts_report_best(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--input", FIXTURE, "--format", "scp",
@@ -262,6 +291,15 @@ class TestBench:
         assert code == EXIT_USAGE_ERROR
         assert out == ""
         assert "a.scp" in err and "'rial'" in err
+
+    @pytest.mark.parametrize("flag", ["--algorithms", "--threads"])
+    def test_empty_list_flag_is_usage_error(self, flag, tmp_path, capsys):
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text(f"{FIXTURE} format=scp\n")
+        code, out, err = run(capsys, "bench", "--manifest", str(manifest), flag, ",")
+        assert code == EXIT_USAGE_ERROR
+        assert out == ""
+        assert err == f"segcover: error: {flag} needs at least one value\n"
 
     def test_csv_stable_apart_from_timing_columns(self, tmp_path, capsys):
         gen = tmp_path / "inst.scp"

@@ -19,11 +19,9 @@ from segcover.core import (
     lift,
     member_arrays,
     restrict,
-    restrict_members,
-    select_members,
 )
 
-from conftest import TWELVE_SUBSETS_1BASED
+from conftest import TWELVE_SUBSETS_1BASED, make_instance
 from oracles import (
     mask_of,
     member_lists,
@@ -127,13 +125,28 @@ def test_restrict_renumbers_kept_elements(seed, shape):
         family = [sid for sid, s in enumerate(subsets) if any(e in local for e in s)]
     kept = [sorted(local[e] for e in s if e in local) for s in subsets]
     rng.shuffle(family)
-    with mock.patch.object(core, "restrict_members", wraps=core.restrict_members) as by_arrays:
-        piece = restrict(to_instance(n, subsets), family, element_ids)
+    inst = to_instance(n, subsets)
+    # The array path builds one mask per subset with ``index_mask``; the
+    # shift path builds none.
+    with mock.patch.object(core, "index_mask", wraps=core.index_mask) as built:
+        piece = restrict(inst, family, element_ids)
     assert piece.n == len(element_ids)
     assert piece.masks == tuple(mask_of(kept[sid]) for sid in family)
     assert member_lists(piece) == [kept[sid] for sid in family]
     if shape in ("inside", "overhanging"):
-        assert by_arrays.call_count == (shape == "overhanging")
+        assert built.call_count == (len(family) if shape == "overhanging" else 0)
+
+
+def test_restrict_starts_the_array_path_afresh_after_a_late_overhang():
+    # The first two subsets fit the run 1..2, so the shift pass copies their
+    # slices before the last one, reaching down to 0, sends the family down
+    # the array path, which must not build on those copies.
+    inst = make_instance(4, ((2, 3), (3,), (1, 2), (4,)))
+    with mock.patch.object(core, "index_mask", wraps=core.index_mask) as built:
+        piece = restrict(inst, [0, 1, 2], [1, 2])
+    assert built.call_count == 3
+    assert piece.masks == (0b11, 0b10, 0b01)
+    assert member_lists(piece) == [[0, 1], [1], [0]]
 
 
 def test_instance_requires_cover():
@@ -200,29 +213,6 @@ def test_coverers_read_from_member_arrays_match_the_masks(twelve):
     ]
     with mock.patch.object(core, "iter_bits", side_effect=AssertionError("decomposed")):
         assert twelve.coverers() == expected
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=200, deadline=None)
-def test_member_restrictions_match_the_masks(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 20)
-    subsets = random_covering_family(rng, n, rng.randint(1, 10))
-    inst = to_instance(n, subsets)
-    members = inst.members
-    family = sorted(rng.sample(range(inst.m), rng.randint(0, inst.m)))
-    element_ids = sorted(rng.sample(range(n), rng.randint(0, n)))
-    local = {e: j for j, e in enumerate(element_ids)}
-    starts, ids = restrict_members(members, family, element_ids)
-    assert [list(ids[starts[j]:starts[j + 1]]) for j in range(len(family))] == [
-        sorted(local[e] for e in subsets[sid] if e in local) for sid in family
-    ]
-    lows = [(inst.masks[sid] & -inst.masks[sid]).bit_length() - 1 for sid in family]
-    lo = rng.randint(0, min(lows, default=0))
-    starts, ids = select_members(members, family, lo)
-    assert [list(ids[starts[j]:starts[j + 1]]) for j in range(len(family))] == [
-        [e - lo for e in iter_bits(inst.masks[sid])] for sid in family
-    ]
 
 
 class _BadInstance:

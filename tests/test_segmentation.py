@@ -129,18 +129,19 @@ def test_connected_instance_keeps_its_masks(twelve):
 
 def test_consecutive_components_are_shifted_and_others_restricted():
     # Generator blocks are runs of consecutive ids: their subinstances take
-    # one shift per mask and a slice of the arrays, and decompose no mask.
-    # Interleaved components are restricted through their member arrays.
+    # one shift per mask and a slice of the arrays, and build or decompose
+    # no mask.  Interleaved components are restricted through their member
+    # arrays, which build one mask per subset.
     inst = generate_segmentable(GeneratorConfig(n=400, m=300, groups=8, seed=5))
-    with mock.patch.object(core, "restrict_members", side_effect=AssertionError("restricted")), \
+    with mock.patch.object(core, "index_mask", side_effect=AssertionError("built")), \
             mock.patch.object(core, "iter_bits", side_effect=AssertionError("decomposed")):
         seg = find_groups(inst)
     assert len(seg.components) == 8
     interleaved = make_instance(4, ((1, 3), (2, 4), (3,)))
-    with mock.patch.object(core, "restrict_members", wraps=core.restrict_members) as restricted:
+    with mock.patch.object(core, "index_mask", wraps=core.index_mask) as built:
         seg = find_groups(interleaved)
     assert [c.element_ids for c in seg.components] == [(0, 2), (1, 3)]
-    assert restricted.call_count == 2
+    assert built.call_count == 3
     assert [c.subinstance.masks for c in seg.components] == [(0b11, 0b10), (0b11,)]
     assert [member_lists(c.subinstance) for c in seg.components] == [[[0, 1], [1]], [[0, 1]]]
 
