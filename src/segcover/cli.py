@@ -15,7 +15,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
@@ -23,7 +23,7 @@ from .grasp_su import SuParams, rpd, rpd_star, solve_restarts, split
 from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
-from .preprocess import ReductionReport, reduce
+from .preprocess import reduce
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -77,34 +77,6 @@ def _parse_file(path: Path, fmt: str, rail_layout: str) -> Instance:
     return parse_auto(data, rail_layout)
 
 
-def _restart_covers(
-    work: Instance,
-    algorithm: str,
-    params: GraspParams,
-    threads: int,
-    restarts: int,
-    phase_sums: Dict[str, float],
-) -> Iterable[Cover]:
-    """The cover of ``work`` for each restart, in restart order.
-
-    Restart ``k`` runs with seed ``params.seed + k``.  A GRASP algorithm
-    splits ``work`` once, by ``split``, and every restart of
-    ``solve_restarts`` reuses the pieces.  Phase times are added to
-    ``phase_sums``.
-    """
-    if work.n == 0:
-        return [Cover.empty()] * restarts
-    t0 = time.perf_counter()
-    if algorithm == "greedy":
-        cover = greedy_solve(work)
-        phase_sums["solve_ms"] += (time.perf_counter() - t0) * 1e3
-        return [cover]
-    pieces, merge = split(work, algorithm)
-    phase_sums["segment_ms"] += (time.perf_counter() - t0) * 1e3
-    su = SuParams(grasp=params, threads=threads)
-    return solve_restarts(pieces, merge, su, restarts, phase_sums)
-
-
 def run_algorithm(
     inst: Instance,
     name: str,
@@ -120,7 +92,16 @@ def run_algorithm(
     fixpoint_reduce: bool = False,
     greedy_baseline: Optional[int] = None,
 ) -> Tuple[RunRecord, Cover]:
-    """Solve with independent restarts, validate, and build a run record."""
+    """Solve with independent restarts, validate, and build a run record.
+
+    The one clock of a run: ``preprocess_ms`` times ``reduce``,
+    ``segment_ms`` the ``split`` of the residual (once per run, every
+    restart reuses its pieces), ``solve_ms`` the restarts' GRASP runs or
+    ``greedy_solve`` (deterministic, so it runs once), and ``merge_ms`` the
+    merges of each restart's piece covers.  Lifting and validating each
+    restart's cover count only in ``wall_ms``.  Restart ``k`` runs with seed
+    ``seed + k``; the first strictly smallest cover is kept.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if restarts < 1:
@@ -129,55 +110,57 @@ def run_algorithm(
         raise ValueError(f"threads must be >= 1, got {threads}")
     if fixpoint_reduce and not preprocess:
         raise ValueError("fixpoint_reduce needs preprocess")
+    params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed)
+    record = RunRecord(instance=name, algorithm=algorithm, seed=seed, threads=threads, bks=bks)
 
     wall_start = time.perf_counter()
-    report: Optional[ReductionReport] = None
+    report = reduce(inst, fixpoint=fixpoint_reduce) if preprocess else None
+    work = report.residual if report is not None else inst
     t0 = time.perf_counter()
-    if preprocess:
-        report = reduce(inst, fixpoint=fixpoint_reduce)
-        work = report.residual
+    record.preprocess_ms = (t0 - wall_start) * 1e3
+    if work.n == 0:
+        covers = [Cover.empty()]
+    elif algorithm == "greedy":
+        covers = [greedy_solve(work)]
+        record.solve_ms = (time.perf_counter() - t0) * 1e3
     else:
-        work = inst
-    preprocess_ms = (time.perf_counter() - t0) * 1e3
-
-    if algorithm == "greedy":
-        restarts = 1  # deterministic; extra restarts change nothing
+        pieces, merge = split(work, algorithm)
+        t1 = time.perf_counter()
+        partials = list(solve_restarts(pieces, SuParams(params, threads), restarts))
+        t2 = time.perf_counter()
+        covers = [merge(piece_covers) for piece_covers in partials]
+        record.segment_ms = (t1 - t0) * 1e3
+        record.solve_ms = (t2 - t1) * 1e3
+        record.merge_ms = (time.perf_counter() - t2) * 1e3
 
     best_cover: Optional[Cover] = None
-    best_seed = seed
-    phase_sums = {"segment_ms": 0.0, "solve_ms": 0.0, "merge_ms": 0.0}
-    params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed)
-    covers = _restart_covers(work, algorithm, params, threads, restarts, phase_sums)
     for run_seed, cover in enumerate(covers, seed):
         full = report.lift_cover(cover) if report is not None else cover
         if not cover_is_feasible(full, inst):
             raise RuntimeError(f"{algorithm} produced an infeasible cover on {name}")
         if best_cover is None or len(full) < len(best_cover):
-            best_cover = full
-            best_seed = run_seed
+            best_cover, record.seed = full, run_seed
+    record.wall_ms = (time.perf_counter() - wall_start) * 1e3
 
-    wall_ms = (time.perf_counter() - wall_start) * 1e3
-    cardinality = len(best_cover)
-    record = RunRecord(
-        instance=name,
-        algorithm=algorithm,
-        seed=best_seed,
-        threads=threads,
-        cardinality=cardinality,
-        bks=bks,
-        rpd=rpd(cardinality, bks) if bks is not None else None,
-        rpd_star=(
-            rpd_star(cardinality, greedy_baseline)
-            if greedy_baseline is not None
-            else None
-        ),
-        preprocess_ms=preprocess_ms,
-        segment_ms=phase_sums["segment_ms"],
-        solve_ms=phase_sums["solve_ms"],
-        merge_ms=phase_sums["merge_ms"],
-        wall_ms=wall_ms,
-    )
+    record.cardinality = len(best_cover)
+    if bks is not None:
+        record.rpd = rpd(record.cardinality, bks)
+    if greedy_baseline is not None:
+        record.rpd_star = rpd_star(record.cardinality, greedy_baseline)
     return record, best_cover
+
+
+def _run_options(args: argparse.Namespace) -> Dict[str, object]:
+    """The ``run_algorithm`` keywords that ``solve`` and every ``bench`` run
+    take from the shared solver flags."""
+    return dict(
+        iterations=args.iterations,
+        max_rm=args.max_rm,
+        seed=args.seed,
+        restarts=args.restarts,
+        preprocess=not args.no_preprocess,
+        fixpoint_reduce=args.fixpoint_reduce,
+    )
 
 
 def _emit(records: Sequence[RunRecord], output: str, out=None) -> None:
@@ -191,21 +174,10 @@ def _emit(records: Sequence[RunRecord], output: str, out=None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    if not path.is_file():
-        raise ValueError(f"input file not found: {path}")
     inst = _parse_file(path, args.format, args.rail_layout)
     record, _ = run_algorithm(
-        inst,
-        path.name,
-        args.algorithm,
-        iterations=args.iterations,
-        max_rm=args.max_rm,
-        seed=args.seed,
-        threads=args.threads,
-        restarts=args.restarts,
-        bks=args.bks,
-        preprocess=not args.no_preprocess,
-        fixpoint_reduce=args.fixpoint_reduce,
+        inst, path.name, args.algorithm, threads=args.threads, bks=args.bks,
+        **_run_options(args),
     )
     _emit([record], args.output)
     return EXIT_OK
@@ -242,6 +214,11 @@ def _read_manifest(path: Path) -> List[Dict[str, str]]:
                     f"manifest entry {tokens[0]}: unknown format {value!r}; "
                     f"choose from {', '.join(FORMATS)}"
                 )
+            if key == "bks" and not (value.isdecimal() and int(value) > 0):
+                raise ValueError(
+                    f"manifest entry {tokens[0]}: bks must be a positive integer, "
+                    f"got {value!r}"
+                )
             entry[key] = value
         entries.append(entry)
     return entries
@@ -249,8 +226,6 @@ def _read_manifest(path: Path) -> List[Dict[str, str]]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
-    if not manifest_path.is_file():
-        raise ValueError(f"manifest file not found: {manifest_path}")
     entries = _read_manifest(manifest_path)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for algorithm in algorithms:
@@ -285,30 +260,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     )
             print(f"warning: skipping {name}: {exc}", file=sys.stderr)
             continue
-        baseline_record, _ = run_algorithm(
-            inst,
-            name,
-            "greedy",
-            seed=args.seed,
-            preprocess=not args.no_preprocess,
-            fixpoint_reduce=args.fixpoint_reduce,
-        )
-        baseline = baseline_record.cardinality
+        options = _run_options(args)
+        baseline = run_algorithm(inst, name, "greedy", **options)[0].cardinality
         for algorithm in algorithms:
             for threads in thread_counts:
                 record, _ = run_algorithm(
-                    inst,
-                    name,
-                    algorithm,
-                    iterations=args.iterations,
-                    max_rm=args.max_rm,
-                    seed=args.seed,
-                    threads=threads,
-                    restarts=args.restarts,
-                    bks=bks,
-                    preprocess=not args.no_preprocess,
-                    fixpoint_reduce=args.fixpoint_reduce,
-                    greedy_baseline=baseline,
+                    inst, name, algorithm, threads=threads, bks=bks,
+                    greedy_baseline=baseline, **options,
                 )
                 records.append(record)
     _emit(records, args.output)
@@ -388,6 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"segcover: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    except FileNotFoundError as exc:
+        print(f"segcover: error: file not found: {exc.filename}", file=sys.stderr)
+        return EXIT_USAGE_ERROR
     except BrokenProcessPool as exc:
         print(f"segcover: error: worker process died: {exc}", file=sys.stderr)
         return EXIT_WORKER_ERROR

@@ -4,23 +4,23 @@
 and how their covers merge back: ``grasp`` keeps the instance whole,
 ``grasp-uf`` splits it into co-occurrence components, ``grasp-mst`` into
 the two sides of a forced bipartition.  ``solve_restarts`` is the one
-restart path: restarts run in batches on ``run_components``, which
-dispatches the pieces of every restart in a batch longest-family-first to
-one worker pool, with RNG streams derived as ``(master_seed + restart) XOR
-piece index``, so results are identical for any worker count or scheduling
-order.  Workers are separate processes (the practical route to CPU
-parallelism in CPython); the ``threads`` knob caps the pool size.
+restart path: it yields each restart's piece covers, for the caller to
+merge.  Restarts run in batches on ``run_components``, which dispatches the
+pieces of every restart in a batch longest-family-first to one worker pool,
+with RNG streams derived as ``(master_seed + restart) XOR piece index``, so
+results are identical for any worker count or scheduling order.  Workers
+are separate processes (the practical route to CPU parallelism in
+CPython); the ``threads`` knob caps the pool size.
 """
 from __future__ import annotations
 
 import gc
 import random
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance
 from .grasp import GraspParams, _grasp_run
@@ -121,55 +121,35 @@ def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
 
 
 def solve_restarts(
-    subinstances: Sequence[Instance],
-    merge: Merge,
-    params: SuParams,
-    restarts: int,
-    phase_times: Dict[str, float],
-) -> Iterator[Cover]:
-    """Yield ``merge(piece covers)`` for each restart, in restart order.
+    subinstances: Sequence[Instance], params: SuParams, restarts: int
+) -> Iterator[List[Cover]]:
+    """Yield each restart's piece covers, in restart and piece order.
 
     Restart ``k`` runs with seed ``params.grasp.seed + k``.  Restarts go to
     ``run_components`` in batches of ``ceil(threads / pieces)``, so a pool
     has work for every worker even when there are fewer pieces than
-    workers.  The solve and merge times are added to ``phase_times``
-    (``solve_ms``, ``merge_ms``).
+    workers.
     """
     count = len(subinstances)
     batch = -(-params.threads // max(count, 1))
     for first in range(0, restarts, batch):
         size = min(batch, restarts - first)
         grasp = replace(params.grasp, seed=params.grasp.seed + first)
-        t0 = time.perf_counter()
         partials = run_components(subinstances, replace(params, grasp=grasp), size)
-        t1 = time.perf_counter()
-        covers = [merge(partials[k * count:(k + 1) * count]) for k in range(size)]
-        t2 = time.perf_counter()
-        phase_times["solve_ms"] = phase_times.get("solve_ms", 0.0) + (t1 - t0) * 1e3
-        phase_times["merge_ms"] = phase_times.get("merge_ms", 0.0) + (t2 - t1) * 1e3
-        yield from covers
+        for k in range(size):
+            yield partials[k * count:(k + 1) * count]
 
 
-def grasp_su_solve(
-    inst: Instance,
-    params: Optional[SuParams] = None,
-    phase_times: Optional[Dict[str, float]] = None,
-) -> Cover:
+def grasp_su_solve(inst: Instance, params: Optional[SuParams] = None) -> Cover:
     """Segment, solve each component concurrently, merge: one restart.
 
-    ``phase_times`` (if given) receives ``segment_ms``, ``solve_ms`` and
-    ``merge_ms``.  The merged cover needs neither repair nor pruning:
-    components share no elements and every component cover is already
-    1-minimal, so their union is a 1-minimal cover.
+    The merged cover needs neither repair nor pruning: components share no
+    elements and every component cover is already 1-minimal, so their union
+    is a 1-minimal cover.
     """
-    params = params if params is not None else SuParams()
-    t0 = time.perf_counter()
     pieces, merge = split(inst, "grasp-uf")
-    times = {"segment_ms": (time.perf_counter() - t0) * 1e3}
-    [cover] = solve_restarts(pieces, merge, params, 1, times)
-    if phase_times is not None:
-        phase_times.update(times)
-    return cover
+    [partials] = solve_restarts(pieces, params if params is not None else SuParams(), 1)
+    return merge(partials)
 
 
 def rpd(card: int, bks: int) -> float:

@@ -38,6 +38,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(stdin: bytes, *argv):
+    """Run ``python -m segcover`` from the source tree with ``stdin`` on a pipe."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "segcover", *argv],
+        input=stdin, capture_output=True, timeout=60, env=env,
+    )
+
+
 FIXTURE = str(DATA_DIR / "example12.scp")
 
 
@@ -151,6 +161,25 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--input", "/no/such/file")
         assert code == EXIT_USAGE_ERROR
         assert "not found" in err
+
+    def test_input_from_a_pipe(self):
+        proc = run_module(
+            Path(FIXTURE).read_bytes(), "solve", "--input", "/dev/stdin", "--format", "scp",
+            "--algorithm", "greedy", "--no-preprocess",
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        assert proc.stdout.decode().splitlines()[1].split(",")[:5] == [
+            "stdin", "greedy", "0", "1", "4"
+        ]
+
+    def test_greedy_with_negative_iterations_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--input", FIXTURE, "--format", "scp",
+            "--algorithm", "greedy", "--iterations", "-1",
+        )
+        assert code == EXIT_USAGE_ERROR
+        assert out == ""
+        assert "num_iter must be >= 0, got -1" in err
 
     def test_grasp_mst_on_one_element_residual_is_usage_error(self, tmp_path, capsys):
         # connected and valid, but reduction leaves one element and one subset
@@ -292,6 +321,30 @@ class TestBench:
         assert out == ""
         assert "a.scp" in err and "'rial'" in err
 
+    @pytest.mark.parametrize("bks", ["0", "x"])
+    def test_bad_manifest_bks_is_usage_error_before_any_solve(
+        self, bks, monkeypatch, tmp_path, capsys
+    ):
+        solves = []
+        monkeypatch.setattr(cli, "run_algorithm", lambda *a, **k: solves.append(a))
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text(f"{FIXTURE} format=scp\n{FIXTURE} name=bad bks={bks}\n")
+        code, out, err = run(capsys, "bench", "--manifest", str(manifest))
+        assert code == EXIT_USAGE_ERROR
+        assert out == ""
+        assert solves == []
+        assert f"manifest entry {FIXTURE}: bks must be a positive integer, got '{bks}'" in err
+
+    def test_manifest_from_a_pipe(self):
+        proc = run_module(
+            f"{FIXTURE} format=scp bks=3\n".encode(), "bench", "--manifest", "/dev/stdin",
+            "--algorithms", "greedy",
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        rows = proc.stdout.decode().splitlines()
+        assert len(rows) == 2
+        assert rows[1].split(",")[:6] == ["example12.scp", "greedy", "0", "1", "3", "3"]
+
     @pytest.mark.parametrize("flag", ["--algorithms", "--threads"])
     def test_empty_list_flag_is_usage_error(self, flag, tmp_path, capsys):
         manifest = tmp_path / "bench.manifest"
@@ -329,6 +382,20 @@ def test_grasp_uf_segments_once_per_run(monkeypatch):
     record, _ = cli.run_algorithm(inst, "gen", "grasp-uf", iterations=5, restarts=3)
     assert len(calls) == 1
     assert record.segment_ms > 0.0
+
+
+def test_each_phase_times_its_own_step():
+    """greedy has only a solve phase; a grasp-uf run with two restarts has a
+    segment, a solve and a merge phase; the phases never exceed the wall."""
+    inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
+    greedy, _ = cli.run_algorithm(inst, "gen", "greedy")
+    assert greedy.segment_ms == greedy.merge_ms == 0.0
+    assert greedy.solve_ms > 0.0
+    segmented, _ = cli.run_algorithm(inst, "gen", "grasp-uf", iterations=5, restarts=2)
+    assert min(segmented.segment_ms, segmented.solve_ms, segmented.merge_ms) > 0.0
+    for record in (greedy, segmented):
+        phases = (record.preprocess_ms, record.segment_ms, record.solve_ms, record.merge_ms)
+        assert sum(phases) <= record.wall_ms
 
 
 def test_threads_default_from_environment(monkeypatch, capsys):
@@ -505,12 +572,7 @@ def test_parallel_restarts_run_clean_in_dev_mode(tmp_path):
 
 
 def test_python_dash_m_segcover_runs_the_cli():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "segcover", "generate", "--n", "6", "--m", "4", "--groups", "2"],
-        capture_output=True, timeout=60, env=env,
-    )
+    proc = run_module(b"", "generate", "--n", "6", "--m", "4", "--groups", "2")
     assert proc.returncode == 0, proc.stderr.decode()
     inst = parse_scp(proc.stdout)
     assert (inst.n, inst.m) == (6, 4)

@@ -48,14 +48,6 @@ def test_identical_results_for_any_thread_count():
     assert covers[0].chosen == covers[1].chosen == covers[2].chosen
 
 
-def test_phase_times_reported():
-    inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
-    times = {}
-    grasp_su_solve(inst, SuParams(grasp=GraspParams(num_iter=5, seed=1)), phase_times=times)
-    assert set(times) == {"segment_ms", "solve_ms", "merge_ms"}
-    assert all(v >= 0.0 for v in times.values())
-
-
 def test_merged_cardinality_is_component_sum_before_pruning():
     inst = generate_segmentable(GeneratorConfig(n=300, m=120, groups=6, seed=8))
     seg = find_groups(inst)
