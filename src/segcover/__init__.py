@@ -7,7 +7,6 @@ from .core import (
     cover_is_feasible,
 )
 from .grasp import (
-    EVAL_FUNCTIONS,
     GraspParams,
     RowMap,
     create_row_map,
@@ -39,7 +38,6 @@ __all__ = [
     "Bipartition",
     "Component",
     "Cover",
-    "EVAL_FUNCTIONS",
     "GeneratorConfig",
     "GraspParams",
     "Instance",

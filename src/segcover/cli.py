@@ -68,6 +68,14 @@ def _default_threads() -> str:
     return os.environ.get("SEGCOVER_THREADS", "1")
 
 
+def _bks(value: str) -> int:
+    """``--bks`` and a manifest's ``bks=``: a best known solution, which must
+    be a positive integer."""
+    if not (value.isdecimal() and int(value) > 0):
+        raise argparse.ArgumentTypeError(f"bks must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _parse_file(path: Path, fmt: str, rail_layout: str) -> Instance:
     data = path.read_bytes()
     if fmt == "scp":
@@ -214,11 +222,11 @@ def _read_manifest(path: Path) -> List[Dict[str, str]]:
                     f"manifest entry {tokens[0]}: unknown format {value!r}; "
                     f"choose from {', '.join(FORMATS)}"
                 )
-            if key == "bks" and not (value.isdecimal() and int(value) > 0):
-                raise ValueError(
-                    f"manifest entry {tokens[0]}: bks must be a positive integer, "
-                    f"got {value!r}"
-                )
+            if key == "bks":
+                try:
+                    _bks(value)
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"manifest entry {tokens[0]}: {exc}") from None
             entry[key] = value
         entries.append(entry)
     return entries
@@ -311,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=_default_threads(),
         help="worker count (default: $SEGCOVER_THREADS, else 1)",
     )
-    solve.add_argument("--bks", type=int, default=None)
+    solve.add_argument("--bks", type=_bks, default=None)
     _add_common_solver_flags(solve)
     solve.set_defaults(func=_cmd_solve)
 

@@ -3,10 +3,13 @@
 Everything here works on plain Python sets/lists and stays deliberately
 naive: these are the oracles, not the code under test.  The ``reference_*``
 functions are the earlier, slower library implementations, kept as
-references for the rewrites that must return identical results.
+references for the rewrites that must return identical results, and the
+paper's GRASP construction and loop, which the library's intensifying loop
+departs from.
 """
 from __future__ import annotations
 
+import math
 import random
 import re
 from itertools import combinations
@@ -14,12 +17,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from segcover.core import Cover, Instance, cover_is_feasible, iter_bits
 from segcover.grasp import (
-    EVAL_FUNCTIONS,
-    WEIGHT_EPSILON,
     GraspParams,
     RowMap,
+    TraceFn,
     _grasp_run,
+    create_row_map,
     grasp_solve,
+    remove_redundant_sets,
+    remove_sets,
 )
 from segcover.grasp_su import SuParams, grasp_su_solve
 from segcover.io import ParseError, write_rail, write_scp
@@ -329,6 +334,27 @@ def reference_reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     )
 
 
+def inverse(c: int) -> float:
+    return 1.0 / c
+
+def inverse_sqrt(c: int) -> float:
+    return 1.0 / math.sqrt(c)
+
+def inverse_log(c: int) -> float:
+    return 1.0 / math.log(c + 1)
+
+def inverse_square(c: int) -> float:
+    return 1.0 / (c * c)
+
+
+# The paper's four score functions, in the order its per-pick draw indexes
+# them, and the floor that keeps a diversifying draw's weights positive.
+REFERENCE_EVAL_FUNCTIONS: Tuple[Callable[[int], float], ...] = (
+    inverse, inverse_sqrt, inverse_log, inverse_square,
+)
+REFERENCE_WEIGHT_EPSILON = 1e-6
+
+
 def reference_find_best_candidate(
     candidates: Sequence[Tuple[int, Set[int]]],
     f: Callable[[int], float],
@@ -336,7 +362,7 @@ def reference_find_best_candidate(
     improve: bool,
     rng: random.Random,
 ) -> int:
-    """The per-candidate pick that ``rand_construct``'s score tables replaced.
+    """The paper's per-candidate pick, scored by ``f``.
 
     Intensifying: the candidate minimising ``f(fresh coverage)``, ties to the
     lowest id.  Diversifying: a draw weighted by ``max(eps, 1 - f(count))``.
@@ -351,7 +377,7 @@ def reference_find_best_candidate(
         scores.append((sid, f(count)))
     if improve:
         return min(scores, key=lambda pair: (pair[1], pair[0]))[0]
-    weights = [max(WEIGHT_EPSILON, 1.0 - score) for _, score in scores]
+    weights = [max(REFERENCE_WEIGHT_EPSILON, 1.0 - score) for _, score in scores]
     return rng.choices([sid for sid, _ in scores], weights=weights, k=1)[0]
 
 
@@ -359,12 +385,18 @@ def reference_rand_construct(
     partial: Cover,
     uncovered: int,
     rowmap: RowMap,
-    improve: bool,
-    rng: random.Random,
+    improve: bool = True,
+    rng: Optional[random.Random] = None,
 ) -> Cover:
-    """The ``rand_construct`` that built (id, member set) candidate lists and
-    scored each through ``reference_find_best_candidate``; mutates
-    ``partial``."""
+    """The paper's construction: per pick, draw a score function, build
+    (id, member set) candidate lists and pick through
+    ``reference_find_best_candidate``; mutates ``partial``.
+
+    Called with three arguments, as ``rand_construct`` is, it intensifies,
+    drawing its score functions from a stream of its own: an intensifying
+    pick is the first largest fresh coverage under every score function.
+    """
+    rng = rng if rng is not None else random.Random(0)
     if partial.covered & uncovered:
         raise ValueError("partial cover overlaps the uncovered set")
     masks = rowmap.instance.masks
@@ -377,12 +409,57 @@ def reference_rand_construct(
         element, _, coverer_ids = entries[cursor]
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
-        f = rng.choice(EVAL_FUNCTIONS)
+        f = rng.choice(REFERENCE_EVAL_FUNCTIONS)
         candidates = [(sid, set(iter_bits(masks[sid]))) for sid in coverer_ids]
         chosen = reference_find_best_candidate(candidates, f, left, improve, rng)
         partial.add(chosen, masks[chosen])
         left -= set(iter_bits(masks[chosen]))
     return partial
+
+
+def reference_improvement_loop(
+    best: Cover,
+    inst: Instance,
+    rowmap: RowMap,
+    params: GraspParams,
+    rng: random.Random,
+    trace: Optional[TraceFn] = None,
+) -> Cover:
+    """The paper's improvement loop: keep a round's cover only when it is
+    strictly smaller, and rebuild diversifying after a round that was not
+    kept; ``trace`` receives ``(iteration, new size, accepted, improve
+    flag)``, the flag being the mode of the next round."""
+    if inst.n == 0:
+        return best
+    improve = True
+    universe = (1 << inst.n) - 1
+    for iteration in range(1, params.num_iter + 1):
+        candidate = remove_sets(best, inst, params.max_rm, rng)
+        candidate = reference_rand_construct(
+            candidate, universe & ~candidate.covered, rowmap, improve, rng
+        )
+        candidate = remove_redundant_sets(candidate, inst)
+        accepted = len(candidate) < len(best)
+        if accepted:
+            best = candidate
+        improve = accepted
+        if trace is not None:
+            trace(iteration, len(candidate), accepted, improve)
+    return best
+
+
+def reference_grasp_solve(
+    inst: Instance, params: GraspParams, trace: Optional[TraceFn] = None
+) -> Cover:
+    """The paper's GRASP: a diversified construction from empty, pruned,
+    then ``reference_improvement_loop``, all on ``random.Random(params.seed)``."""
+    if inst.n == 0:
+        return Cover.empty()
+    rng = random.Random(params.seed)
+    rowmap = create_row_map(inst)
+    start = reference_rand_construct(Cover.empty(), (1 << inst.n) - 1, rowmap, False, rng)
+    start = remove_redundant_sets(start, inst)
+    return reference_improvement_loop(start, inst, rowmap, params, rng, trace)
 
 
 def reference_remove_redundant_sets(c: Cover, inst: Instance) -> Cover:

@@ -73,6 +73,18 @@ class TestSolve:
         assert row[4] == "3"
         assert row[6] == "0.0000"  # rpd against bks=3
 
+    @pytest.mark.parametrize("bks", ["0", "-2", "x"])
+    def test_bad_bks_is_usage_error_before_any_solve(self, bks, monkeypatch, capsys):
+        solves = []
+        monkeypatch.setattr(cli, "run_algorithm", lambda *a, **k: solves.append(a))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--input", FIXTURE, "--format", "scp", f"--bks={bks}"])
+        assert exit_info.value.code == EXIT_USAGE_ERROR
+        assert solves == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --bks: bks must be a positive integer, got '{bks}'" in err
+
     def test_zero_iterations_still_succeeds(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--input", FIXTURE, "--format", "scp",

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from segcover import grasp
 from segcover.core import Cover, Instance, cover_is_feasible
 from segcover.grasp import (
-    EVAL_FUNCTIONS,
-    WEIGHT_EPSILON,
     GraspParams,
     create_row_map,
     grasp_solve,
@@ -19,24 +17,30 @@ from segcover.grasp import (
     remove_redundant_sets,
     remove_sets,
 )
+from segcover.io import GeneratorConfig, generate_segmentable
 
 from conftest import make_instance
 from oracles import (
+    REFERENCE_EVAL_FUNCTIONS,
     random_covering_family,
+    reference_find_best_candidate,
+    reference_grasp_solve,
     reference_rand_construct,
     reference_remove_redundant_sets,
     tie_rich_family,
     to_instance,
 )
 
-INVERSE, INVERSE_SQRT, INVERSE_LOG, INVERSE_SQUARE = EVAL_FUNCTIONS
+INVERSE, INVERSE_SQRT, INVERSE_LOG, INVERSE_SQUARE = REFERENCE_EVAL_FUNCTIONS
 
 
 class TestEvalFunctions:
+    """The paper's score functions, which the reference construction draws."""
+
     def test_tags(self):
         # the order fixes which function each rng.choice draw selects
-        assert [f.__name__ for f in EVAL_FUNCTIONS] == [
-            "_inverse", "_inverse_sqrt", "_inverse_log", "_inverse_square",
+        assert [f.__name__ for f in REFERENCE_EVAL_FUNCTIONS] == [
+            "inverse", "inverse_sqrt", "inverse_log", "inverse_square",
         ]
 
     def test_values(self):
@@ -45,15 +49,15 @@ class TestEvalFunctions:
         assert INVERSE_LOG(1) == pytest.approx(1 / math.log(2))
         assert INVERSE_SQUARE(3) == pytest.approx(1 / 9)
 
-    @pytest.mark.parametrize("f", EVAL_FUNCTIONS, ids=[f"f{i}" for i in range(4)])
+    @pytest.mark.parametrize("f", REFERENCE_EVAL_FUNCTIONS, ids=[f"f{i}" for i in range(4)])
     def test_strictly_decreasing(self, f):
-        # intensifying relies on it: the best score is the largest count
+        # so an intensifying pick, the best score, is the largest count
         values = [f(c) for c in range(1, 100_001)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     @given(st.integers(1, 10**9))
     def test_strictly_decreasing_at_large_counts(self, count):
-        for f in EVAL_FUNCTIONS:
+        for f in REFERENCE_EVAL_FUNCTIONS:
             assert f(count) > f(count + 1)
 
 
@@ -78,23 +82,14 @@ class TestRowMap:
         rowmap = create_row_map(twelve)
         assert sorted(entry[0] for entry in rowmap.entries) == list(range(12))
 
-    def test_weights_hold_clamped_weights(self, twelve):
-        rowmap = create_row_map(twelve)
-        assert len(rowmap.weights) == len(EVAL_FUNCTIONS)
-        for f, weights in zip(EVAL_FUNCTIONS, rowmap.weights):
-            # the largest subset has 6 members
-            assert weights == [None] + [max(WEIGHT_EPSILON, 1.0 - f(c)) for c in range(1, 7)]
-        assert rowmap.weights[0][1] == WEIGHT_EPSILON  # 1 - inverse(1) = 0 clamps
 
-
-def _first_pick(inst, hub, f, improve, rng):
-    """The subset ``rand_construct`` picks first when element ``hub`` heads
-    the row map, scoring with ``f`` alone."""
+def _first_pick(inst, hub, construct=rand_construct, *mode):
+    """The subset ``construct`` picks first when element ``hub`` heads the
+    row map; ``mode`` is the reference construction's ``(improve, rng)``."""
     rowmap = create_row_map(inst)
     entries = sorted(rowmap.entries, key=lambda entry: entry[0] != hub)
-    weights = (rowmap.weights[EVAL_FUNCTIONS.index(f)],)
-    rowmap = replace(rowmap, entries=tuple(entries), weights=weights)
-    cover = rand_construct(Cover.empty(), (1 << inst.n) - 1, rowmap, improve, rng)
+    rowmap = replace(rowmap, entries=tuple(entries))
+    cover = construct(Cover.empty(), (1 << inst.n) - 1, rowmap, *mode)
     return cover.chosen[0]
 
 
@@ -114,19 +109,23 @@ class TestFindBestCandidate:
 
     def test_improve_picks_largest_coverage(self):
         inst = _hub_instance([6, 3, 2])
-        assert _first_pick(inst, 0, INVERSE, True, random.Random(0)) == 0
+        assert _first_pick(inst, 0) == 0
 
     def test_single_candidate_any_mode(self):
         inst = make_instance(4, ((2, 3), (3, 4), (2, 4), (2,), (3,), (4,), (2, 3, 4), (1,)))
+        assert _first_pick(inst, 0) == 7
         for improve in (True, False):
-            assert _first_pick(inst, 0, INVERSE_LOG, improve, random.Random(3)) == 7
+            assert _first_pick(
+                inst, 0, reference_rand_construct, improve, random.Random(3)
+            ) == 7
 
     def test_clamped_weights_draw_uniformly(self):
-        # both counts are 1, inverse-log(1) = 1/ln 2 > 1, so both weights clamp
+        # the reference's diversifying draw: both counts are 1, and every
+        # score function gives f(1) >= 1, so both weights clamp to epsilon
         inst = make_instance(1, ((1,), (1,)))
-        assert INVERSE_LOG(1) > 1.0
+        assert all(f(1) >= 1.0 for f in REFERENCE_EVAL_FUNCTIONS)
         picks = {
-            _first_pick(inst, 0, INVERSE_LOG, False, random.Random(seed))
+            _first_pick(inst, 0, reference_rand_construct, False, random.Random(seed))
             for seed in range(40)
         }
         assert picks == {0, 1}
@@ -136,7 +135,7 @@ class TestFindBestCandidate:
         element, degree, _ = rowmap.entries[0]
         rowmap = replace(rowmap, entries=((element, degree, ()),) + rowmap.entries[1:])
         with pytest.raises(RuntimeError, match="no subset covers element"):
-            rand_construct(Cover.empty(), (1 << 12) - 1, rowmap, True, random.Random())
+            rand_construct(Cover.empty(), (1 << 12) - 1, rowmap)
 
     def test_row_map_missing_an_uncovered_element_rejected(self, twelve):
         rowmap = create_row_map(twelve)
@@ -145,22 +144,28 @@ class TestFindBestCandidate:
         # element 0's coverers, subsets 0 and 6, leave element 11 for last
         for uncovered in (1 << 11, 1 << 11 | 1):
             with pytest.raises(RuntimeError, match="^uncovered elements missing from the row map$"):
-                rand_construct(Cover.empty(), uncovered, rowmap, True, random.Random())
+                rand_construct(Cover.empty(), uncovered, rowmap)
 
     def test_candidate_missing_uncovered_rejected(self, twelve):
         rowmap = create_row_map(twelve)
         assert rowmap.entries[0] == (11, 1, (5,))
         rowmap = replace(rowmap, entries=((11, 1, (0,)),) + rowmap.entries[1:])
         with pytest.raises(ValueError, match="subset 0 covers nothing"):
-            rand_construct(Cover.empty(), 1 << 11, rowmap, True, random.Random())
+            rand_construct(Cover.empty(), 1 << 11, rowmap)
 
     @given(st.lists(st.integers(1, 50), min_size=1, max_size=8))
     def test_improve_mode_equals_max_coverage_pick(self, counts):
-        # under any strictly decreasing score, argmin f == argmax coverage
+        # under any strictly decreasing score, argmin f == argmax coverage,
+        # so the reference's per-pick score draw cannot change an intensifying pick
         inst = _hub_instance(counts)
         expected = max(range(len(counts)), key=lambda sid: (counts[sid], -sid))
-        for f in EVAL_FUNCTIONS:
-            assert _first_pick(inst, 0, f, True, random.Random(0)) == expected
+        assert _first_pick(inst, 0) == expected
+        candidates = [(sid, set(range(c))) for sid, c in enumerate(counts)]
+        uncovered = set(range(max(counts)))
+        for f in REFERENCE_EVAL_FUNCTIONS:
+            assert reference_find_best_candidate(
+                candidates, f, uncovered, True, random.Random(0)
+            ) == expected
 
 
 def _family(seed):
@@ -175,12 +180,13 @@ def _family(seed):
 
 
 class TestMatchesReference:
-    """The table-scored construction and the suffix-OR prune return what the
-    per-candidate and per-element implementations they replaced return."""
+    """The construction and the suffix-OR prune return what the paper's
+    intensifying per-candidate construction and the per-element prune
+    return."""
 
-    @given(st.integers(0, 100_000), st.booleans())
+    @given(st.integers(0, 100_000))
     @settings(max_examples=300, deadline=None)
-    def test_rand_construct(self, seed, improve):
+    def test_rand_construct(self, seed):
         rng, inst = _family(seed)
         rowmap = create_row_map(inst)
         partial = [sid for sid in range(inst.m) if rng.random() < 0.3]
@@ -188,12 +194,11 @@ class TestMatchesReference:
         for sid in partial:
             covered |= inst.masks[sid]
         uncovered = ((1 << inst.n) - 1) & ~covered
-        results = []
-        for construct in (rand_construct, reference_rand_construct):
-            draws = random.Random(seed)
-            cover = construct(Cover(partial, covered), uncovered, rowmap, improve, draws)
-            results.append((cover.chosen, cover.covered, draws.getstate()))
-        assert results[0] == results[1]
+        new = rand_construct(Cover(partial, covered), uncovered, rowmap)
+        old = reference_rand_construct(
+            Cover(partial, covered), uncovered, rowmap, improve=True, rng=random.Random(seed)
+        )
+        assert (new.chosen, new.covered) == (old.chosen, old.covered)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=300, deadline=None)
@@ -219,21 +224,16 @@ class TestMatchesReference:
 
 class TestRandConstruct:
     def test_first_pick_is_forced_by_degree_one_element(self, twelve):
-        rowmap = create_row_map(twelve)
-        for improve in (True, False):
-            cover = rand_construct(
-                Cover.empty(), (1 << 12) - 1, rowmap, improve,
-                random.Random(123),
-            )
-            assert cover.chosen[0] == 5
-            assert cover_is_feasible(cover, twelve)
+        cover = rand_construct(Cover.empty(), (1 << 12) - 1, create_row_map(twelve))
+        assert cover.chosen[0] == 5
+        assert cover_is_feasible(cover, twelve)
 
     def test_empty_uncovered_returns_partial(self, twelve):
         rowmap = create_row_map(twelve)
         partial = Cover.empty()
         partial.add(3, twelve.masks[3])
         before = list(partial.chosen)
-        result = rand_construct(partial, 0, rowmap, True, random.Random())
+        result = rand_construct(partial, 0, rowmap)
         assert result.chosen == before
 
     def test_rejects_overlapping_partial(self, twelve):
@@ -241,7 +241,7 @@ class TestRandConstruct:
         partial = Cover.empty()
         partial.add(5, twelve.masks[5])
         with pytest.raises(ValueError, match="overlaps"):
-            rand_construct(partial, (1 << 12) - 1, rowmap, True, random.Random())
+            rand_construct(partial, (1 << 12) - 1, rowmap)
 
 
 class TestRemoveSets:
@@ -356,21 +356,45 @@ class TestGraspSolve:
         assert a == b
 
     def test_trace_semantics(self, twelve):
+        # the paper's loop, kept as the reference: strict acceptance only
         rows = []
 
         def trace(iteration, new_size, accepted, improve):
             rows.append((iteration, new_size, accepted, improve))
 
         params = GraspParams(num_iter=50, seed=2)
-        cover = grasp_solve(twelve, params, trace=trace)
+        cover = reference_grasp_solve(twelve, params, trace=trace)
         assert [r[0] for r in rows] == list(range(1, 51))
-        incumbent = len(grasp_solve(twelve, GraspParams(num_iter=0, seed=2)))
+        incumbent = len(reference_grasp_solve(twelve, GraspParams(num_iter=0, seed=2)))
         for _, new_size, accepted, improve in rows:
             assert improve == accepted  # flag records "last round improved"
             assert accepted == (new_size < incumbent)
             if accepted:
                 incumbent = new_size
         assert len(cover) == incumbent == 3
+
+    def test_trace_accepts_ties(self):
+        # a round is kept when no larger than the incumbent, and reported
+        # improved only when strictly smaller
+        inst = generate_segmentable(GeneratorConfig(n=120, m=90, groups=1, density=0.08, seed=2))
+        rows = []
+
+        def trace(iteration, new_size, accepted, improved):
+            rows.append((iteration, new_size, accepted, improved))
+
+        cover = grasp_solve(inst, GraspParams(num_iter=60, seed=2), trace=trace)
+        assert [r[0] for r in rows] == list(range(1, 61))
+        incumbent = len(grasp_solve(inst, GraspParams(num_iter=0, seed=2)))
+        for _, new_size, accepted, improved in rows:
+            assert accepted == (new_size <= incumbent)
+            assert improved == (new_size < incumbent)
+            if accepted:
+                incumbent = new_size
+        assert len(cover) == incumbent
+        # every kind of round occurs: improving, tying and rejected
+        assert {(accepted, improved) for _, _, accepted, improved in rows} == {
+            (True, True), (True, False), (False, False),
+        }
 
     def test_accepted_covers_monotone(self, twelve):
         sizes = []
