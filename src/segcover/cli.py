@@ -13,9 +13,9 @@ import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
@@ -32,6 +32,7 @@ EXIT_WORKER_ERROR = 4
 
 ALGORITHMS = ("greedy", "grasp", "grasp-uf", "grasp-mst")
 FORMATS = ("scp", "rail", "auto")
+MANIFEST_KEYS = ("name", "bks", "format")
 
 
 @dataclass
@@ -76,6 +77,34 @@ def _bks(value: str) -> int:
     return int(value)
 
 
+def _checked(convert: Callable[[str], Any], rule: str, ok: Callable[[Any], bool]):
+    """An argparse type: ``convert`` the value and refuse it, as "must
+    <rule>", unless ``ok`` holds; a value ``convert`` cannot read keeps
+    argparse's own message ("invalid int value: 'x'")."""
+
+    def parse(value: str):
+        number = convert(value)
+        if not ok(number):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value!r}")
+        return number
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_positive = _checked(int, "be >= 1", lambda v: v >= 1)
+
+
+def _thread_counts(value: str) -> List[int]:
+    """``bench --threads``: comma-separated worker counts, each checked as
+    ``solve --threads`` checks its one.  Named ``int`` below, so argparse
+    reports an unreadable count as an invalid int value."""
+    return [_positive(t) for t in value.split(",") if t.strip()]
+
+
+_thread_counts.__name__ = "int"
+
+
 def _parse_file(path: Path, fmt: str, rail_layout: str) -> Instance:
     data = path.read_bytes()
     if fmt == "scp":
@@ -97,7 +126,6 @@ def run_algorithm(
     restarts: int = 1,
     bks: Optional[int] = None,
     preprocess: bool = True,
-    fixpoint_reduce: bool = False,
     greedy_baseline: Optional[int] = None,
 ) -> Tuple[RunRecord, Cover]:
     """Solve with independent restarts, validate, and build a run record.
@@ -116,13 +144,11 @@ def run_algorithm(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if fixpoint_reduce and not preprocess:
-        raise ValueError("fixpoint_reduce needs preprocess")
     params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed)
     record = RunRecord(instance=name, algorithm=algorithm, seed=seed, threads=threads, bks=bks)
 
     wall_start = time.perf_counter()
-    report = reduce(inst, fixpoint=fixpoint_reduce) if preprocess else None
+    report = reduce(inst) if preprocess else None
     work = report.residual if report is not None else inst
     t0 = time.perf_counter()
     record.preprocess_ms = (t0 - wall_start) * 1e3
@@ -167,7 +193,6 @@ def _run_options(args: argparse.Namespace) -> Dict[str, object]:
         seed=args.seed,
         restarts=args.restarts,
         preprocess=not args.no_preprocess,
-        fixpoint_reduce=args.fixpoint_reduce,
     )
 
 
@@ -205,7 +230,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _read_manifest(path: Path) -> List[Dict[str, str]]:
-    """Lines of ``instance-path [key=value ...]``; '#' starts a comment."""
+    """Lines of ``instance-path [key=value ...]``, each key one of
+    ``MANIFEST_KEYS``; '#' starts a comment."""
     entries = []
     for raw in path.read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -217,6 +243,11 @@ def _read_manifest(path: Path) -> List[Dict[str, str]]:
             if "=" not in token:
                 raise ValueError(f"bad manifest token {token!r} in {path}")
             key, value = token.split("=", 1)
+            if key not in MANIFEST_KEYS:
+                raise ValueError(
+                    f"manifest entry {tokens[0]}: unknown key {key!r}; "
+                    f"choose from {', '.join(MANIFEST_KEYS)}"
+                )
             if key == "format" and value not in FORMATS:
                 raise ValueError(
                     f"manifest entry {tokens[0]}: unknown format {value!r}; "
@@ -239,8 +270,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r} in --algorithms")
-    thread_counts = [int(t) for t in args.threads.split(",") if t.strip()]
-    for flag, values in (("--algorithms", algorithms), ("--threads", thread_counts)):
+    for flag, values in (("--algorithms", algorithms), ("--threads", args.threads)):
         if not values:
             raise ValueError(f"{flag} needs at least one value")
 
@@ -256,7 +286,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             inst = _parse_file(inst_path, fmt, args.rail_layout)
         except (OSError, ParseError) as exc:
             for algorithm in algorithms:
-                for threads in thread_counts:
+                for threads in args.threads:
                     records.append(
                         RunRecord(
                             instance=name,
@@ -269,23 +299,32 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"warning: skipping {name}: {exc}", file=sys.stderr)
             continue
         options = _run_options(args)
-        baseline = run_algorithm(inst, name, "greedy", **options)[0].cardinality
+        # greedy is deterministic: one solve gives the rpd* baseline and
+        # every greedy row.
+        greedy, _ = run_algorithm(inst, name, "greedy", bks=bks, **options)
         for algorithm in algorithms:
-            for threads in thread_counts:
-                record, _ = run_algorithm(
-                    inst, name, algorithm, threads=threads, bks=bks,
-                    greedy_baseline=baseline, **options,
-                )
+            for threads in args.threads:
+                if algorithm == "greedy":
+                    record = replace(greedy, threads=threads, rpd_star=0.0)
+                else:
+                    record, _ = run_algorithm(
+                        inst, name, algorithm, threads=threads, bks=bks,
+                        greedy_baseline=greedy.cardinality, **options,
+                    )
                 records.append(record)
     _emit(records, args.output)
     return EXIT_OK
 
 
 def _add_common_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--iterations", type=int, default=300)
-    parser.add_argument("--max-rm", type=float, default=0.5)
+    parser.add_argument(
+        "--iterations", type=_checked(int, "be >= 0", lambda v: v >= 0), default=300
+    )
+    parser.add_argument(
+        "--max-rm", type=_checked(float, "lie in (0, 1)", lambda v: 0 < v < 1), default=0.5
+    )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=1)
+    parser.add_argument("--restarts", type=_positive, default=1)
     parser.add_argument(
         "--output", choices=("csv", "json"), default="csv", help="record format"
     )
@@ -297,15 +336,7 @@ def _add_common_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--rail-layout", choices=("cost-first", "count-first"), default="cost-first",
         help="column record layout for rail files",
     )
-    reduction = parser.add_mutually_exclusive_group()
-    reduction.add_argument(
-        "--no-preprocess", action="store_true", help="solve the raw instance"
-    )
-    reduction.add_argument(
-        "--fixpoint-reduce",
-        action="store_true",
-        help="alternate forcing and residual-set dominance until stable",
-    )
+    parser.add_argument("--no-preprocess", action="store_true", help="solve the raw instance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True)
     solve.add_argument("--algorithm", choices=ALGORITHMS, default="grasp")
     solve.add_argument(
-        "--threads", type=int, default=_default_threads(),
+        "--threads", type=_positive, default=_default_threads(),
         help="worker count (default: $SEGCOVER_THREADS, else 1)",
     )
     solve.add_argument("--bks", type=_bks, default=None)
@@ -338,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms", default="greedy,grasp-uf", help="comma-separated tags"
     )
     bench.add_argument(
-        "--threads", default=_default_threads(),
+        "--threads", type=_thread_counts, default=_default_threads(),
         help="comma-separated worker counts (default: $SEGCOVER_THREADS, else 1)",
     )
     _add_common_solver_flags(bench)

@@ -1,15 +1,11 @@
 """Instance reduction: force unique coverers, drop dominated subsets.
 
-The default is a single pass: (1) every subset that is the only coverer of
-some element is forced into the solution and its elements marked covered;
-(2) any remaining subset whose original element set is contained in another
-remaining subset's original set is excluded (equal sets keep the lowest id),
-as is any subset left with an empty restriction to the uncovered elements.
-
-``fixpoint=True`` instead alternates forcing and dominance until stable,
-with dominance evaluated on the restricted (residual) element sets.  This
-reduces strictly more but is a different, more aggressive contract; both
-modes preserve feasibility and the optimal cardinality.
+One pass: (1) every subset that is the only coverer of some element is
+forced into the solution and its elements marked covered; (2) any other
+subset whose element set is contained in another such subset's set is
+excluded (equal sets keep the lowest id), as is any subset left with an
+empty restriction to the uncovered elements.  The reduction preserves
+feasibility and the optimal cardinality.
 
 Dominance reads each subset's elements from the instance's member arrays
 (``core.Members``).  Its element columns share one frame, so testing a
@@ -24,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Cover, Instance, Members, iter_bits, lift, member_arrays, restrict
+from .core import Cover, Instance, iter_bits, lift, restrict
 
 # Bits spanned per member above which a dominance column is built bit by
 # bit rather than from a '0'/'1' buffer; on CPython 3.11 (x86-64) the two
@@ -66,36 +62,30 @@ class ReductionReport:
         }
 
 
-def _force_unique_coverers(
-    bits: Sequence[int],
-    active: List[bool],
-    forced: List[int],
-    covered: int,
-) -> int:
-    """One forcing sweep; returns the new covered mask.
+def _force_unique_coverers(bits: Sequence[int]) -> Tuple[List[int], int]:
+    """The forcing sweep: the forced subsets and the mask they cover.
 
-    Word-parallel ``once``/``twice`` masks over the active subsets give the
-    uncovered elements with exactly one active coverer.  Their coverers are
-    forced in ascending order of their lowest such element.
+    Word-parallel ``once``/``twice`` masks give the elements with exactly
+    one coverer.  Their coverers are forced in ascending order of their
+    lowest such element.
     """
     once = twice = 0
-    for sid, b in enumerate(bits):
-        if active[sid]:
-            twice |= once & b
-            once |= b
-    unique = once & ~twice & ~covered
+    for b in bits:
+        twice |= once & b
+        once |= b
+    unique = once & ~twice
     if not unique:
-        return covered
+        return [], 0
     firsts = []
     for sid, b in enumerate(bits):
         hit = b & unique
-        if hit and active[sid]:
+        if hit:
             firsts.append(((hit & -hit).bit_length(), sid))
-    for _, sid in sorted(firsts):
-        active[sid] = False
-        forced.append(sid)
+    forced = [sid for _, sid in sorted(firsts)]
+    covered = 0
+    for sid in forced:
         covered |= bits[sid]
-    return covered
+    return forced, covered
 
 
 def _column(bits: array) -> int:
@@ -121,9 +111,9 @@ def _column(bits: array) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _dominated(n: int, candidates: Sequence[int], members: Members) -> List[int]:
-    """Candidates whose element set, read from ``members``, is inside another
-    candidate's.
+def _dominated(inst: Instance, candidates: Sequence[int]) -> List[int]:
+    """Candidates whose element set, read from ``inst.members``, is inside
+    another candidate's.
 
     Equal sets keep the lowest id.  Candidates are ranked by ``(lowest
     element, -size, id)``, packed into one int key per candidate.  A superset
@@ -140,17 +130,16 @@ def _dominated(n: int, candidates: Sequence[int], members: Members) -> List[int]
     without a shift, and the test stops once no such bit is left.  A column
     (see ``_column``) is built when a candidate first needs it and dropped
     after its element's last holder, so on block-structured instances only
-    the current block's columns are alive at once.  Empty sets are neither
-    dominated nor dominators.
+    the current block's columns are alive at once.
     """
-    starts, ids = members
+    n = inst.n
+    starts, ids = inst.members
     id_bits = max(candidates, default=0).bit_length()
     size_bits = n.bit_length()
     keys = []
     for sid in candidates:
         s, t = starts[sid], starts[sid + 1]
-        if s < t:
-            keys.append((((ids[s] << size_bits) | (n - t + s)) << id_bits) | sid)
+        keys.append((((ids[s] << size_bits) | (n - t + s)) << id_bits) | sid)
     keys.sort()
     id_mask = (1 << id_bits) - 1
     ranked = [key & id_mask for key in keys]
@@ -194,7 +183,7 @@ def _dominated(n: int, candidates: Sequence[int], members: Members) -> List[int]
     return dominated
 
 
-def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
+def reduce(inst: Instance) -> ReductionReport:
     """Reduce an instance, reporting forced/excluded subsets and the residual.
 
     Always succeeds; a fully reducible instance yields an empty residual.
@@ -202,46 +191,23 @@ def reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     kept subsets only and renumbered past the covered elements.
     """
     bits = inst.masks
-    members = inst.members
-    active = [True] * inst.m
-    forced: List[int] = []
-    excluded: List[int] = []
+    forced, covered = _force_unique_coverers(bits)
+    dropped = set(forced)
+    remaining = [sid for sid in range(inst.m) if sid not in dropped]
+    excluded = set(_dominated(inst, remaining))
+    if covered:
+        excluded.update(sid for sid in remaining if bits[sid] & ~covered == 0)
+
+    subset_map = [sid for sid in remaining if sid not in excluded]
     universe = (1 << inst.n) - 1
-
-    covered = _force_unique_coverers(bits, active, forced, 0)
-    while True:
-        remaining = [sid for sid in range(inst.m) if active[sid]]
-        if fixpoint and covered:
-            sets = member_arrays(
-                iter_bits(b & ~covered) if active[sid] else () for sid, b in enumerate(bits)
-            )
-        else:
-            sets = members
-        for sid in _dominated(inst.n, remaining, sets):
-            active[sid] = False
-            excluded.append(sid)
-        if covered:
-            for sid in remaining:
-                if active[sid] and bits[sid] & ~covered == 0:
-                    active[sid] = False
-                    excluded.append(sid)
-        if not fixpoint:
-            break
-        before = len(forced)
-        covered = _force_unique_coverers(bits, active, forced, covered)
-        if len(forced) == before:
-            break
-
-    subset_map = [sid for sid in range(inst.m) if active[sid]]
     element_map = list(iter_bits(universe & ~covered)) if covered else range(inst.n)
     # Nothing forced or excluded leaves the instance itself.
     residual = inst if len(subset_map) == inst.m else restrict(inst, subset_map, element_map)
 
-    excluded.sort()
     return ReductionReport(
         original=inst,
         forced=tuple(forced),
-        excluded=tuple(excluded),
+        excluded=tuple(sorted(excluded)),
         covered=covered,
         residual=residual,
         element_to_original=tuple(element_map),

@@ -241,7 +241,7 @@ def reference_greedy(inst: Instance) -> Cover:
     return cover
 
 
-def _reference_force(subsets: Sequence[Set[int]], n: int, active: List[bool], forced: List[int], covered: Set[int]) -> bool:
+def _reference_force(subsets: Sequence[Set[int]], n: int, active: List[bool], forced: List[int], covered: Set[int]) -> None:
     degree = [0] * n
     last = [-1] * n
     for sid, s in enumerate(subsets):
@@ -250,7 +250,6 @@ def _reference_force(subsets: Sequence[Set[int]], n: int, active: List[bool], fo
         for e in s:
             degree[e] += 1
             last[e] = sid
-    fired = False
     for e in range(n):
         if e in covered:
             continue
@@ -260,33 +259,28 @@ def _reference_force(subsets: Sequence[Set[int]], n: int, active: List[bool], fo
                 active[sid] = False
                 forced.append(sid)
                 covered |= subsets[sid]
-                fired = True
-    return fired
 
 
-def _reference_dominated(subsets: Sequence[Set[int]], candidates: Sequence[int], restrict: Set[int]) -> List[int]:
-    masked = {sid: subsets[sid] & restrict for sid in candidates}
+def _reference_dominated(subsets: Sequence[Set[int]], candidates: Sequence[int]) -> List[int]:
     coverers: dict = {}
     for sid in candidates:
-        for e in sorted(masked[sid]):
+        for e in sorted(subsets[sid]):
             coverers.setdefault(e, []).append(sid)
     dominated = []
     for sid in candidates:
-        members = masked[sid]
-        if not members:
-            continue
+        members = subsets[sid]
         rarest = min(sorted(members), key=lambda e: len(coverers[e]))
         for other in coverers[rarest]:
             if other == sid:
                 continue
-            other_members = masked[other]
+            other_members = subsets[other]
             if members <= other_members and (members != other_members or other < sid):
                 dominated.append(sid)
                 break
     return dominated
 
 
-def reference_reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
+def reference_reduce(inst: Instance) -> ReductionReport:
     """The per-element ``reduce`` that ``segcover.preprocess.reduce`` replaced.
 
     Forcing counts coverers element by element; dominance tests each subset
@@ -298,23 +292,16 @@ def reference_reduce(inst: Instance, fixpoint: bool = False) -> ReductionReport:
     forced: List[int] = []
     excluded: List[int] = []
     covered: Set[int] = set()
-    universe = set(range(inst.n))
 
     _reference_force(subsets, inst.n, active, forced, covered)
-    while True:
-        remaining = [sid for sid in range(inst.m) if active[sid]]
-        restrict = universe - covered if fixpoint else universe
-        for sid in _reference_dominated(subsets, remaining, restrict):
+    remaining = [sid for sid in range(inst.m) if active[sid]]
+    for sid in _reference_dominated(subsets, remaining):
+        active[sid] = False
+        excluded.append(sid)
+    for sid in remaining:
+        if active[sid] and subsets[sid] <= covered:
             active[sid] = False
             excluded.append(sid)
-        for sid in remaining:
-            if active[sid] and subsets[sid] <= covered:
-                active[sid] = False
-                excluded.append(sid)
-        if not fixpoint:
-            break
-        if not _reference_force(subsets, inst.n, active, forced, covered):
-            break
 
     element_map = [e for e in range(inst.n) if e not in covered]
     local_of = {e: i for i, e in enumerate(element_map)}

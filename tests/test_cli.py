@@ -23,6 +23,7 @@ from segcover.cli import (
     main,
 )
 from segcover.core import Instance
+from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable, parse_scp, write_scp
 from segcover.preprocess import reduce
 
@@ -85,6 +86,36 @@ class TestSolve:
         assert out == ""
         assert f"argument --bks: bks must be a positive integer, got '{bks}'" in err
 
+    @pytest.mark.parametrize(
+        "command, flags, env, message",
+        [
+            ("solve", ["--threads", "0"], None, "argument --threads: must be >= 1, got '0'"),
+            ("solve", ["--restarts", "0"], None, "argument --restarts: must be >= 1, got '0'"),
+            ("solve", ["--iterations", "-1"], None, "argument --iterations: must be >= 0, got '-1'"),
+            ("solve", ["--max-rm", "1.5"], None, "argument --max-rm: must lie in (0, 1), got '1.5'"),
+            ("solve", [], "-2", "argument --threads: must be >= 1, got '-2'"),
+            ("bench", ["--threads", "0,1"], None, "argument --threads: must be >= 1, got '0'"),
+            ("bench", ["--max-rm", "0"], None, "argument --max-rm: must lie in (0, 1), got '0'"),
+        ],
+    )
+    def test_bad_solver_flag_is_usage_error_before_any_file_is_read(
+        self, command, flags, env, message, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_algorithm", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "_parse_file", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli, "_read_manifest", lambda *a: calls.append(a))
+        if env is not None:
+            monkeypatch.setenv("SEGCOVER_THREADS", env)
+        source = ["--input", FIXTURE] if command == "solve" else ["--manifest", FIXTURE]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *source, *flags])
+        assert exit_info.value.code == EXIT_USAGE_ERROR
+        assert calls == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
+
     def test_zero_iterations_still_succeeds(self, capsys):
         code, out, _ = run(
             capsys, "solve", "--input", FIXTURE, "--format", "scp",
@@ -125,41 +156,13 @@ class TestSolve:
         assert rows[0][:3] + rows[0][4:8] == rows[1][:3] + rows[1][4:8]
 
     @pytest.mark.parametrize(
-        "flags", [("--algorithm", "par-grasp"), ("--one-pass-reduce",)]
+        "flags",
+        [("--algorithm", "par-grasp"), ("--one-pass-reduce",), ("--fixpoint-reduce",)],
     )
     def test_removed_alias_and_flag_are_usage_errors(self, flags):
         with pytest.raises(SystemExit) as exit_info:
             main(["solve", "--input", FIXTURE, "--format", "scp", *flags])
         assert exit_info.value.code == EXIT_USAGE_ERROR
-
-    def test_fixpoint_reduce_reaches_reduce(self, monkeypatch, capsys):
-        fixpoints = []
-
-        def recorded(inst, fixpoint=False):
-            fixpoints.append(fixpoint)
-            return reduce(inst, fixpoint=fixpoint)
-
-        monkeypatch.setattr(cli, "reduce", recorded)
-        for flags in ((), ("--fixpoint-reduce",)):
-            code, out, _ = run(
-                capsys, "solve", "--input", FIXTURE, "--format", "scp",
-                "--algorithm", "greedy", *flags,
-            )
-            assert code == EXIT_OK
-            assert out.strip().splitlines()[1].split(",")[4] == "3"
-        assert fixpoints == [False, True]
-
-    def test_fixpoint_reduce_without_preprocess_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["solve", "--input", FIXTURE, "--format", "scp",
-                  "--no-preprocess", "--fixpoint-reduce"])
-        assert exit_info.value.code == EXIT_USAGE_ERROR
-        assert "not allowed with argument --no-preprocess" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="^fixpoint_reduce needs preprocess$"):
-            cli.run_algorithm(
-                parse_scp(Path(FIXTURE).read_bytes()), "example12", "greedy",
-                preprocess=False, fixpoint_reduce=True,
-            )
 
     def test_restarts_report_best(self, capsys):
         code, out, _ = run(
@@ -185,13 +188,13 @@ class TestSolve:
         ]
 
     def test_greedy_with_negative_iterations_is_usage_error(self, capsys):
-        code, out, err = run(
-            capsys, "solve", "--input", FIXTURE, "--format", "scp",
-            "--algorithm", "greedy", "--iterations", "-1",
-        )
-        assert code == EXIT_USAGE_ERROR
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "--input", FIXTURE, "--format", "scp",
+                  "--algorithm", "greedy", "--iterations", "-1"])
+        assert exit_info.value.code == EXIT_USAGE_ERROR
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "num_iter must be >= 0, got -1" in err
+        assert "argument --iterations: must be >= 0, got '-1'" in err
 
     def test_grasp_mst_on_one_element_residual_is_usage_error(self, tmp_path, capsys):
         # connected and valid, but reduction leaves one element and one subset
@@ -347,6 +350,49 @@ class TestBench:
         assert solves == []
         assert f"manifest entry {FIXTURE}: bks must be a positive integer, got '{bks}'" in err
 
+    @pytest.mark.parametrize("token", ["bsk=5", "path=other.scp"])
+    def test_unknown_manifest_key_is_usage_error_before_any_solve(
+        self, token, monkeypatch, tmp_path, capsys
+    ):
+        solves = []
+        monkeypatch.setattr(cli, "run_algorithm", lambda *a, **k: solves.append(a))
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text(f"{FIXTURE} format=scp\n{FIXTURE} name=bad {token}\n")
+        code, out, err = run(capsys, "bench", "--manifest", str(manifest))
+        assert code == EXIT_USAGE_ERROR
+        assert out == ""
+        assert solves == []
+        key = token.split("=")[0]
+        assert err == (
+            f"segcover: error: manifest entry {FIXTURE}: unknown key '{key}'; "
+            "choose from name, bks, format\n"
+        )
+
+    def test_greedy_solves_once_per_manifest_entry(self, monkeypatch, tmp_path, capsys):
+        solved = []
+
+        def counted(inst):
+            solved.append(inst)
+            return greedy_solve(inst)
+
+        monkeypatch.setattr(cli, "greedy_solve", counted)
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text(f"{FIXTURE} format=scp bks=3\n{FIXTURE} format=scp name=b\n")
+        code, out, _ = run(
+            capsys, "bench", "--manifest", str(manifest), "--algorithms", "greedy,grasp",
+            "--threads", "1,2", "--iterations", "5", "--output", "json",
+        )
+        assert code == EXIT_OK
+        assert len(solved) == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        greedy = [r for r in records if r["algorithm"] == "greedy"]
+        assert [(r["instance"], r["threads"]) for r in greedy] == [
+            ("example12.scp", 1), ("example12.scp", 2), ("b", 1), ("b", 2)
+        ]
+        assert all(r["cardinality"] == 3 and r["rpd_star"] == 0.0 for r in greedy)
+        assert [r["rpd"] for r in greedy] == [0.0, 0.0, None, None]
+        assert all(r["rpd_star"] is not None for r in records)
+
     def test_manifest_from_a_pipe(self):
         proc = run_module(
             f"{FIXTURE} format=scp bks=3\n".encode(), "bench", "--manifest", "/dev/stdin",
@@ -429,9 +475,10 @@ def test_non_integer_threads_environment_is_usage_error(monkeypatch, capsys, tmp
 
     manifest = tmp_path / "bench.manifest"
     manifest.write_text(f"{FIXTURE}\n")
-    code, _, err = run(capsys, "bench", "--manifest", str(manifest), "--format", "scp")
-    assert code == EXIT_USAGE_ERROR
-    assert "'abc'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--manifest", str(manifest), "--format", "scp"])
+    assert exc.value.code == EXIT_USAGE_ERROR
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_explicit_threads_overrides_bad_environment(monkeypatch, capsys):

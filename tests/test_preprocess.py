@@ -87,10 +87,9 @@ def test_counting_identities(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 30)
     inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 15)))
-    for fixpoint in (False, True):
-        report = reduce(inst, fixpoint=fixpoint)
-        assert inst.n == report.covered.bit_count() + report.residual.n
-        assert inst.m == len(report.forced) + len(report.excluded) + report.residual.m
+    report = reduce(inst)
+    assert inst.n == report.covered.bit_count() + report.residual.n
+    assert inst.m == len(report.forced) + len(report.excluded) + report.residual.m
 
 
 @given(seeds, st.booleans())
@@ -103,22 +102,21 @@ def test_summary_obeys_counting_identities(seed, tie_rich):
         n = rng.randint(1, 30)
         subsets = random_covering_family(rng, n, rng.randint(1, 15))
     inst = to_instance(n, subsets)
-    for fixpoint in (False, True):
-        report = reduce(inst, fixpoint=fixpoint)
-        summary = report.summary()
-        assert summary == {
-            "elements": inst.n,
-            "covered": report.covered.bit_count(),
-            "uncovered": report.residual.n,
-            "subsets": inst.m,
-            "forced": len(report.forced),
-            "excluded": len(report.excluded),
-            "remaining": report.residual.m,
-        }
-        assert summary["elements"] == summary["covered"] + summary["uncovered"]
-        assert summary["subsets"] == (
-            summary["forced"] + summary["excluded"] + summary["remaining"]
-        )
+    report = reduce(inst)
+    summary = report.summary()
+    assert summary == {
+        "elements": inst.n,
+        "covered": report.covered.bit_count(),
+        "uncovered": report.residual.n,
+        "subsets": inst.m,
+        "forced": len(report.forced),
+        "excluded": len(report.excluded),
+        "remaining": report.residual.m,
+    }
+    assert summary["elements"] == summary["covered"] + summary["uncovered"]
+    assert summary["subsets"] == (
+        summary["forced"] + summary["excluded"] + summary["remaining"]
+    )
 
 
 @given(seeds)
@@ -143,18 +141,17 @@ def test_solution_lifting(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 25)
     inst = to_instance(n, random_covering_family(rng, n, rng.randint(1, 12)))
-    for fixpoint in (False, True):
-        report = reduce(inst, fixpoint=fixpoint)
-        residual_cover = Cover.empty()
-        # any feasible residual cover will do; greedily take everything useful
-        uncovered = set(range(report.residual.n))
-        for sid, b in enumerate(report.residual.masks):
-            members = set(iter_bits(b))
-            if members & uncovered:
-                residual_cover.add(sid, b)
-                uncovered -= members
-        assert cover_is_feasible(residual_cover, report.residual)
-        assert cover_is_feasible(report.lift_cover(residual_cover), inst)
+    report = reduce(inst)
+    residual_cover = Cover.empty()
+    # any feasible residual cover will do; greedily take everything useful
+    uncovered = set(range(report.residual.n))
+    for sid, b in enumerate(report.residual.masks):
+        members = set(iter_bits(b))
+        if members & uncovered:
+            residual_cover.add(sid, b)
+            uncovered -= members
+    assert cover_is_feasible(residual_cover, report.residual)
+    assert cover_is_feasible(report.lift_cover(residual_cover), inst)
 
 
 @given(seeds)
@@ -165,18 +162,10 @@ def test_optimum_preserved_on_small_instances(seed):
     subsets = random_covering_family(rng, n, rng.randint(1, 9))
     inst = to_instance(n, subsets)
     opt, _ = brute_force_min_cover(n, subsets)
-    for fixpoint in (False, True):
-        report = reduce(inst, fixpoint=fixpoint)
-        residual_sets = [set(iter_bits(b)) for b in report.residual.masks]
-        res_opt, _ = brute_force_min_cover(report.residual.n, residual_sets)
-        assert opt == len(report.forced) + res_opt
-
-
-def test_fixpoint_mode_reduces_at_least_as_much(twelve):
-    one_pass = reduce(twelve)
-    fixed = reduce(twelve, fixpoint=True)
-    assert fixed.residual.m <= one_pass.residual.m
-    assert fixed.residual.n <= one_pass.residual.n
+    report = reduce(inst)
+    residual_sets = [set(iter_bits(b)) for b in report.residual.masks]
+    res_opt, _ = brute_force_min_cover(report.residual.n, residual_sets)
+    assert opt == len(report.forced) + res_opt
 
 
 REPORT_FIELDS = (
@@ -185,15 +174,14 @@ REPORT_FIELDS = (
 
 
 def assert_same_reduction(inst):
-    """Both modes give the reference report, and the residual's member
+    """``reduce`` gives the reference report, and the residual's member
     arrays hold exactly its masks' bits, as the reference residual's do."""
-    for fixpoint in (False, True):
-        report = reduce(inst, fixpoint=fixpoint)
-        expected = reference_reduce(inst, fixpoint=fixpoint)
-        for field in REPORT_FIELDS:
-            assert getattr(report, field) == getattr(expected, field), (fixpoint, field)
-        assert_members_are_the_mask_bits(report.residual)
-        assert member_lists(report.residual) == member_lists(expected.residual)
+    report = reduce(inst)
+    expected = reference_reduce(inst)
+    for field in REPORT_FIELDS:
+        assert getattr(report, field) == getattr(expected, field), field
+    assert_members_are_the_mask_bits(report.residual)
+    assert member_lists(report.residual) == member_lists(expected.residual)
 
 
 @given(seeds)
@@ -259,9 +247,9 @@ def duplicate_rich_family(rng):
     return n, subsets
 
 
-@given(seeds, st.booleans(), st.booleans())
+@given(seeds, st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_member_lists_give_the_same_reduction(seed, fixpoint, duplicates):
+def test_member_lists_give_the_same_reduction(seed, duplicates):
     # Arrays passed with the masks, and arrays the constructor builds from
     # the masks alone, give the reference report.
     rng = random.Random(seed)
@@ -269,19 +257,19 @@ def test_member_lists_give_the_same_reduction(seed, fixpoint, duplicates):
     inst = with_members(n, subsets)
     built = Instance(n, inst.masks)
     assert member_lists(built) == member_lists(inst)
-    report = reduce(inst, fixpoint=fixpoint)
-    assert report == reduce(built, fixpoint=fixpoint)
-    assert report == reference_reduce(built, fixpoint=fixpoint)
+    report = reduce(inst)
+    assert report == reduce(built)
+    assert report == reference_reduce(built)
 
 
-@given(seeds, st.booleans(), st.sampled_from(["tie_rich", "duplicates", "rail"]))
+@given(seeds, st.sampled_from(["tie_rich", "duplicates", "rail"]))
 @settings(max_examples=300, deadline=None)
-def test_residual_carries_member_arrays(seed, fixpoint, kind):
+def test_residual_carries_member_arrays(seed, kind):
     rng = random.Random(seed)
     family = {"tie_rich": tie_rich_family, "duplicates": duplicate_rich_family, "rail": rail_family}
     n, subsets = family[kind](rng)
     for inst in (with_members(n, subsets), to_instance(n, subsets)):
-        residual = reduce(inst, fixpoint=fixpoint).residual
+        residual = reduce(inst).residual
         if residual is not inst:
             assert_members_are_the_mask_bits(residual)
 
@@ -308,8 +296,7 @@ def test_pickled_instance_drops_members_and_reduces_the_same():
     assert loaded.members is not inst.members
     assert member_lists(loaded) == member_lists(inst)
     assert loaded == inst
-    for fixpoint in (False, True):
-        assert reduce(loaded, fixpoint=fixpoint) == reduce(inst, fixpoint=fixpoint)
+    assert reduce(loaded) == reduce(inst)
 
 
 def _reduce_peak(inst):
