@@ -4,10 +4,11 @@
 Builds cost-first rail bytes of the rail4284 shape (4284 rows; each column
 holds 2 to 10 distinct random rows, and column ``j`` also holds every row
 ``r`` with ``r % m == j``, so the family covers every row), then parses them
-with ``parse_rail``, reduces the instance, segments the residual and builds
-GRASP's row map of the residual.  Prints one JSON line: the sizes, the
-seconds each layer took, and the process's peak RSS in MB once the bytes
-were built and at the end.
+with ``parse_rail``, reduces the instance, segments the residual, builds
+GRASP's row map of the residual and solves each residual piece with one
+GRASP iteration.  Prints one JSON line: the sizes, the seconds each layer
+took, and the process's peak RSS in MB once the bytes were built and at the
+end.
 
 Example (rail4284 itself has about 1.09M columns):
     python scripts/soak_rail.py --m 200000
@@ -23,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from segcover.grasp import create_row_map
+from segcover.grasp import GraspParams, create_row_map, grasp_solve
 from segcover.io import parse_rail
 from segcover.preprocess import reduce
 from segcover.segmentation import find_groups
@@ -69,6 +70,9 @@ def main() -> int:
     t3 = time.perf_counter()
     create_row_map(report.residual)
     t4 = time.perf_counter()
+    for component in seg.components:
+        grasp_solve(component.subinstance, GraspParams(num_iter=1, seed=args.seed))
+    t5 = time.perf_counter()
     print(json.dumps({
         "n": inst.n,
         "m": inst.m,
@@ -77,6 +81,7 @@ def main() -> int:
         "reduce_s": t2 - t1,
         "find_groups_s": t3 - t2,
         "row_map_s": t4 - t3,
+        "solve_s": t5 - t4,
         "excluded": len(report.excluded),
         "components": len(seg.components),
         "rss_after_build_mb": built_rss,
