@@ -20,10 +20,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
 from .grasp_su import SuParams, rpd, rpd_star, solve_restarts, split
-from .greedy import greedy_solve
+from .greedy import greedy_solve, interleave
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
 from .preprocess import reduce
+from .segmentation import find_groups
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -37,7 +38,15 @@ MANIFEST_KEYS = ("name", "bks", "format")
 
 @dataclass
 class RunRecord:
-    """One benchmark cell; ``rpd`` is present iff ``bks`` is."""
+    """One benchmark cell; ``rpd`` is present iff ``bks`` is.
+
+    The phases are ``run_algorithm``'s: ``preprocess_ms`` is ``reduce``,
+    union-find included; ``segment_ms`` the split into pieces (the
+    bipartition for ``grasp-mst``, near zero for ``grasp`` and ``grasp-uf``,
+    0 for ``greedy``); ``solve_ms`` the solves; ``merge_ms`` the merges of
+    piece covers (0 for ``greedy``).  ``wall_ms`` also counts lifting and
+    validation.
+    """
 
     instance: str
     algorithm: str
@@ -130,10 +139,17 @@ def run_algorithm(
 ) -> Tuple[RunRecord, Cover]:
     """Solve with independent restarts, validate, and build a run record.
 
-    The one clock of a run: ``preprocess_ms`` times ``reduce``,
-    ``segment_ms`` the ``split`` of the residual (once per run, every
-    restart reuses its pieces), ``solve_ms`` the restarts' GRASP runs or
-    ``greedy_solve`` (deterministic, so it runs once), and ``merge_ms`` the
+    A run segments once: ``reduce`` finds the residual's components and
+    ``greedy`` and ``grasp-uf`` take them from its report (without
+    preprocessing, ``find_groups`` runs on the input instead).  ``greedy``
+    runs ``greedy_solve`` once per component (it is deterministic) and
+    ``greedy.interleave`` merges the picks into whole-instance greedy order.
+
+    The one clock of a run: ``preprocess_ms`` times ``reduce`` with its
+    union-find, ``segment_ms`` the ``split`` of the residual into pieces
+    (once per run, every restart reuses them; the bipartition for
+    ``grasp-mst``, near zero otherwise), ``solve_ms`` the restarts' GRASP
+    runs or the greedy solves and their interleave, and ``merge_ms`` the
     merges of each restart's piece covers.  Lifting and validating each
     restart's cover count only in ``wall_ms``.  Restart ``k`` runs with seed
     ``seed + k``; the first strictly smallest cover is kept.
@@ -149,16 +165,17 @@ def run_algorithm(
 
     wall_start = time.perf_counter()
     report = reduce(inst) if preprocess else None
-    work = report.residual if report is not None else inst
+    work, seg = (report.residual, report.segmentation) if report is not None else (inst, None)
     t0 = time.perf_counter()
     record.preprocess_ms = (t0 - wall_start) * 1e3
     if work.n == 0:
         covers = [Cover.empty()]
     elif algorithm == "greedy":
-        covers = [greedy_solve(work)]
+        seg = seg if seg is not None else find_groups(work)
+        covers = [interleave(seg, [greedy_solve(c.subinstance) for c in seg.components])]
         record.solve_ms = (time.perf_counter() - t0) * 1e3
     else:
-        pieces, merge = split(work, algorithm)
+        pieces, merge = split(work, algorithm, seg)
         t1 = time.perf_counter()
         partials = list(solve_restarts(pieces, SuParams(params, threads), restarts))
         t2 = time.perf_counter()

@@ -1,9 +1,20 @@
-"""Deterministic greedy baseline: always take the largest marginal gain."""
+"""Deterministic greedy baseline: always take the largest marginal gain.
+
+``cli`` runs ``greedy_solve`` on each co-occurrence component of the
+residual and ``interleave`` merges the piece covers into the cover that
+``greedy_solve`` gives on the whole instance.  Pieces share no elements, so
+a pick's gain depends only on earlier picks in its own piece, and whole
+greedy restricted to one piece is that piece's greedy.  Gains only shrink,
+so every greedy run picks in ascending ``(-gain at pick time, id)`` order:
+whole greedy is the per-piece picks sorted by that key.
+"""
 from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
+from typing import Sequence
 
 from .core import Cover, Instance
+from .segmentation import Segmentation
 
 
 def greedy_solve(inst: Instance) -> Cover:
@@ -41,4 +52,23 @@ def greedy_solve(inst: Instance) -> Cover:
             heapreplace(heap, ((n - gain) << id_bits) | sid)
         else:
             heappop(heap)
+    return cover
+
+
+def interleave(seg: Segmentation, partials: Sequence[Cover]) -> Cover:
+    """The greedy cover of ``seg.instance`` from each component's greedy
+    cover, picks ordered by gain at pick time descending, then by id."""
+    picks = []
+    for comp, partial in zip(seg.components, partials, strict=True):
+        masks = comp.subinstance.masks
+        covered = 0
+        for sid in partial.chosen:
+            bits = masks[sid]
+            picks.append((-(bits & ~covered).bit_count(), comp.subfamily[sid]))
+            covered |= bits
+    picks.sort()
+    cover = Cover.empty()
+    masks = seg.instance.masks
+    for _, sid in picks:
+        cover.add(sid, masks[sid])
     return cover

@@ -8,14 +8,18 @@ tests its own mask against that root's in one shift and one AND-NOT.  Only
 the members the test leaves are walked, and then at least two sets link;
 there are at most n - 1 links, so at most n - 1 subsets are walked member by
 member and every other one costs a find and a few word-parallel operations
-on its mask.  Every subset lies entirely inside one component, so the
-instance splits into independent subinstances whose covers merge back
-without repair.
+on its mask.  A connected instance ends with one set, rooted at element 0,
+and the scan stops as soon as that set holds all n elements: it pays only
+for the subsets read up to the link that connects it.  Every subset lies
+entirely inside one component, so the instance splits into independent
+subinstances whose covers merge back without repair.
+``preprocess.reduce`` finds the components once per run and its report
+carries them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, tee
 from typing import Dict, List, Sequence, Tuple
 
 from .core import Cover, Instance, cover_is_feasible, iter_bits, lift, restrict
@@ -38,19 +42,28 @@ class Segmentation:
     components: Tuple[Component, ...]
 
 
+def connected(inst: Instance) -> Segmentation:
+    """The segmentation of a connected instance: one component, ``inst`` itself."""
+    whole = Component(tuple(range(inst.m)), inst, tuple(range(inst.n)))
+    return Segmentation(instance=inst, components=(whole,))
+
+
 def find_groups(inst: Instance) -> Segmentation:
     """Split an instance along the connected components of co-occurrence.
 
     Links put the larger root under the smaller, so every parent is at most
     its child; a link ORs the other set's mask into the root's at its
     offset.  A subset's lowest element is the first of its member ids.  A
-    connected instance is its own subinstance; otherwise each component's is
+    connected instance, found as soon as element 0's set holds every
+    element, is its own subinstance; otherwise each component's is
     ``core.restrict`` of its subsets to its elements.
     """
     n = inst.n
     bits = inst.masks
     starts, ids = inst.members
-    lows = list(map(ids.__getitem__, islice(starts, inst.m)))
+    # Each subset's lowest element, read only as far as the scan goes; the
+    # second copy replays them to assign the families.
+    lows, replay = tee(map(ids.__getitem__, islice(starts, inst.m)))
     parent = list(range(n))
     held = [1] * n
     for b, root in zip(bits, lows):
@@ -75,9 +88,10 @@ def find_groups(inst: Instance) -> Segmentation:
                 parent[e] = root
                 held[root] |= held[e] << (e - root)
                 held[e] = 0
+        if not root and held[0].bit_count() == n:
+            break
     if n and held[0].bit_count() == n:
-        whole = Component(tuple(range(inst.m)), inst, tuple(range(n)))
-        return Segmentation(instance=inst, components=(whole,))
+        return connected(inst)
     for e in range(n):  # ascending, so parent[e]'s own parent is already a root
         parent[e] = parent[parent[e]]
 
@@ -85,7 +99,7 @@ def find_groups(inst: Instance) -> Segmentation:
     for e, root in enumerate(parent):
         element_lists[root].append(e)
     families: Dict[int, List[int]] = {root: [] for root in element_lists}
-    for sid, low in enumerate(lows):
+    for sid, low in enumerate(replay):
         families[parent[low]].append(sid)
 
     components = tuple(

@@ -152,6 +152,30 @@ def tie_rich_family(rng: random.Random, n_max: int = 24, m_max: int = 14) -> Tup
     return n, subsets
 
 
+def multi_component_family(rng: random.Random, parts_max: int = 4) -> Tuple[int, List[Set[int]]]:
+    """Up to ``parts_max`` tie-rich families on disjoint element ranges,
+    their subsets shuffled together and their labels permuted: a family of
+    several co-occurrence components whose elements are not runs."""
+    n, subsets = 0, []
+    for _ in range(rng.randint(1, parts_max)):
+        size, part = tie_rich_family(rng, n_max=12, m_max=8)
+        subsets += [{e + n for e in s} for s in part]
+        n += size
+    rng.shuffle(subsets)
+    labels = rng.sample(range(n), n)
+    return n, [{labels[e] for e in s} for s in subsets]
+
+
+def without_unique_coverers(n: int, subsets: Sequence[Set[int]]) -> List[Set[int]]:
+    """``subsets`` plus ``{e}`` for each element ``e`` with one coverer, so
+    that reduction forces nothing; the added singletons are dominated."""
+    holders = [0] * n
+    for s in subsets:
+        for e in s:
+            holders[e] += 1
+    return list(subsets) + [{e} for e in range(n) if holders[e] == 1]
+
+
 def mask_of(members: Iterable[int]) -> int:
     """The int mask with bit ``e`` set for each member ``e``."""
     bits = 0
@@ -285,7 +309,7 @@ def reference_reduce(inst: Instance) -> ReductionReport:
 
     Forcing counts coverers element by element; dominance tests each subset
     against every coverer of its rarest element; the residual is rebuilt
-    member by member.
+    member by member, and its segmentation is ``reference_find_groups``'s.
     """
     subsets = members_of(inst)
     active = [True] * inst.m
@@ -310,14 +334,16 @@ def reference_reduce(inst: Instance) -> ReductionReport:
         mask_of(local_of[e] for e in subsets[sid] - covered) for sid in subset_map
     ]
     excluded.sort()
+    residual = Instance(len(element_map), residual_masks)
     return ReductionReport(
         original=inst,
         forced=tuple(forced),
         excluded=tuple(excluded),
         covered=mask_of(covered),
-        residual=Instance(len(element_map), residual_masks),
+        residual=residual,
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),
+        segmentation=reference_find_groups(residual),
     )
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import cli, grasp_su, segmentation
+from segcover import preprocess as preprocess_module
 from segcover.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -428,18 +429,40 @@ class TestBench:
         assert strip_wall(out1) == strip_wall(out2)
 
 
-def test_grasp_uf_segments_once_per_run(monkeypatch):
+def _segmentations_per_run(monkeypatch, algorithm):
+    """``find_groups`` calls in each of three ``run_algorithm`` calls with
+    three restarts: forcing covers elements; nothing is forced and four
+    components lose dominated subsets; no reduction at all.  Every
+    module-level ``find_groups`` binding is counted."""
     calls = []
 
     def counted(inst):
         calls.append(inst)
         return segmentation.find_groups(inst)
 
-    monkeypatch.setattr(grasp_su, "find_groups", counted)
-    inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
-    record, _ = cli.run_algorithm(inst, "gen", "grasp-uf", iterations=5, restarts=3)
-    assert len(calls) == 1
-    assert record.segment_ms > 0.0
+    for module in (cli, grasp_su, preprocess_module):
+        monkeypatch.setattr(module, "find_groups", counted)
+    counts = []
+    for m, density, preprocess in [(100, 0.05, True), (400, 0.2, True), (100, 0.05, False)]:
+        inst = generate_segmentable(
+            GeneratorConfig(n=200, m=m, groups=4, density=density, seed=2)
+        )
+        assert bool(reduce(inst).forced) == (m == 100)
+        calls.clear()
+        record, _ = cli.run_algorithm(
+            inst, "gen", algorithm, iterations=5, restarts=3, preprocess=preprocess
+        )
+        counts.append(len(calls))
+        assert (record.segment_ms > 0.0) == (algorithm == "grasp-uf")
+    return counts
+
+
+def test_grasp_uf_segments_once_per_run(monkeypatch):
+    assert _segmentations_per_run(monkeypatch, "grasp-uf") == [1, 1, 1]
+
+
+def test_greedy_segments_once_per_run(monkeypatch):
+    assert _segmentations_per_run(monkeypatch, "greedy") == [1, 1, 1]
 
 
 def test_each_phase_times_its_own_step():

@@ -3,18 +3,23 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segcover import cli
 from segcover.core import cover_is_feasible, iter_bits
-from segcover.greedy import greedy_solve
+from segcover.greedy import greedy_solve, interleave
 from segcover.io import GeneratorConfig, generate_segmentable
+from segcover.preprocess import reduce
+from segcover.segmentation import find_groups
 
 from conftest import make_instance
 from oracles import (
     brute_force_min_cover,
     harmonic,
+    multi_component_family,
     random_covering_family,
     reference_greedy,
     tie_rich_family,
     to_instance,
+    without_unique_coverers,
 )
 
 
@@ -88,3 +93,26 @@ def test_matches_full_rescan_greedy(seed):
 def test_matches_full_rescan_greedy_on_segmentable():
     inst = generate_segmentable(GeneratorConfig(n=120, m=200, groups=4, density=0.1, seed=7))
     assert greedy_solve(inst).chosen == reference_greedy(inst).chosen
+
+
+@given(st.integers(0, 100_000), st.sampled_from(["multi", "tie_rich"]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_interleaved_piece_greedy_is_whole_greedy(seed, kind, unforced):
+    """Greedy on each component, picks ordered by (gain at pick time
+    descending, id), is whole-instance greedy: on the raw instance, on the
+    residual with the report's segmentation, and through ``run_algorithm``."""
+    rng = random.Random(seed)
+    n, subsets = multi_component_family(rng) if kind == "multi" else tie_rich_family(rng)
+    if unforced:
+        subsets = without_unique_coverers(n, subsets)
+    inst = to_instance(n, subsets)
+    report = reduce(inst)
+    assert not (unforced and report.forced)
+    for work, seg in ((inst, find_groups(inst)), (report.residual, report.segmentation)):
+        pieces = [greedy_solve(c.subinstance) for c in seg.components]
+        expected = reference_greedy(work).chosen
+        assert interleave(seg, pieces).chosen == greedy_solve(work).chosen == expected
+    _, cover = cli.run_algorithm(inst, "g", "greedy")
+    assert cover.chosen == report.lift_cover(reference_greedy(report.residual)).chosen
+    _, cover = cli.run_algorithm(inst, "g", "greedy", preprocess=False)
+    assert cover.chosen == reference_greedy(inst).chosen

@@ -115,6 +115,38 @@ def test_matches_reference_find_groups_on_many_small_subsets(seed):
     assert_matches_reference(to_instance(n, subsets))
 
 
+def _chain(rng, g):
+    """Shuffled pairs of consecutive ``g`` entries, plus ``{g[0]}``: a
+    family that connects ``g`` and covers it."""
+    pairs = [{a, b} for a, b in zip(g, g[1:])] + [{g[0]}]
+    rng.shuffle(pairs)
+    return pairs
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=200, deadline=None)
+def test_early_exit_matches_reference_find_groups(seed):
+    """The scan stops once element 0's set holds every element.  A family
+    that connects within its first subsets, one that only its last subset
+    connects and the same family without that subset all give the
+    reference split."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    labels = rng.sample(range(n), n)
+    cut = rng.randint(1, n - 1)
+    sides = (labels[:cut], labels[cut:])
+    apart = []
+    for g in sides:
+        apart += _chain(rng, g)
+        apart += [set(rng.sample(g, rng.randint(1, len(g)))) for _ in range(rng.randint(0, 8))]
+    rng.shuffle(apart)
+    bridge = {rng.choice(sides[0]), rng.choice(sides[1])}
+    cases = {"early": _chain(rng, labels) + apart, "late": apart + [bridge], "apart": apart}
+    for name, family in cases.items():
+        seg = assert_matches_reference(to_instance(n, family))
+        assert len(seg.components) == (2 if name == "apart" else 1), name
+
+
 def test_connected_instance_is_its_own_subinstance(twelve):
     (comp,) = find_groups(twelve).components
     assert comp.subinstance is twelve
