@@ -4,12 +4,11 @@
 Builds cost-first rail bytes of the rail4284 shape (4284 rows; each column
 holds 2 to 10 distinct random rows, and column ``j`` also holds every row
 ``r`` with ``r % m == j``, so the family covers every row), then parses them
-with ``parse_rail``, reduces the instance (``reduce_s`` includes the
-union-find that segments the residual), times ``find_groups`` on the
-residual once more on its own (``find_groups_s``), builds GRASP's row map
-of the residual and solves each residual piece with one GRASP iteration.
-Prints one JSON line: the sizes, the seconds each layer took, and the
-process's peak RSS in MB once the bytes were built and at the end.
+with ``parse_rail``, reduces the instance, segments the residual, builds
+GRASP's row map of the residual and solves each residual piece with one
+GRASP iteration.  Prints one JSON line: the sizes, the seconds each layer
+took, and the process's peak RSS in MB once the bytes were built and at the
+end.
 
 Example (rail4284 itself has about 1.09M columns):
     python scripts/soak_rail.py --m 200000

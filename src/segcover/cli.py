@@ -40,12 +40,12 @@ MANIFEST_KEYS = ("name", "bks", "format")
 class RunRecord:
     """One benchmark cell; ``rpd`` is present iff ``bks`` is.
 
-    The phases are ``run_algorithm``'s: ``preprocess_ms`` is ``reduce``,
-    union-find included; ``segment_ms`` the split into pieces (the
-    bipartition for ``grasp-mst``, near zero for ``grasp`` and ``grasp-uf``,
-    0 for ``greedy``); ``solve_ms`` the solves; ``merge_ms`` the merges of
-    piece covers (0 for ``greedy``).  ``wall_ms`` also counts lifting and
-    validation.
+    The phases are ``run_algorithm``'s: ``preprocess_ms`` is ``reduce``;
+    ``segment_ms`` the split into pieces (the union-find for ``grasp-uf``,
+    the bipartition for ``grasp-mst``, 0 for ``greedy``); ``solve_ms`` the
+    solves, for ``greedy`` its union-find and interleave too; ``merge_ms``
+    the merges of piece covers (0 for ``greedy``).  ``wall_ms`` also counts
+    lifting and validation.
     """
 
     instance: str
@@ -139,17 +139,14 @@ def run_algorithm(
 ) -> Tuple[RunRecord, Cover]:
     """Solve with independent restarts, validate, and build a run record.
 
-    A run segments once: ``reduce`` finds the residual's components and
-    ``greedy`` and ``grasp-uf`` take them from its report (without
-    preprocessing, ``find_groups`` runs on the input instead).  ``greedy``
-    runs ``greedy_solve`` once per component (it is deterministic) and
+    ``greedy`` is deterministic, so it runs once: ``find_groups`` splits the
+    residual, ``greedy_solve`` runs on each component and
     ``greedy.interleave`` merges the picks into whole-instance greedy order.
 
-    The one clock of a run: ``preprocess_ms`` times ``reduce`` with its
-    union-find, ``segment_ms`` the ``split`` of the residual into pieces
-    (once per run, every restart reuses them; the bipartition for
-    ``grasp-mst``, near zero otherwise), ``solve_ms`` the restarts' GRASP
-    runs or the greedy solves and their interleave, and ``merge_ms`` the
+    The one clock of a run: ``preprocess_ms`` times ``reduce``,
+    ``segment_ms`` the ``split`` of the residual (once per run, every
+    restart reuses its pieces), ``solve_ms`` the restarts' GRASP runs or
+    greedy's union-find, solves and interleave, and ``merge_ms`` the
     merges of each restart's piece covers.  Lifting and validating each
     restart's cover count only in ``wall_ms``.  Restart ``k`` runs with seed
     ``seed + k``; the first strictly smallest cover is kept.
@@ -165,17 +162,17 @@ def run_algorithm(
 
     wall_start = time.perf_counter()
     report = reduce(inst) if preprocess else None
-    work, seg = (report.residual, report.segmentation) if report is not None else (inst, None)
+    work = report.residual if report is not None else inst
     t0 = time.perf_counter()
     record.preprocess_ms = (t0 - wall_start) * 1e3
     if work.n == 0:
         covers = [Cover.empty()]
     elif algorithm == "greedy":
-        seg = seg if seg is not None else find_groups(work)
+        seg = find_groups(work)
         covers = [interleave(seg, [greedy_solve(c.subinstance) for c in seg.components])]
         record.solve_ms = (time.perf_counter() - t0) * 1e3
     else:
-        pieces, merge = split(work, algorithm, seg)
+        pieces, merge = split(work, algorithm)
         t1 = time.perf_counter()
         partials = list(solve_restarts(pieces, SuParams(params, threads), restarts))
         t2 = time.perf_counter()

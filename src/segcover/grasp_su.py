@@ -25,7 +25,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from .core import Cover, Instance
 from .grasp import GraspParams, _grasp_run
 from .mst import build_cograph, merge_sides, mst_bipartition
-from .segmentation import Segmentation, find_groups, merge_partial_covers
+from .segmentation import find_groups, merge_partial_covers
 
 Merge = Callable[[Sequence[Cover]], Cover]
 
@@ -101,22 +101,18 @@ def run_components(
     return [results[index] for index in range(len(tasks))]
 
 
-def split(
-    work: Instance, algorithm: str, seg: Optional[Segmentation] = None
-) -> Tuple[List[Instance], Merge]:
+def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
     """The pieces ``algorithm`` solves ``work`` as, and how their covers merge.
 
     ``grasp``: ``[work]`` itself, merged by taking its cover.  ``grasp-uf``:
-    the components of ``seg``, ``work``'s segmentation (``find_groups`` runs
-    here when the caller has none, as after ``--no-preprocess``), merged by
-    ``merge_partial_covers``.  ``grasp-mst``: the two sides of
-    ``mst_bipartition``, merged by ``merge_sides``; a disconnected ``work``
-    raises its ValueError.
+    the ``find_groups`` components, merged by ``merge_partial_covers``.
+    ``grasp-mst``: the two sides of ``mst_bipartition``, merged by
+    ``merge_sides``; a disconnected ``work`` raises its ValueError.
     """
     if algorithm == "grasp":
         return [work], itemgetter(0)
     if algorithm == "grasp-uf":
-        seg = seg if seg is not None else find_groups(work)
+        seg = find_groups(work)
         return [c.subinstance for c in seg.components], partial(merge_partial_covers, seg)
     if algorithm == "grasp-mst":
         bip = mst_bipartition(build_cograph(work))

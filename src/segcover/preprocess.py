@@ -13,18 +13,14 @@ columns in stored order, and each column lives only from the first
 candidate that needs it to its element's last holder.  The residual is the
 instance itself when nothing is forced or excluded, and otherwise
 ``core.restrict`` of the kept subsets to the uncovered elements.
-
-The report also carries the residual's co-occurrence components, so a run
-segments once; ``reduce`` says when dominance runs per component.
 """
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, iter_bits, lift, restrict
-from .segmentation import Component, Segmentation, connected, find_groups
 
 # Bits spanned per member above which a dominance column is built bit by
 # bit, not from a '0'/'1' buffer.  ``_dominated`` (CPython 3.11, x86-64) at
@@ -41,7 +37,6 @@ class ReductionReport:
     cover.  The counting identities hold exactly:
     ``original.n == covered.bit_count() + residual.n`` and
     ``original.m == len(forced) + len(excluded) + residual.m``.
-    ``segmentation`` is ``find_groups(residual)``, found once per reduction.
     """
 
     original: Instance
@@ -51,7 +46,6 @@ class ReductionReport:
     residual: Instance
     element_to_original: Tuple[int, ...]
     subset_to_original: Tuple[int, ...]
-    segmentation: Segmentation = field(compare=False)
 
     def lift_cover(self, residual_cover: Cover) -> Cover:
         """Translate a residual cover back to original ids, forced ids first."""
@@ -190,38 +184,25 @@ def _dominated(inst: Instance, candidates: Sequence[int]) -> List[int]:
 
 
 def reduce(inst: Instance) -> ReductionReport:
-    """Reduce an instance, reporting forced/excluded subsets, the residual
-    and the residual's segmentation.
+    """Reduce an instance, reporting forced/excluded subsets and the residual.
 
     Always succeeds; a fully reducible instance yields an empty residual.
     Element lists are read from ``inst.members``; the residual carries them,
-    kept subsets only and renumbered past the covered elements.  When
-    something is forced, dominance runs on the whole instance and
-    ``find_groups`` on the residual.  Otherwise ``find_groups`` runs on the
-    input and dominance on each component's own subinstance: a dominator
-    holds every element of what it dominates, so it lies in the same
-    component, and the kept subsets keep every component whole.
+    kept subsets only and renumbered past the covered elements.
     """
     bits = inst.masks
     forced, covered = _force_unique_coverers(bits)
+    dropped = set(forced)
+    remaining = [sid for sid in range(inst.m) if sid not in dropped]
+    excluded = set(_dominated(inst, remaining))
     if covered:
-        dropped = set(forced)
-        remaining = [sid for sid in range(inst.m) if sid not in dropped]
-        excluded = set(_dominated(inst, remaining))
         excluded.update(sid for sid in remaining if bits[sid] & ~covered == 0)
-        subset_map = [sid for sid in remaining if sid not in excluded]
-        element_map = list(iter_bits(((1 << inst.n) - 1) & ~covered))
-        residual = restrict(inst, subset_map, element_map)
-        segmentation = find_groups(residual)
-    else:
-        whole = find_groups(inst)
-        local = [_dominated(c.subinstance, range(c.subinstance.m)) for c in whole.components]
-        excluded = {c.subfamily[i] for c, ids in zip(whole.components, local) for i in ids}
-        subset_map = [sid for sid in range(inst.m) if sid not in excluded]
-        element_map = range(inst.n)
-        # Nothing excluded leaves the instance itself.
-        residual = restrict(inst, subset_map, element_map) if excluded else inst
-        segmentation = _kept(whole, local, residual, subset_map)
+
+    subset_map = [sid for sid in remaining if sid not in excluded]
+    universe = (1 << inst.n) - 1
+    element_map = list(iter_bits(universe & ~covered)) if covered else range(inst.n)
+    # Nothing forced or excluded leaves the instance itself.
+    residual = inst if len(subset_map) == inst.m else restrict(inst, subset_map, element_map)
 
     return ReductionReport(
         original=inst,
@@ -231,33 +212,4 @@ def reduce(inst: Instance) -> ReductionReport:
         residual=residual,
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),
-        segmentation=segmentation,
     )
-
-
-def _kept(
-    whole: Segmentation,
-    dropped: Sequence[Sequence[int]],
-    residual: Instance,
-    subset_map: Sequence[int],
-) -> Segmentation:
-    """``whole``'s components less their ``dropped`` local ids, as the
-    segmentation of ``residual``, whose subset ``r`` is ``subset_map[r]``.
-
-    Components keep their elements and their order, so this equals
-    ``find_groups(residual)``.
-    """
-    if residual is whole.instance:
-        return whole
-    if len(whole.components) == 1:
-        return connected(residual)
-    renumber = dict(zip(subset_map, range(len(subset_map)))).__getitem__
-    components = []
-    for c, ids in zip(whole.components, dropped):
-        sub, family = c.subinstance, c.subfamily
-        if ids:
-            gone = set(ids)
-            kept = [i for i in range(sub.m) if i not in gone]
-            sub, family = restrict(sub, kept, range(sub.n)), [family[i] for i in kept]
-        components.append(Component(tuple(map(renumber, family)), sub, c.element_ids))
-    return Segmentation(instance=residual, components=tuple(components))

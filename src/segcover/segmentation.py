@@ -13,8 +13,6 @@ and the scan stops as soon as that set holds all n elements: it pays only
 for the subsets read up to the link that connects it.  Every subset lies
 entirely inside one component, so the instance splits into independent
 subinstances whose covers merge back without repair.
-``preprocess.reduce`` finds the components once per run and its report
-carries them.
 """
 from __future__ import annotations
 
@@ -40,12 +38,6 @@ class Segmentation:
 
     instance: Instance
     components: Tuple[Component, ...]
-
-
-def connected(inst: Instance) -> Segmentation:
-    """The segmentation of a connected instance: one component, ``inst`` itself."""
-    whole = Component(tuple(range(inst.m)), inst, tuple(range(inst.n)))
-    return Segmentation(instance=inst, components=(whole,))
 
 
 def find_groups(inst: Instance) -> Segmentation:
@@ -91,7 +83,8 @@ def find_groups(inst: Instance) -> Segmentation:
         if not root and held[0].bit_count() == n:
             break
     if n and held[0].bit_count() == n:
-        return connected(inst)
+        whole = Component(tuple(range(inst.m)), inst, tuple(range(n)))
+        return Segmentation(instance=inst, components=(whole,))
     for e in range(n):  # ascending, so parent[e]'s own parent is already a root
         parent[e] = parent[parent[e]]
 

@@ -166,16 +166,6 @@ def multi_component_family(rng: random.Random, parts_max: int = 4) -> Tuple[int,
     return n, [{labels[e] for e in s} for s in subsets]
 
 
-def without_unique_coverers(n: int, subsets: Sequence[Set[int]]) -> List[Set[int]]:
-    """``subsets`` plus ``{e}`` for each element ``e`` with one coverer, so
-    that reduction forces nothing; the added singletons are dominated."""
-    holders = [0] * n
-    for s in subsets:
-        for e in s:
-            holders[e] += 1
-    return list(subsets) + [{e} for e in range(n) if holders[e] == 1]
-
-
 def mask_of(members: Iterable[int]) -> int:
     """The int mask with bit ``e`` set for each member ``e``."""
     bits = 0
@@ -309,7 +299,7 @@ def reference_reduce(inst: Instance) -> ReductionReport:
 
     Forcing counts coverers element by element; dominance tests each subset
     against every coverer of its rarest element; the residual is rebuilt
-    member by member, and its segmentation is ``reference_find_groups``'s.
+    member by member.
     """
     subsets = members_of(inst)
     active = [True] * inst.m
@@ -334,16 +324,14 @@ def reference_reduce(inst: Instance) -> ReductionReport:
         mask_of(local_of[e] for e in subsets[sid] - covered) for sid in subset_map
     ]
     excluded.sort()
-    residual = Instance(len(element_map), residual_masks)
     return ReductionReport(
         original=inst,
         forced=tuple(forced),
         excluded=tuple(excluded),
         covered=mask_of(covered),
-        residual=residual,
+        residual=Instance(len(element_map), residual_masks),
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),
-        segmentation=reference_find_groups(residual),
     )
 
 

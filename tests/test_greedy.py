@@ -19,7 +19,6 @@ from oracles import (
     reference_greedy,
     tie_rich_family,
     to_instance,
-    without_unique_coverers,
 )
 
 
@@ -95,20 +94,18 @@ def test_matches_full_rescan_greedy_on_segmentable():
     assert greedy_solve(inst).chosen == reference_greedy(inst).chosen
 
 
-@given(st.integers(0, 100_000), st.sampled_from(["multi", "tie_rich"]), st.booleans())
+@given(st.integers(0, 100_000), st.sampled_from(["multi", "tie_rich"]))
 @settings(max_examples=300, deadline=None)
-def test_interleaved_piece_greedy_is_whole_greedy(seed, kind, unforced):
+def test_interleaved_piece_greedy_is_whole_greedy(seed, kind):
     """Greedy on each component, picks ordered by (gain at pick time
     descending, id), is whole-instance greedy: on the raw instance, on the
-    residual with the report's segmentation, and through ``run_algorithm``."""
+    reduced residual, and through ``run_algorithm``."""
     rng = random.Random(seed)
     n, subsets = multi_component_family(rng) if kind == "multi" else tie_rich_family(rng)
-    if unforced:
-        subsets = without_unique_coverers(n, subsets)
     inst = to_instance(n, subsets)
     report = reduce(inst)
-    assert not (unforced and report.forced)
-    for work, seg in ((inst, find_groups(inst)), (report.residual, report.segmentation)):
+    for work in (inst, report.residual):
+        seg = find_groups(work)
         pieces = [greedy_solve(c.subinstance) for c in seg.components]
         expected = reference_greedy(work).chosen
         assert interleave(seg, pieces).chosen == greedy_solve(work).chosen == expected

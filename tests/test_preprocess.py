@@ -11,20 +11,17 @@ from segcover import preprocess
 from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, member_arrays
 from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.preprocess import reduce
-from segcover.segmentation import find_groups
 
 from conftest import make_instance
 from oracles import (
     assert_members_are_the_mask_bits,
     brute_force_min_cover,
     member_lists,
-    multi_component_family,
     rail_family,
     random_covering_family,
     reference_reduce,
     tie_rich_family,
     to_instance,
-    without_unique_coverers,
 )
 
 
@@ -178,23 +175,13 @@ REPORT_FIELDS = (
 
 def assert_same_reduction(inst):
     """``reduce`` gives the reference report, and the residual's member
-    arrays hold exactly its masks' bits, as the reference residual's do.
-    The report's segmentation is ``find_groups`` of its residual (and the
-    reference's): components in the same order with the same
-    ``subfamily``, ``element_ids`` and subinstances, member arrays too."""
+    arrays hold exactly its masks' bits, as the reference residual's do."""
     report = reduce(inst)
     expected = reference_reduce(inst)
     for field in REPORT_FIELDS:
         assert getattr(report, field) == getattr(expected, field), field
     assert_members_are_the_mask_bits(report.residual)
     assert member_lists(report.residual) == member_lists(expected.residual)
-    seg, found = report.segmentation, find_groups(report.residual)
-    assert seg.instance is report.residual
-    assert seg == found == expected.segmentation
-    for comp, ref in zip(seg.components, found.components, strict=True):
-        assert_members_are_the_mask_bits(comp.subinstance)
-        assert member_lists(comp.subinstance) == member_lists(ref.subinstance)
-    return report
 
 
 @given(seeds)
@@ -231,30 +218,6 @@ def test_matches_reference_reduce_on_segmentable(seed, density):
     assert_same_reduction(
         generate_segmentable(GeneratorConfig(n=120, m=200, groups=4, density=density, seed=seed))
     )
-
-
-@given(seeds, st.integers(2, 6), st.floats(0.2, 0.5))
-@settings(max_examples=40, deadline=None)
-def test_matches_reference_reduce_on_unforced_components(seed, groups, density):
-    # Ninety subsets per 30-element block at density 0.2 or more leave every
-    # element with many coverers: nothing is forced, so dominance runs on
-    # each component's own subinstance.
-    inst = generate_segmentable(
-        GeneratorConfig(n=30 * groups, m=90 * groups, groups=groups, density=density, seed=seed)
-    )
-    report = assert_same_reduction(inst)
-    assert report.forced == ()
-    assert len(report.segmentation.components) == groups
-
-
-@given(seeds, st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_report_segments_the_residual(seed, unforced):
-    n, subsets = multi_component_family(random.Random(seed))
-    if unforced:
-        subsets = without_unique_coverers(n, subsets)
-    report = assert_same_reduction(to_instance(n, subsets))
-    assert not (unforced and report.forced)
 
 
 def test_residual_renumbers_across_scattered_covered_elements():
