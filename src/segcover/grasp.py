@@ -3,8 +3,9 @@
 Construction is element-first: the uncovered element with the smallest
 degree (fewest covering subsets) defines the candidate list, and the
 candidate covering the most uncovered elements wins, ties to the lowest id.
-A pick costs one AND-and-popcount per candidate on the instance's int masks
-and draws nothing from the RNG.
+The row map finds that element in one mask per degree and caches each
+pivot's coverer masks, so a pick costs one AND-and-popcount per candidate
+on the instance's int masks and draws nothing from the RNG.
 
 The improvement loop repeatedly deletes a random fraction of the incumbent,
 rebuilds with the construction, prunes redundant picks, and keeps the result
@@ -24,10 +25,10 @@ here intensifies.  The paper's construction and loop are kept in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import Cover, Instance, cover_is_feasible
+from .core import Cover, Instance, cover_is_feasible, index_mask
 
 
 @dataclass(frozen=True)
@@ -45,25 +46,39 @@ class GraspParams:
 
 @dataclass(frozen=True)
 class RowMap:
-    """Per-element coverage index, sorted ascending by degree then element id.
+    """Per-element coverage index of an instance.
 
-    Each entry is ``(element, degree, covering subset ids)``, the ids
-    ascending.  Degrees count covering subsets of the instance and never
-    change during construction, so one sorted index serves a whole solve;
-    covered elements are skipped with one iterator.
+    ``levels`` holds one element mask per distinct degree (number of
+    covering subsets), in ascending degree; ``coverers[e]`` is the
+    ascending tuple of subset ids that hold element ``e``.  Degrees never
+    change during construction, so one row map serves a whole solve: the
+    lowest-degree uncovered element, ties to the lowest id, is the lowest
+    set bit of the first level that meets the uncovered mask.
+
+    ``pivot_masks[e]`` caches the masks of ``coverers[e]`` from the first
+    time ``e`` is a pivot.  ``__post_init__`` builds it, so
+    ``dataclasses.replace`` gives a row map with a cache of its own.
     """
 
     instance: Instance
-    entries: Tuple[Tuple[int, int, Tuple[int, ...]], ...]
+    levels: Tuple[int, ...]
+    coverers: Tuple[Tuple[int, ...], ...]
+    pivot_masks: List[Optional[Tuple[int, ...]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pivot_masks", [None] * len(self.coverers))
 
 
 def create_row_map(inst: Instance) -> RowMap:
     coverers = inst.coverers()
-    entries = sorted(
-        ((e, len(ids), tuple(ids)) for e, ids in enumerate(coverers)),
-        key=lambda entry: (entry[1], entry[0]),
+    by_degree: Dict[int, List[int]] = {}
+    for e, ids in enumerate(coverers):
+        by_degree.setdefault(len(ids), []).append(e)
+    levels = tuple(
+        index_mask(elements, elements[0], elements[-1])
+        for _, elements in sorted(by_degree.items())
     )
-    return RowMap(instance=inst, entries=tuple(entries))
+    return RowMap(instance=inst, levels=levels, coverers=tuple(map(tuple, coverers)))
 
 
 def rand_construct(partial: Cover, uncovered: int, rowmap: RowMap) -> Cover:
@@ -78,22 +93,30 @@ def rand_construct(partial: Cover, uncovered: int, rowmap: RowMap) -> Cover:
     if partial.covered & uncovered:
         raise ValueError("partial cover overlaps the uncovered set")
     masks = rowmap.instance.masks
-    entries = iter(rowmap.entries)
+    coverers = rowmap.coverers
+    cache = rowmap.pivot_masks
+    levels = iter(rowmap.levels)
+    level = 0
     while uncovered:
-        for element, _, coverer_ids in entries:
-            if (uncovered >> element) & 1:
-                break
-        else:
-            raise RuntimeError("uncovered elements missing from the row map")
-        if not coverer_ids:
-            raise RuntimeError(f"no subset covers element {element}; corrupt instance")
-        counts = [(masks[sid] & uncovered).bit_count() for sid in coverer_ids]
+        low = level & uncovered
+        while not low:
+            level = next(levels, None)
+            if level is None:
+                raise RuntimeError("uncovered elements missing from the row map")
+            low = level & uncovered
+        element = (low & -low).bit_length() - 1
+        pivot = cache[element]
+        if pivot is None:
+            if not coverers[element]:
+                raise RuntimeError(f"no subset covers element {element}; corrupt instance")
+            pivot = cache[element] = tuple(map(masks.__getitem__, coverers[element]))
+        counts = [(b & uncovered).bit_count() for b in pivot]
         if 0 in counts:
-            sid = coverer_ids[counts.index(0)]
+            sid = coverers[element][counts.index(0)]
             raise ValueError(f"candidate subset {sid} covers nothing uncovered")
-        chosen = coverer_ids[counts.index(max(counts))]
-        partial.add(chosen, masks[chosen])
-        uncovered &= ~masks[chosen]
+        best = counts.index(max(counts))
+        partial.add(coverers[element][best], pivot[best])
+        uncovered &= ~pivot[best]
     return partial
 
 

@@ -396,18 +396,22 @@ def reference_rand_construct(
     Called with three arguments, as ``rand_construct`` is, it intensifies,
     drawing its score functions from a stream of its own: an intensifying
     pick is the first largest fresh coverage under every score function.
+    Of ``rowmap`` it reads only the instance: it orders the elements by
+    (degree, id) and lists their coverers itself.
     """
     rng = rng if rng is not None else random.Random(0)
     if partial.covered & uncovered:
         raise ValueError("partial cover overlaps the uncovered set")
     masks = rowmap.instance.masks
+    coverers = rowmap.instance.coverers()
+    order = sorted(range(len(coverers)), key=lambda e: (len(coverers[e]), e))
     left = set(iter_bits(uncovered))
-    entries = rowmap.entries
     cursor = 0
     while left:
-        while entries[cursor][0] not in left:
+        while order[cursor] not in left:
             cursor += 1
-        element, _, coverer_ids = entries[cursor]
+        element = order[cursor]
+        coverer_ids = coverers[element]
         if not coverer_ids:
             raise RuntimeError(f"no subset covers element {element}; corrupt instance")
         f = rng.choice(REFERENCE_EVAL_FUNCTIONS)

@@ -64,31 +64,38 @@ class TestEvalFunctions:
 class TestRowMap:
     def test_degree_one_element_sorts_first(self, twelve):
         rowmap = create_row_map(twelve)
-        element, degree, coverer_ids = rowmap.entries[0]
-        assert element == 11 and degree == 1 and coverer_ids == (5,)
+        assert rowmap.levels[0] == 1 << 11
+        assert rowmap.coverers[11] == (5,)
 
     def test_spanning_single_subset_gives_all_degree_one(self):
         inst = make_instance(4, ((1, 2, 3, 4),))
         rowmap = create_row_map(inst)
-        assert [entry[1] for entry in rowmap.entries] == [1, 1, 1, 1]
-        assert [entry[0] for entry in rowmap.entries] == [0, 1, 2, 3]
+        assert rowmap.levels == (0b1111,)
+        assert rowmap.coverers == ((0,),) * 4
 
     def test_element_in_every_subset_sorts_last(self):
         inst = make_instance(3, ((1, 2), (1, 3), (1, 2, 3)))
         rowmap = create_row_map(inst)
-        assert rowmap.entries[-1] == (0, 3, (0, 1, 2))
+        assert rowmap.levels == (0b110, 0b001)
+        assert rowmap.coverers[0] == (0, 1, 2)
 
-    def test_entries_cover_exactly_the_universe(self, twelve):
+    def test_levels_cover_exactly_the_universe(self, twelve):
         rowmap = create_row_map(twelve)
-        assert sorted(entry[0] for entry in rowmap.entries) == list(range(12))
+        assert [list(ids) for ids in rowmap.coverers] == twelve.coverers()
+        degree = [len(ids) for ids in rowmap.coverers]
+        assert list(rowmap.levels) == [
+            sum(1 << e for e in range(12) if degree[e] == d) for d in sorted(set(degree))
+        ]
 
 
 def _first_pick(inst, hub, construct=rand_construct, *mode):
     """The subset ``construct`` picks first when element ``hub`` heads the
-    row map; ``mode`` is the reference construction's ``(improve, rng)``."""
+    row map's levels; ``mode`` is the reference construction's
+    ``(improve, rng)``.  The reference orders the elements itself, so it is
+    only asked where ``hub`` comes first by degree anyway."""
     rowmap = create_row_map(inst)
-    entries = sorted(rowmap.entries, key=lambda entry: entry[0] != hub)
-    rowmap = replace(rowmap, entries=tuple(entries))
+    rest = tuple(level & ~(1 << hub) for level in rowmap.levels)
+    rowmap = replace(rowmap, levels=(1 << hub,) + rest)
     cover = construct(Cover.empty(), (1 << inst.n) - 1, rowmap, *mode)
     return cover.chosen[0]
 
@@ -132,15 +139,17 @@ class TestFindBestCandidate:
 
     def test_empty_candidates_rejected(self, twelve):
         rowmap = create_row_map(twelve)
-        element, degree, _ = rowmap.entries[0]
-        rowmap = replace(rowmap, entries=((element, degree, ()),) + rowmap.entries[1:])
-        with pytest.raises(RuntimeError, match="no subset covers element"):
+        # fill the pivot cache, which the replaced row map must not share
+        rand_construct(Cover.empty(), (1 << 12) - 1, rowmap)
+        assert rowmap.levels[0] == 1 << 11
+        rowmap = replace(rowmap, coverers=rowmap.coverers[:11] + ((),))
+        with pytest.raises(RuntimeError, match="no subset covers element 11"):
             rand_construct(Cover.empty(), (1 << 12) - 1, rowmap)
 
     def test_row_map_missing_an_uncovered_element_rejected(self, twelve):
         rowmap = create_row_map(twelve)
-        assert rowmap.entries[0] == (11, 1, (5,))
-        rowmap = replace(rowmap, entries=rowmap.entries[1:])
+        assert rowmap.levels[0] == 1 << 11 and rowmap.coverers[11] == (5,)
+        rowmap = replace(rowmap, levels=tuple(level & ~(1 << 11) for level in rowmap.levels))
         # element 0's coverers, subsets 0 and 6, leave element 11 for last
         for uncovered in (1 << 11, 1 << 11 | 1):
             with pytest.raises(RuntimeError, match="^uncovered elements missing from the row map$"):
@@ -148,8 +157,10 @@ class TestFindBestCandidate:
 
     def test_candidate_missing_uncovered_rejected(self, twelve):
         rowmap = create_row_map(twelve)
-        assert rowmap.entries[0] == (11, 1, (5,))
-        rowmap = replace(rowmap, entries=((11, 1, (0,)),) + rowmap.entries[1:])
+        # fill the pivot cache, which the replaced row map must not share
+        rand_construct(Cover.empty(), (1 << 12) - 1, rowmap)
+        assert rowmap.levels[0] == 1 << 11 and rowmap.coverers[11] == (5,)
+        rowmap = replace(rowmap, coverers=rowmap.coverers[:11] + ((0,),))
         with pytest.raises(ValueError, match="subset 0 covers nothing"):
             rand_construct(Cover.empty(), 1 << 11, rowmap)
 
@@ -179,6 +190,27 @@ def _family(seed):
     return rng, to_instance(n, subsets)
 
 
+def _regular_family(rng):
+    """A covering family in which every element has the same degree ``d``:
+    ``d`` random partitions of the universe into blocks."""
+    n = rng.randint(1, 30)
+    subsets = []
+    for _ in range(rng.randint(1, 4)):
+        order = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        subsets += [set(order[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, n])]
+    return to_instance(n, subsets)
+
+
+def _random_partial(rng, inst):
+    """About a third of the subsets, and the elements they leave uncovered."""
+    partial = [sid for sid in range(inst.m) if rng.random() < 0.3]
+    covered = 0
+    for sid in partial:
+        covered |= inst.masks[sid]
+    return partial, covered, ((1 << inst.n) - 1) & ~covered
+
+
 class TestMatchesReference:
     """The construction and the suffix-OR prune return what the paper's
     intensifying per-candidate construction and the per-element prune
@@ -189,16 +221,50 @@ class TestMatchesReference:
     def test_rand_construct(self, seed):
         rng, inst = _family(seed)
         rowmap = create_row_map(inst)
-        partial = [sid for sid in range(inst.m) if rng.random() < 0.3]
-        covered = 0
-        for sid in partial:
-            covered |= inst.masks[sid]
-        uncovered = ((1 << inst.n) - 1) & ~covered
+        partial, covered, uncovered = _random_partial(rng, inst)
         new = rand_construct(Cover(partial, covered), uncovered, rowmap)
         old = reference_rand_construct(
             Cover(partial, covered), uncovered, rowmap, improve=True, rng=random.Random(seed)
         )
         assert (new.chosen, new.covered) == (old.chosen, old.covered)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_reused_row_map(self, seed):
+        # as in improvement_loop, one row map serves many constructs, each
+        # on other uncovered elements than the pivot cache was filled for;
+        # two instances' row maps interleave, so no entry outlives its map
+        rng, first = _family(seed)
+        _, second = _family(seed + 1)
+        rowmaps = [create_row_map(first), create_row_map(second)]
+        for _ in range(6):
+            rowmap = rng.choice(rowmaps)
+            partial, covered, uncovered = _random_partial(rng, rowmap.instance)
+            reused = rand_construct(Cover(partial, covered), uncovered, rowmap)
+            fresh = rand_construct(
+                Cover(partial, covered), uncovered, create_row_map(rowmap.instance)
+            )
+            old = reference_rand_construct(Cover(partial, covered), uncovered, rowmap)
+            assert (reused.chosen, reused.covered) == (fresh.chosen, fresh.covered)
+            assert (reused.chosen, reused.covered) == (old.chosen, old.covered)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_degrees_pivot_on_lowest_uncovered(self, seed):
+        rng = random.Random(seed)
+        inst = _regular_family(rng)
+        rowmap = create_row_map(inst)
+        assert len(rowmap.levels) == 1
+        uncovered = rng.getrandbits(inst.n) | 1 << rng.randrange(inst.n)
+        cover = rand_construct(Cover.empty(), uncovered, rowmap)
+        pivot = (uncovered & -uncovered).bit_length() - 1
+        expected = max(
+            rowmap.coverers[pivot],
+            key=lambda sid: ((inst.masks[sid] & uncovered).bit_count(), -sid),
+        )
+        assert cover.chosen[0] == expected
+        old = reference_rand_construct(Cover.empty(), uncovered, rowmap)
+        assert (cover.chosen, cover.covered) == (old.chosen, old.covered)
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=300, deadline=None)

@@ -416,7 +416,8 @@ def test_rail_path_never_decomposes_masks():
     assert report.forced == () and report.excluded
     assert report == reference_reduce(inst)
     for piece, row_map in zip(pieces, row_maps):
-        assert row_map.entries == create_row_map(Instance(piece.n, piece.masks)).entries
+        from_masks = create_row_map(Instance(piece.n, piece.masks))
+        assert (row_map.levels, row_map.coverers) == (from_masks.levels, from_masks.coverers)
 
 
 @pytest.mark.parametrize("seed", range(4))
