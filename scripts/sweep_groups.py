@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Sweep the synthetic group count and compare solvers.
 
-Generates one segmentable instance per group count, runs the greedy
-baseline, sequential GRASP, and segmented GRASP through
-``cli.run_algorithm`` (unreduced; every cover is validated), and writes one
-CSV row per (solver, groups) cell with quality relative to greedy and the
-wall time (``io.CSV_HEADER``, whose only timing is ``wall_ms``; the phase
-timings appear only in ``segcover solve/bench --output json``).
+Generates one segmentable instance per group count and runs the greedy
+baseline, sequential GRASP, and segmented GRASP on it through ``cli.sweep``,
+the cell runner of ``segcover bench`` (unreduced; every cover is validated),
+writing one CSV row per (solver, groups) cell with quality relative to
+greedy and the wall time (``io.CSV_HEADER``, whose only timing is
+``wall_ms``; phase timings appear only in ``segcover solve/bench --output
+json``).
 
 Example:
     python scripts/sweep_groups.py --n 10000 --m 20000 --iterations 50 \
@@ -18,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from segcover.cli import run_algorithm
+from segcover.cli import sweep
 from segcover.io import GeneratorConfig, emit_results_csv, generate_segmentable
 
 
@@ -43,20 +44,12 @@ def main() -> int:
         inst = generate_segmentable(cfg)
         name = f"synthetic-n{args.n}-m{args.m}-k{k}"
 
-        greedy, _ = run_algorithm(inst, name, "greedy", seed=args.seed, preprocess=False)
-        greedy.rpd_star = 0.0  # greedy is its own baseline
-        baseline = greedy.cardinality
-        records.append(greedy)
-        for algorithm, threads in (("grasp", 1), ("grasp-uf", args.threads)):
-            record, _ = run_algorithm(
-                inst, name, algorithm, iterations=args.iterations,
-                max_rm=args.max_rm, seed=args.seed, threads=threads,
-                preprocess=False, greedy_baseline=baseline,
-            )
-            records.append(record)
+        cells = [("greedy", 1), ("grasp", 1), ("grasp-uf", args.threads)]
+        rows = sweep(inst, name, cells, iterations=args.iterations, max_rm=args.max_rm,
+                     seed=args.seed, preprocess=False)
+        records += rows
         print(
-            f"k={k}: greedy={baseline} grasp={records[-2].cardinality} "
-            f"grasp-uf={records[-1].cardinality}",
+            f"k={k}: " + " ".join(f"{r.algorithm}={r.cardinality}" for r in rows),
             file=sys.stderr,
         )
 

@@ -15,16 +15,15 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
 from .grasp_su import SuParams, rpd, rpd_star, solve_restarts, split
-from .greedy import greedy_solve, interleave
+from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
 from .preprocess import reduce
-from .segmentation import find_groups
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -38,14 +37,14 @@ MANIFEST_KEYS = ("name", "bks", "format")
 
 @dataclass
 class RunRecord:
-    """One benchmark cell; ``rpd`` is present iff ``bks`` is.
+    """One benchmark cell; ``rpd`` is present iff ``bks`` is, and a cell
+    the solver refused carries only its ``error``.
 
-    The phases are ``run_algorithm``'s: ``preprocess_ms`` is ``reduce``;
-    ``segment_ms`` the split into pieces (the union-find for ``grasp-uf``,
-    the bipartition for ``grasp-mst``, 0 for ``greedy``); ``solve_ms`` the
-    solves, for ``greedy`` its union-find and interleave too; ``merge_ms``
-    the merges of piece covers (0 for ``greedy``).  ``wall_ms`` also counts
-    lifting and validation.
+    The phases are ``run_algorithm``'s, the same steps for every algorithm:
+    ``preprocess_ms`` is ``reduce``; ``segment_ms`` the ``split`` into pieces
+    (the union-find for ``greedy`` and ``grasp-uf``, the bipartition for
+    ``grasp-mst``); ``solve_ms`` the piece solves; ``merge_ms`` the merges of
+    piece covers.  ``wall_ms`` also counts lifting and validation.
     """
 
     instance: str
@@ -139,47 +138,41 @@ def run_algorithm(
 ) -> Tuple[RunRecord, Cover]:
     """Solve with independent restarts, validate, and build a run record.
 
-    ``greedy`` is deterministic, so it runs once: ``find_groups`` splits the
-    residual, ``greedy_solve`` runs on each component and
-    ``greedy.interleave`` merges the picks into whole-instance greedy order.
+    Every algorithm runs one sequence: ``split`` the residual into pieces
+    once per run, solve the pieces, merge each restart's piece covers.
+    Only the piece solver differs: ``greedy`` is deterministic, so it runs
+    ``greedy_solve`` once per piece, in-process, for one restart; every
+    other algorithm runs its restarts through ``solve_restarts``.
 
     The one clock of a run: ``preprocess_ms`` times ``reduce``,
-    ``segment_ms`` the ``split`` of the residual (once per run, every
-    restart reuses its pieces), ``solve_ms`` the restarts' GRASP runs or
-    greedy's union-find, solves and interleave, and ``merge_ms`` the
-    merges of each restart's piece covers.  Lifting and validating each
-    restart's cover count only in ``wall_ms``.  Restart ``k`` runs with seed
-    ``seed + k``; the first strictly smallest cover is kept.
+    ``segment_ms`` the ``split``, ``solve_ms`` the piece solves and
+    ``merge_ms`` the merges.  Lifting and validating each restart's cover
+    count only in ``wall_ms``.  Restart ``k`` runs with seed ``seed + k``;
+    the first strictly smallest cover is kept.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed)
+    params = SuParams(GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed), threads)
     record = RunRecord(instance=name, algorithm=algorithm, seed=seed, threads=threads, bks=bks)
 
     wall_start = time.perf_counter()
     report = reduce(inst) if preprocess else None
     work = report.residual if report is not None else inst
     t0 = time.perf_counter()
-    record.preprocess_ms = (t0 - wall_start) * 1e3
-    if work.n == 0:
-        covers = [Cover.empty()]
-    elif algorithm == "greedy":
-        seg = find_groups(work)
-        covers = [interleave(seg, [greedy_solve(c.subinstance) for c in seg.components])]
-        record.solve_ms = (time.perf_counter() - t0) * 1e3
+    pieces, merge = split(work, algorithm)
+    t1 = time.perf_counter()
+    if algorithm == "greedy":
+        partials = [[greedy_solve(piece) for piece in pieces]]
     else:
-        pieces, merge = split(work, algorithm)
-        t1 = time.perf_counter()
-        partials = list(solve_restarts(pieces, SuParams(params, threads), restarts))
-        t2 = time.perf_counter()
-        covers = [merge(piece_covers) for piece_covers in partials]
-        record.segment_ms = (t1 - t0) * 1e3
-        record.solve_ms = (t2 - t1) * 1e3
-        record.merge_ms = (time.perf_counter() - t2) * 1e3
+        partials = list(solve_restarts(pieces, params, restarts))
+    t2 = time.perf_counter()
+    covers = [merge(piece_covers) for piece_covers in partials]
+    record.preprocess_ms = (t0 - wall_start) * 1e3
+    record.segment_ms = (t1 - t0) * 1e3
+    record.solve_ms = (t2 - t1) * 1e3
+    record.merge_ms = (time.perf_counter() - t2) * 1e3
 
     best_cover: Optional[Cover] = None
     for run_seed, cover in enumerate(covers, seed):
@@ -277,6 +270,40 @@ def _read_manifest(path: Path) -> List[Dict[str, str]]:
     return entries
 
 
+def _refused(name: str, algorithm: str, threads: int, seed: int, exc: Exception) -> RunRecord:
+    """The row of a cell that could not be solved: only its error."""
+    return RunRecord(name, algorithm, seed, threads, error=str(exc))
+
+
+def sweep(
+    inst: Instance, name: str, cells: Iterable[Tuple[str, int]], *, bks: Optional[int] = None,
+    **options: Any,
+) -> List[RunRecord]:
+    """One record per ``(algorithm, threads)`` cell of ``inst``, in order;
+    ``options`` are further ``run_algorithm`` keywords.  greedy is
+    deterministic: one solve gives every greedy row and the rpd* baseline
+    (none when its cover is empty).  A cell the solver refuses with a
+    ValueError becomes an error row, with a warning on stderr."""
+
+    def run(algorithm: str, threads: int, baseline: Optional[int]) -> RunRecord:
+        try:
+            return run_algorithm(
+                inst, name, algorithm, threads=threads, bks=bks,
+                greedy_baseline=baseline, **options,
+            )[0]
+        except ValueError as exc:
+            print(f"warning: {name} {algorithm} threads={threads}: {exc}", file=sys.stderr)
+            return _refused(name, algorithm, threads, options.get("seed", 0), exc)
+
+    greedy = run("greedy", 1, None)
+    greedy.rpd_star = 0.0 if greedy.cardinality else None
+    return [
+        replace(greedy, threads=threads) if algorithm == "greedy"
+        else run(algorithm, threads, greedy.cardinality or None)
+        for algorithm, threads in cells
+    ]
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
     entries = _read_manifest(manifest_path)
@@ -287,6 +314,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for flag, values in (("--algorithms", algorithms), ("--threads", args.threads)):
         if not values:
             raise ValueError(f"{flag} needs at least one value")
+    cells = [(a, t) for a in algorithms for t in args.threads]
 
     records: List[RunRecord] = []
     for entry in entries:
@@ -299,33 +327,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         try:
             inst = _parse_file(inst_path, fmt, args.rail_layout)
         except (OSError, ParseError) as exc:
-            for algorithm in algorithms:
-                for threads in args.threads:
-                    records.append(
-                        RunRecord(
-                            instance=name,
-                            algorithm=algorithm,
-                            seed=args.seed,
-                            threads=threads,
-                            error=str(exc),
-                        )
-                    )
             print(f"warning: skipping {name}: {exc}", file=sys.stderr)
+            records += [_refused(name, a, t, args.seed, exc) for a, t in cells]
             continue
-        options = _run_options(args)
-        # greedy is deterministic: one solve gives the rpd* baseline and
-        # every greedy row.
-        greedy, _ = run_algorithm(inst, name, "greedy", bks=bks, **options)
-        for algorithm in algorithms:
-            for threads in args.threads:
-                if algorithm == "greedy":
-                    record = replace(greedy, threads=threads, rpd_star=0.0)
-                else:
-                    record, _ = run_algorithm(
-                        inst, name, algorithm, threads=threads, bks=bks,
-                        greedy_baseline=greedy.cardinality, **options,
-                    )
-                records.append(record)
+        records += sweep(inst, name, cells, bks=bks, **_run_options(args))
     _emit(records, args.output)
     return EXIT_OK
 

@@ -208,18 +208,16 @@ def improvement_loop(
 
 
 def _grasp_run(
-    inst: Instance,
-    params: GraspParams,
-    rng: random.Random,
-    trace: Optional[TraceFn] = None,
+    inst: Instance, params: GraspParams, trace: Optional[TraceFn] = None
 ) -> Cover:
-    """Construction from empty, prune, then the improvement loop."""
+    """Construction from empty, prune, then the improvement loop on
+    ``random.Random(params.seed)``."""
     if inst.n == 0:
         return Cover.empty()
     rowmap = create_row_map(inst)
     cover = rand_construct(Cover.empty(), (1 << inst.n) - 1, rowmap)
     cover = remove_redundant_sets(cover, inst)
-    return improvement_loop(cover, inst, rowmap, params, rng, trace)
+    return improvement_loop(cover, inst, rowmap, params, random.Random(params.seed), trace)
 
 
 def grasp_solve(
@@ -228,6 +226,4 @@ def grasp_solve(
     trace: Optional[TraceFn] = None,
 ) -> Cover:
     """Sequential GRASP; deterministic in (instance, params.seed)."""
-    params = params if params is not None else GraspParams()
-    rng = random.Random(params.seed)
-    return _grasp_run(inst, params, rng, trace)
+    return _grasp_run(inst, params if params is not None else GraspParams(), trace)

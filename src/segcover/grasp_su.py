@@ -1,21 +1,20 @@
 """Segmented GRASP: split an instance into independent pieces, solve, merge.
 
-``split`` is the one place that decides the pieces of every GRASP algorithm
-and how their covers merge back: ``grasp`` keeps the instance whole,
-``grasp-uf`` splits it into co-occurrence components, ``grasp-mst`` into
-the two sides of a forced bipartition.  ``solve_restarts`` is the one
-restart path: it yields each restart's piece covers, for the caller to
-merge.  Restarts run in batches on ``run_components``, which dispatches the
-pieces of every restart in a batch longest-family-first to one worker pool,
-with RNG streams derived as ``(master_seed + restart) XOR piece index``, so
-results are identical for any worker count or scheduling order.  Workers
-are separate processes (the practical route to CPU parallelism in
-CPython); the ``threads`` knob caps the pool size.
+``split`` is the one place that decides the pieces of every algorithm and
+how their covers merge back: ``grasp`` keeps the instance whole, ``greedy``
+and ``grasp-uf`` split it into co-occurrence components, ``grasp-mst`` into
+the two sides of a forced bipartition; an empty instance has no pieces.
+``solve_restarts`` is the one GRASP restart path: it yields each restart's
+piece covers, for the caller to merge.  Restarts run in batches on
+``run_components``, which dispatches the pieces of every restart in a batch
+longest-family-first to one worker pool, with RNG streams derived as
+``(master_seed + restart) XOR piece index``, so results are identical for
+any worker count or scheduling order.  Workers are processes (CPython's
+route to CPU parallelism); the ``threads`` knob caps the pool size.
 """
 from __future__ import annotations
 
 import gc
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -24,6 +23,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance
 from .grasp import GraspParams, _grasp_run
+from .greedy import interleave
 from .mst import build_cograph, merge_sides, mst_bipartition
 from .segmentation import find_groups, merge_partial_covers
 
@@ -59,8 +59,7 @@ def _receive(subinstances: Sequence[Instance]) -> None:
 
 def _solve_component(task: Tuple[int, int, GraspParams]) -> Tuple[int, Cover]:
     index, component, params = task
-    rng = random.Random(params.seed)
-    return index, _grasp_run(_subinstances[component], params, rng)
+    return index, _grasp_run(_subinstances[component], params)
 
 
 def run_components(
@@ -104,20 +103,25 @@ def run_components(
 def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
     """The pieces ``algorithm`` solves ``work`` as, and how their covers merge.
 
-    ``grasp``: ``[work]`` itself, merged by taking its cover.  ``grasp-uf``:
-    the ``find_groups`` components, merged by ``merge_partial_covers``.
-    ``grasp-mst``: the two sides of ``mst_bipartition``, merged by
-    ``merge_sides``; a disconnected ``work`` raises its ValueError.
+    ``grasp``: ``[work]`` itself, merged by taking its cover.  ``greedy``
+    and ``grasp-uf``: the ``find_groups`` components, merged by
+    ``greedy.interleave`` and ``merge_partial_covers``.  ``grasp-mst``: the
+    two sides of ``mst_bipartition``, merged by ``merge_sides``; a
+    disconnected ``work`` raises its ValueError.  An empty ``work`` has no
+    pieces and merges to the empty cover, whatever the algorithm.
     """
+    if algorithm not in ("greedy", "grasp", "grasp-uf", "grasp-mst"):
+        raise ValueError(f"no split for algorithm {algorithm!r}")
+    if work.n == 0:
+        return [], lambda covers: Cover.empty()
     if algorithm == "grasp":
         return [work], itemgetter(0)
-    if algorithm == "grasp-uf":
-        seg = find_groups(work)
-        return [c.subinstance for c in seg.components], partial(merge_partial_covers, seg)
     if algorithm == "grasp-mst":
         bip = mst_bipartition(build_cograph(work))
         return [bip.side1.subinstance, bip.side2.subinstance], partial(merge_sides, work, bip)
-    raise ValueError(f"no split for algorithm {algorithm!r}")
+    seg = find_groups(work)
+    merge = interleave if algorithm == "greedy" else merge_partial_covers
+    return [c.subinstance for c in seg.components], partial(merge, seg)
 
 
 def solve_restarts(

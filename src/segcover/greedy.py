@@ -1,8 +1,8 @@
 """Deterministic greedy baseline: always take the largest marginal gain.
 
-``cli`` runs ``greedy_solve`` on each co-occurrence component of the
-residual and ``interleave`` merges the piece covers into the cover that
-``greedy_solve`` gives on the whole instance.  Pieces share no elements, so
+``cli`` runs ``greedy_solve`` on each piece ``grasp_su.split`` gives greedy
+(the co-occurrence components), and ``interleave`` merges the piece covers
+into the cover that ``greedy_solve`` gives on the whole instance.  Pieces share no elements, so
 a pick's gain depends only on earlier picks in its own piece, and whole
 greedy restricted to one piece is that piece's greedy.  Gains only shrink,
 so every greedy run picks in ascending ``(-gain at pick time, id)`` order:

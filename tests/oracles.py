@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from dataclasses import replace
 from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -795,7 +796,7 @@ def reference_run_restarts(
             bip = mst_bipartition(build_cograph(work))
             sides = [bip.side1.subinstance, bip.side2.subinstance]
             partials = [
-                _grasp_run(side, params, random.Random((seed + k) ^ i))
+                _grasp_run(side, replace(params, seed=(seed + k) ^ i))
                 for i, side in enumerate(sides)
             ]
             cover = merge_sides(work, bip, partials)

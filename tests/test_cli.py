@@ -393,6 +393,31 @@ class TestBench:
         assert [r["rpd"] for r in greedy] == [0.0, 0.0, None, None]
         assert all(r["rpd_star"] is not None for r in records)
 
+    def test_refused_cell_is_an_error_row(self, tmp_path, capsys):
+        """grasp-mst refuses a one-element residual, and rpd* has no baseline
+        on an instance with no elements; every other cell is still solved."""
+        (tmp_path / "one.scp").write_text("1 3\n1 1 1\n3\n1 2 3\n")
+        (tmp_path / "none.scp").write_text("0 0\n")
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text(f"one.scp\n{FIXTURE}\nnone.scp\n")
+        code, out, err = run(
+            capsys, "bench", "--manifest", str(manifest), "--format", "scp",
+            "--algorithms", "greedy,grasp-mst", "--iterations", "5", "--output", "json",
+        )
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()]
+        cells = [(r["instance"], r["algorithm"], r["cardinality"]) for r in records]
+        assert cells == [
+            ("one.scp", "greedy", 1), ("one.scp", "grasp-mst", None),
+            ("example12.scp", "greedy", 3), ("example12.scp", "grasp-mst", 3),
+            ("none.scp", "greedy", 0), ("none.scp", "grasp-mst", 0),
+        ]
+        refused = records[1]["error"]
+        assert refused == "bipartition needs at least two elements"
+        assert [r["error"] for r in records] == ["", refused, "", "", "", ""]
+        assert err == f"warning: one.scp grasp-mst threads=1: {refused}\n"
+        assert [r["rpd_star"] for r in records] == [0.0, None, 0.0, 0.0, None, None]
+
     def test_manifest_from_a_pipe(self):
         proc = run_module(
             f"{FIXTURE} format=scp bks=3\n".encode(), "bench", "--manifest", "/dev/stdin",
@@ -431,15 +456,17 @@ class TestBench:
 def _segmentations_per_run(monkeypatch, algorithm):
     """``find_groups`` calls in a ``run_algorithm`` call with three
     restarts, with reduction and without.  Every module-level
-    ``find_groups`` binding is counted."""
+    ``find_groups`` binding in the package is counted."""
     calls = []
+    original = segmentation.find_groups
 
     def counted(inst):
         calls.append(inst)
-        return segmentation.find_groups(inst)
+        return original(inst)
 
-    for module in (cli, grasp_su):
-        monkeypatch.setattr(module, "find_groups", counted)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("segcover.") and getattr(module, "find_groups", None) is original:
+            monkeypatch.setattr(module, "find_groups", counted)
     inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
     counts = []
     for preprocess in (True, False):
@@ -448,7 +475,7 @@ def _segmentations_per_run(monkeypatch, algorithm):
             inst, "gen", algorithm, iterations=5, restarts=3, preprocess=preprocess
         )
         counts.append(len(calls))
-        assert (record.segment_ms > 0.0) == (algorithm == "grasp-uf")
+        assert record.segment_ms > 0.0
     return counts
 
 
@@ -461,17 +488,29 @@ def test_greedy_segments_once_per_run(monkeypatch):
 
 
 def test_each_phase_times_its_own_step():
-    """greedy has only a solve phase; a grasp-uf run with two restarts has a
-    segment, a solve and a merge phase; the phases never exceed the wall."""
+    """greedy, and a grasp-uf run with two restarts, each have a segment, a
+    solve and a merge phase; the phases never exceed the wall."""
     inst = generate_segmentable(GeneratorConfig(n=200, m=100, groups=4, seed=2))
     greedy, _ = cli.run_algorithm(inst, "gen", "greedy")
-    assert greedy.segment_ms == greedy.merge_ms == 0.0
-    assert greedy.solve_ms > 0.0
     segmented, _ = cli.run_algorithm(inst, "gen", "grasp-uf", iterations=5, restarts=2)
-    assert min(segmented.segment_ms, segmented.solve_ms, segmented.merge_ms) > 0.0
     for record in (greedy, segmented):
+        assert min(record.segment_ms, record.solve_ms, record.merge_ms) > 0.0
         phases = (record.preprocess_ms, record.segment_ms, record.solve_ms, record.merge_ms)
         assert sum(phases) <= record.wall_ms
+
+
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+def test_empty_residual_is_the_forced_cover_without_a_pool(monkeypatch, algorithm):
+    """Reduction forces every subset: the residual has no pieces, every
+    restart merges to the empty cover, and no pool is spawned."""
+    pools = []
+    monkeypatch.setattr(grasp_su, "ProcessPoolExecutor", lambda *a, **k: pools.append(a))
+    inst = Instance(3, [0b011, 0b100])
+    assert reduce(inst).residual.n == 0
+    record, cover = cli.run_algorithm(inst, "gen", algorithm, threads=2, restarts=3)
+    assert cover.chosen == [0, 1]
+    assert (record.cardinality, record.seed) == (2, 0)
+    assert pools == []
 
 
 def test_threads_default_from_environment(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segcover import grasp
-from segcover.core import Cover, cover_is_feasible
+from segcover.core import Cover, Instance, cover_is_feasible
 from segcover.grasp import GraspParams, grasp_solve
 from segcover.grasp_su import (
     SuParams,
@@ -19,10 +19,17 @@ from segcover.grasp_su import (
 from segcover.greedy import greedy_solve
 from segcover.io import GeneratorConfig, generate_segmentable
 from segcover.mst import build_cograph, merge_sides, mst_bipartition
+from segcover.preprocess import reduce
 from segcover.segmentation import find_groups, merge_partial_covers
 
 from conftest import make_instance
-from oracles import reference_rand_construct, reference_remove_redundant_sets
+from oracles import (
+    multi_component_family,
+    reference_rand_construct,
+    reference_remove_redundant_sets,
+    tie_rich_family,
+    to_instance,
+)
 
 
 def test_two_component_toy():
@@ -90,10 +97,31 @@ def test_feasible_across_many_random_segmentable_instances():
 
 
 class TestSplit:
-    @pytest.mark.parametrize("algorithm", ["greedy", "grasp-su"])
+    @pytest.mark.parametrize("algorithm", ["grasp-su", "par-grasp"])
     def test_unknown_algorithm_rejected(self, twelve, algorithm):
-        with pytest.raises(ValueError, match="no split"):
-            split(twelve, algorithm)
+        for inst in (twelve, Instance(0, [])):
+            with pytest.raises(ValueError, match="no split"):
+                split(inst, algorithm)
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "grasp", "grasp-uf", "grasp-mst"])
+    def test_empty_instance_has_no_pieces(self, algorithm):
+        empty = reduce(make_instance(3, ((1, 2), (3,)))).residual
+        assert empty.n == 0
+        pieces, merge = split(empty, algorithm)
+        assert pieces == []
+        assert merge([]).chosen == []
+
+    @given(st.integers(0, 100_000), st.sampled_from(["multi", "tie_rich"]))
+    @settings(max_examples=100, deadline=None)
+    def test_greedy_pieces_are_the_components(self, seed, kind):
+        """greedy's pieces are the components, and the merge of their
+        greedy covers is greedy on the whole instance."""
+        rng = random.Random(seed)
+        n, subsets = multi_component_family(rng) if kind == "multi" else tie_rich_family(rng)
+        work = to_instance(n, subsets)
+        pieces, merge = split(work, "greedy")
+        assert pieces == [c.subinstance for c in find_groups(work).components]
+        assert merge([greedy_solve(p) for p in pieces]).chosen == greedy_solve(work).chosen
 
     def test_grasp_keeps_the_instance_whole(self, twelve):
         pieces, merge = split(twelve, "grasp")
