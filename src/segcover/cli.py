@@ -19,18 +19,17 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
-from .grasp_su import SuParams, rpd, rpd_star, solve_restarts, split
+from .grasp_su import ALGORITHMS, SuParams, rpd, rpd_star, solve_restarts, split
 from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
-from .preprocess import reduce
+from .preprocess import force
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
 EXIT_USAGE_ERROR = 3
 EXIT_WORKER_ERROR = 4
 
-ALGORITHMS = ("greedy", "grasp", "grasp-uf", "grasp-mst")
 FORMATS = ("scp", "rail", "auto")
 MANIFEST_KEYS = ("name", "bks", "format")
 
@@ -41,7 +40,8 @@ class RunRecord:
     the solver refused carries only its ``error``.
 
     The phases are ``run_algorithm``'s, the same steps for every algorithm:
-    ``preprocess_ms`` is ``reduce``; ``segment_ms`` the ``split`` into pieces
+    ``preprocess_ms`` is the forcing sweep (``preprocess.force``; dominance
+    is not on the run path); ``segment_ms`` the ``split`` into pieces
     (the union-find for ``greedy`` and ``grasp-uf``, the bipartition for
     ``grasp-mst``); ``solve_ms`` the piece solves; ``merge_ms`` the merges of
     piece covers.  ``wall_ms`` also counts lifting and validation.
@@ -144,10 +144,12 @@ def run_algorithm(
     ``greedy_solve`` once per piece, in-process, for one restart; every
     other algorithm runs its restarts through ``solve_restarts``.
 
-    The one clock of a run: ``preprocess_ms`` times ``reduce``,
-    ``segment_ms`` the ``split``, ``solve_ms`` the piece solves and
-    ``merge_ms`` the merges.  Lifting and validating each restart's cover
-    count only in ``wall_ms``.  Restart ``k`` runs with seed ``seed + k``;
+    The instance is reduced by the forcing sweep alone (``preprocess.force``,
+    skipped with ``preprocess=False``); ``reduce``'s dominance pass is for
+    library callers.  The one clock of a run: ``preprocess_ms`` times the
+    forcing sweep, ``segment_ms`` the ``split``, ``solve_ms`` the piece
+    solves and ``merge_ms`` the merges.  Lifting and validating each
+    restart's cover count only in ``wall_ms``.  Restart ``k`` runs with seed ``seed + k``;
     the first strictly smallest cover is kept.
     """
     if algorithm not in ALGORITHMS:
@@ -158,7 +160,7 @@ def run_algorithm(
     record = RunRecord(instance=name, algorithm=algorithm, seed=seed, threads=threads, bks=bks)
 
     wall_start = time.perf_counter()
-    report = reduce(inst) if preprocess else None
+    report = force(inst) if preprocess else None
     work = report.residual if report is not None else inst
     t0 = time.perf_counter()
     pieces, merge = split(work, algorithm)
@@ -355,7 +357,7 @@ def _add_common_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--rail-layout", choices=("cost-first", "count-first"), default="cost-first",
         help="column record layout for rail files",
     )
-    parser.add_argument("--no-preprocess", action="store_true", help="solve the raw instance")
+    parser.add_argument("--no-preprocess", action="store_true", help="skip the forcing sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:

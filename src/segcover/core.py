@@ -8,10 +8,11 @@ popcount run word-parallel in C.
 Every instance also carries ``Members``, the same family as two flat
 ``array('I')``: ``starts``, ``m + 1`` offsets into ``ids``, and ``ids``, each
 subset's ascending, distinct elements.  A layer that walks the members
-themselves (dominance in ``reduce``, the row map's coverer lists) reads
-them there.  Parsers, the generator and ``restrict``, which builds every
-piece that is solved apart, hand the arrays along beside the masks; only an
-instance built from masks alone decomposes them, once.
+themselves (the row map's coverer lists, and ``reduce``'s dominance test,
+which only library callers run) reads them there.  Parsers, the generator
+and ``restrict``, which builds every piece that is solved apart, hand the
+arrays along beside the masks; only an instance built from masks alone
+decomposes them, once.
 """
 from __future__ import annotations
 

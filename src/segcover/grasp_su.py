@@ -29,6 +29,9 @@ from .segmentation import find_groups, merge_partial_covers
 
 Merge = Callable[[Sequence[Cover]], Cover]
 
+# The algorithms ``split`` has pieces for: every algorithm the CLI runs.
+ALGORITHMS = ("greedy", "grasp", "grasp-uf", "grasp-mst")
+
 
 @dataclass(frozen=True)
 class SuParams:
@@ -110,7 +113,7 @@ def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
     disconnected ``work`` raises its ValueError.  An empty ``work`` has no
     pieces and merges to the empty cover, whatever the algorithm.
     """
-    if algorithm not in ("greedy", "grasp", "grasp-uf", "grasp-mst"):
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"no split for algorithm {algorithm!r}")
     if work.n == 0:
         return [], lambda covers: Cover.empty()

@@ -56,6 +56,7 @@ CSV_HEADER = (
     "rpd",
     "rpd_star",
     "wall_ms",
+    "error",
 )
 
 

@@ -1,11 +1,12 @@
-"""Instance reduction: force unique coverers, drop dominated subsets.
+"""Instance reduction: force unique coverers, optionally drop dominated subsets.
 
-One pass: (1) every subset that is the only coverer of some element is
-forced into the solution and its elements marked covered; (2) any other
-subset whose element set is contained in another such subset's set is
-excluded (equal sets keep the lowest id), as is any subset left with an
-empty restriction to the uncovered elements.  The reduction preserves
-feasibility and the optimal cardinality.
+``force`` is the forcing sweep: every subset that is the only coverer of
+some element is forced into the solution and its elements marked covered,
+and any other subset left with an empty restriction to the uncovered
+elements is dropped.  This is all the run path reduces by.  ``reduce`` adds
+dominance on top: a subset whose element set is contained in another's is
+excluded too (equal sets keep the lowest id).  Both preserve feasibility and
+the optimal cardinality.
 
 Dominance reads the instance's member arrays (``core.Members``).  Its
 element columns share one frame, so testing a candidate ANDs its members'
@@ -18,15 +19,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance, iter_bits, lift, restrict
-
-# Bits spanned per member above which a dominance column is built bit by
-# bit, not from a '0'/'1' buffer.  ``_dominated`` (CPython 3.11, x86-64) at
-# 35: W1 51 ms, rail 70 ms, soak m=200000 1.23 s; within 2% at 25-60; dense
-# only: rail 79 ms, soak 2.12 s; sparse only: W1 59 ms.
-_SPARSE = 35
 
 
 @dataclass(frozen=True)
@@ -63,50 +58,10 @@ class ReductionReport:
         }
 
 
-def _force_unique_coverers(bits: Sequence[int]) -> Tuple[List[int], int]:
-    """The forcing sweep: the forced subsets and the mask they cover.
-
-    Word-parallel ``once``/``twice`` masks give the elements with exactly
-    one coverer.  Their coverers are forced in ascending order of their
-    lowest such element.
-    """
-    once = twice = 0
-    for b in bits:
-        twice |= once & b
-        once |= b
-    unique = once & ~twice
-    if not unique:
-        return [], 0
-    firsts = []
-    for sid, b in enumerate(bits):
-        hit = b & unique
-        if hit:
-            firsts.append(((hit & -hit).bit_length(), sid))
-    forced = [sid for _, sid in sorted(firsts)]
-    covered = 0
-    for sid in forced:
-        covered |= bits[sid]
-    return forced, covered
-
-
 def _column(bits: array) -> int:
-    """Bitmask with bit ``q`` set for each ``q`` in the descending ``bits``.
-
-    A dense column is written as one ``'0'``/``'1'`` byte per bit from the
-    highest, ``hi``, down to the lowest, ``lo``, which ``int(buf, 2)`` reads
-    as the mask shifted down by ``lo`` in one C-level conversion: one store
-    per member plus a C-level pass over every spanned bit.  A sparse one,
-    with more than ``_SPARSE`` bits spanned per member, ORs one bit per
-    member into a little-endian byte buffer instead: more work per member,
-    an eighth of the bytes.
-    """
-    hi, lo = bits[0], bits[-1]
-    if hi - lo < _SPARSE * len(bits):
-        buf = bytearray(b"0") * (hi - lo + 1)
-        for q in bits:
-            buf[hi - q] = 49  # '1'
-        return int(buf, 2) << lo
-    buf = bytearray((hi >> 3) + 1)
+    """Bitmask with bit ``q`` set for each ``q`` in the descending ``bits``,
+    ORed one bit per member into a little-endian byte buffer."""
+    buf = bytearray((bits[0] >> 3) + 1)
     for q in bits:
         buf[q >> 3] |= 1 << (q & 7)
     return int.from_bytes(buf, "little")
@@ -183,21 +138,39 @@ def _dominated(inst: Instance, candidates: Sequence[int]) -> List[int]:
     return dominated
 
 
-def reduce(inst: Instance) -> ReductionReport:
-    """Reduce an instance, reporting forced/excluded subsets and the residual.
+def force(inst: Instance, excluded: Iterable[int] = ()) -> ReductionReport:
+    """The forcing sweep: force each element's only coverer, then drop the
+    ``excluded`` subsets (none may be forced) and those left with nothing
+    uncovered.
 
-    Always succeeds; a fully reducible instance yields an empty residual.
-    Element lists are read from ``inst.members``; the residual carries them,
-    kept subsets only and renumbered past the covered elements.
+    Word-parallel ``once``/``twice`` masks give the elements with exactly
+    one coverer; their coverers are forced in ascending order of their
+    lowest such element.  Always succeeds; a fully forced instance yields an
+    empty residual, which carries the kept subsets' member arrays
+    renumbered past the covered elements.
     """
     bits = inst.masks
-    forced, covered = _force_unique_coverers(bits)
+    once = twice = 0
+    for b in bits:
+        twice |= once & b
+        once |= b
+    unique = once & ~twice
+    firsts = []
+    if unique:
+        for sid, b in enumerate(bits):
+            hit = b & unique
+            if hit:
+                firsts.append(((hit & -hit).bit_length(), sid))
+    forced = [sid for _, sid in sorted(firsts)]
+    covered = 0
+    for sid in forced:
+        covered |= bits[sid]
+
     dropped = set(forced)
     remaining = [sid for sid in range(inst.m) if sid not in dropped]
-    excluded = set(_dominated(inst, remaining))
+    excluded = set(excluded)
     if covered:
         excluded.update(sid for sid in remaining if bits[sid] & ~covered == 0)
-
     subset_map = [sid for sid in remaining if sid not in excluded]
     universe = (1 << inst.n) - 1
     element_map = list(iter_bits(universe & ~covered)) if covered else range(inst.n)
@@ -213,3 +186,14 @@ def reduce(inst: Instance) -> ReductionReport:
         element_to_original=tuple(element_map),
         subset_to_original=tuple(subset_map),
     )
+
+
+def reduce(inst: Instance) -> ReductionReport:
+    """``force``, also excluding every dominated subset.
+
+    Dominance is tested over the whole family: no forced subset is
+    dominated (a superset would share its uniquely covered element), and a
+    subset inside a forced one is left with nothing uncovered, so this
+    excludes what testing the unforced subsets alone would.
+    """
+    return force(inst, _dominated(inst, range(inst.m)))

@@ -37,7 +37,7 @@ from segcover.mst import (
     merge_sides,
     mst_bipartition,
 )
-from segcover.preprocess import ReductionReport, reduce
+from segcover.preprocess import ReductionReport, force
 from segcover.segmentation import Component, Segmentation
 
 
@@ -295,8 +295,9 @@ def _reference_dominated(subsets: Sequence[Set[int]], candidates: Sequence[int])
     return dominated
 
 
-def reference_reduce(inst: Instance) -> ReductionReport:
-    """The per-element ``reduce`` that ``segcover.preprocess.reduce`` replaced.
+def reference_reduce(inst: Instance, dominance: bool = True) -> ReductionReport:
+    """The per-element ``reduce`` that ``segcover.preprocess.reduce`` replaced;
+    with ``dominance`` off, the reference for ``preprocess.force``.
 
     Forcing counts coverers element by element; dominance tests each subset
     against every coverer of its rarest element; the residual is rebuilt
@@ -310,7 +311,7 @@ def reference_reduce(inst: Instance) -> ReductionReport:
 
     _reference_force(subsets, inst.n, active, forced, covered)
     remaining = [sid for sid in range(inst.m) if active[sid]]
-    for sid in _reference_dominated(subsets, remaining):
+    for sid in _reference_dominated(subsets, remaining) if dominance else ():
         active[sid] = False
         excluded.append(sid)
     for sid in remaining:
@@ -779,11 +780,12 @@ def reference_run_restarts(
 ) -> Tuple[int, Cover]:
     """The restart loop ``cli.run_algorithm`` ran before restarts were
     batched, for ``grasp``, ``grasp-uf`` and ``grasp-mst``: one solve per
-    restart, back to back.  ``grasp-mst`` is built from its primitives (the
-    bipartition, one ``_grasp_run`` per side on stream ``(seed + k) ^ side``,
-    ``merge_sides``), not through ``split``.  Returns the seed and the lifted
-    cover of the first strictly smallest restart."""
-    report = reduce(inst) if preprocess else None
+    restart, back to back, on the forcing sweep's residual.  ``grasp-mst``
+    is built from its primitives (the bipartition, one ``_grasp_run`` per
+    side on stream ``(seed + k) ^ side``, ``merge_sides``), not through
+    ``split``.  Returns the seed and the lifted cover of the first strictly
+    smallest restart."""
+    report = force(inst) if preprocess else None
     work = report.residual if report is not None else inst
     best_seed, best = seed, None
     for k in range(restarts):

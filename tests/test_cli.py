@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import itertools
 import json
@@ -9,12 +10,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover import cli, grasp_su, segmentation
+from segcover import cli, grasp_su, preprocess, segmentation
 from segcover.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -24,8 +26,8 @@ from segcover.cli import (
 )
 from segcover.core import Instance
 from segcover.greedy import greedy_solve
-from segcover.io import GeneratorConfig, generate_segmentable, parse_scp, write_scp
-from segcover.preprocess import reduce
+from segcover.io import CSV_HEADER, GeneratorConfig, generate_segmentable, parse_scp, write_scp
+from segcover.preprocess import force, reduce
 
 from conftest import DATA_DIR, make_instance
 from oracles import mutated_file, reference_run_restarts
@@ -418,6 +420,23 @@ class TestBench:
         assert err == f"warning: one.scp grasp-mst threads=1: {refused}\n"
         assert [r["rpd_star"] for r in records] == [0.0, None, 0.0, 0.0, None, None]
 
+    def test_refused_cell_carries_its_error_in_csv(self, tmp_path, capsys):
+        (tmp_path / "one.scp").write_text("1 3\n1 1 1\n3\n1 2 3\n")
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text("one.scp\nmissing.scp\n")
+        code, out, _ = run(
+            capsys, "bench", "--manifest", str(manifest), "--format", "scp",
+            "--algorithms", "greedy,grasp-mst", "--iterations", "5",
+        )
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["instance"], r["algorithm"], r["cardinality"]) for r in rows] == [
+            ("one.scp", "greedy", "1"), ("one.scp", "grasp-mst", ""),
+            ("missing.scp", "greedy", ""), ("missing.scp", "grasp-mst", ""),
+        ]
+        assert [r["error"] for r in rows[:2]] == ["", "bipartition needs at least two elements"]
+        assert all("missing.scp" in r["error"] for r in rows[2:])
+
     def test_manifest_from_a_pipe(self):
         proc = run_module(
             f"{FIXTURE} format=scp bks=3\n".encode(), "bench", "--manifest", "/dev/stdin",
@@ -449,7 +468,9 @@ class TestBench:
         ]
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
-        strip_wall = lambda text: [r.rsplit(",", 1)[0] for r in text.splitlines()]
+        wall = CSV_HEADER.index("wall_ms")
+        rows = lambda text: [r.split(",") for r in text.splitlines()]
+        strip_wall = lambda text: [r[:wall] + r[wall + 1:] for r in rows(text)]
         assert strip_wall(out1) == strip_wall(out2)
 
 
@@ -500,13 +521,26 @@ def test_each_phase_times_its_own_step():
 
 
 @pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+def test_run_path_reduces_by_forcing_alone(monkeypatch, algorithm):
+    """``run_algorithm`` never tests dominance, on an instance where the
+    forcing sweep forces subsets and ``reduce`` would also exclude some."""
+    inst = generate_segmentable(GeneratorConfig(n=60, m=120, groups=1, density=0.05, seed=1))
+    assert reduce(inst).excluded and force(inst).forced
+    dominated = mock.Mock(side_effect=AssertionError("dominance on the run path"))
+    monkeypatch.setattr(preprocess, "_dominated", dominated)
+    record, cover = cli.run_algorithm(inst, "gen", algorithm, iterations=3, restarts=2)
+    assert record.cardinality == len(cover) > 0
+    assert dominated.call_count == 0
+
+
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
 def test_empty_residual_is_the_forced_cover_without_a_pool(monkeypatch, algorithm):
     """Reduction forces every subset: the residual has no pieces, every
     restart merges to the empty cover, and no pool is spawned."""
     pools = []
     monkeypatch.setattr(grasp_su, "ProcessPoolExecutor", lambda *a, **k: pools.append(a))
     inst = Instance(3, [0b011, 0b100])
-    assert reduce(inst).residual.n == 0
+    assert force(inst).residual.n == 0
     record, cover = cli.run_algorithm(inst, "gen", algorithm, threads=2, restarts=3)
     assert cover.chosen == [0, 1]
     assert (record.cardinality, record.seed) == (2, 0)
@@ -671,7 +705,7 @@ def test_parallel_restarts_run_clean_in_dev_mode(tmp_path):
     sides for each of three restarts: an unclosed pool or file, or (3.12+) a
     fork while threads are alive, fails the run."""
     inst = generate_segmentable(GeneratorConfig(n=150, m=90, groups=1, density=0.1, seed=4))
-    assert len(segmentation.find_groups(reduce(inst).residual).components) == 1
+    assert len(segmentation.find_groups(force(inst).residual).components) == 1
     path = tmp_path / "connected.scp"
     path.write_bytes(write_scp(inst))
     env = dict(os.environ)

@@ -7,7 +7,7 @@ from segcover import cli
 from segcover.core import cover_is_feasible, iter_bits
 from segcover.greedy import greedy_solve, interleave
 from segcover.io import GeneratorConfig, generate_segmentable
-from segcover.preprocess import reduce
+from segcover.preprocess import force
 from segcover.segmentation import find_groups
 
 from conftest import make_instance
@@ -99,11 +99,12 @@ def test_matches_full_rescan_greedy_on_segmentable():
 def test_interleaved_piece_greedy_is_whole_greedy(seed, kind):
     """Greedy on each component, picks ordered by (gain at pick time
     descending, id), is whole-instance greedy: on the raw instance, on the
-    reduced residual, and through ``run_algorithm``."""
+    forcing sweep's residual, and through ``run_algorithm``, which reduces
+    by that sweep."""
     rng = random.Random(seed)
     n, subsets = multi_component_family(rng) if kind == "multi" else tie_rich_family(rng)
     inst = to_instance(n, subsets)
-    report = reduce(inst)
+    report = force(inst)
     for work in (inst, report.residual):
         seg = find_groups(work)
         pieces = [greedy_solve(c.subinstance) for c in seg.components]

@@ -268,8 +268,8 @@ class TestResultsCsv:
             cardinality=5, bks=5, rpd=0.0, rpd_star=None, wall_ms=12.0,
         )
         out = emit_results_csv([rec]).decode().splitlines()
-        assert out[0] == "instance,algorithm,seed,threads,cardinality,bks,rpd,rpd_star,wall_ms"
-        assert out[1] == "scpe1,grasp,1,1,5,5,0.0000,,12.0000"
+        assert out[0] == "instance,algorithm,seed,threads,cardinality,bks,rpd,rpd_star,wall_ms,error"
+        assert out[1] == "scpe1,grasp,1,1,5,5,0.0000,,12.0000,"
 
     def test_missing_bks_leaves_cells_empty(self):
         rec = _Rec(
@@ -277,7 +277,7 @@ class TestResultsCsv:
             cardinality=7, bks=None, rpd=None, rpd_star=None, wall_ms=1.5,
         )
         row = emit_results_csv([rec]).decode().splitlines()[1]
-        assert row == "x,greedy,0,1,7,,,,1.5000"
+        assert row == "x,greedy,0,1,7,,,,1.5000,"
 
     def test_four_decimal_rounding(self):
         rec = _Rec(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from segcover import preprocess
 from segcover.core import Cover, Instance, cover_is_feasible, iter_bits, member_arrays
 from segcover.io import GeneratorConfig, generate_segmentable
-from segcover.preprocess import reduce
+from segcover.preprocess import force, reduce
 
 from conftest import make_instance
 from oracles import (
@@ -190,14 +190,11 @@ def test_matches_reference_reduce(seed):
     assert_same_reduction(to_instance(*tie_rich_family(random.Random(seed))))
 
 
-@pytest.mark.parametrize("sparse", [0, 10**9], ids=["bitwise", "buffered"])
 @given(seeds)
-@settings(max_examples=100, deadline=None)
-def test_each_column_kernel_matches_reference_reduce(sparse, seed):
-    # Small families build dense columns only; the threshold forces one kernel.
+@settings(max_examples=200, deadline=None)
+def test_column_kernel_matches_reference_reduce(seed):
     family = rail_family if seed % 2 else tie_rich_family
-    with mock.patch.object(preprocess, "_SPARSE", sparse):
-        assert_same_reduction(to_instance(*family(random.Random(seed))))
+    assert_same_reduction(to_instance(*family(random.Random(seed))))
 
 
 @given(seeds)
@@ -218,6 +215,32 @@ def test_matches_reference_reduce_on_segmentable(seed, density):
     assert_same_reduction(
         generate_segmentable(GeneratorConfig(n=120, m=200, groups=4, density=density, seed=seed))
     )
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_forcing_sweep_matches_reference_and_keeps_the_optimum(seed, duplicates):
+    # The run path's reduction: the reference's forced set and report, no
+    # dominance, the optimum split into forced plus residual optimum, and a
+    # residual optimum lifted into an optimal cover of the instance.
+    rng = random.Random(seed)
+    n, subsets = duplicate_rich_family(rng) if duplicates else tie_rich_family(rng, 12, 8)
+    inst = to_instance(n, subsets)
+    report = force(inst)
+    expected = reference_reduce(inst, dominance=False)
+    for field in REPORT_FIELDS:
+        assert getattr(report, field) == getattr(expected, field), field
+    assert_members_are_the_mask_bits(report.residual)
+
+    opt, _ = brute_force_min_cover(n, subsets)
+    residual_sets = [set(iter_bits(b)) for b in report.residual.masks]
+    res_opt, combo = brute_force_min_cover(report.residual.n, residual_sets)
+    assert opt == len(report.forced) + res_opt
+    residual_cover = Cover.empty()
+    for sid in combo:
+        residual_cover.add(sid, report.residual.masks[sid])
+    lifted = report.lift_cover(residual_cover)
+    assert cover_is_feasible(lifted, inst) and len(lifted) == opt
 
 
 def test_residual_renumbers_across_scattered_covered_elements():
