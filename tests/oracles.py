@@ -175,6 +175,17 @@ def mask_of(members: Iterable[int]) -> int:
     return bits
 
 
+def buffered_column(bits: Sequence[int]) -> int:
+    """The column mask of the descending ``bits``, built independently of
+    ``preprocess._column``: one ``'0'``/``'1'`` byte per spanned bit, read by
+    ``int(buf, 2)`` and shifted up by the lowest bit."""
+    hi, lo = bits[0], bits[-1]
+    buf = bytearray(b"0") * (hi - lo + 1)
+    for q in bits:
+        buf[hi - q] = 49  # '1'
+    return int(buf, 2) << lo
+
+
 def members_of(inst: Instance) -> List[Set[int]]:
     """Each subset of ``inst`` as a Python set of its elements."""
     return [set(iter_bits(b)) for b in inst.masks]
