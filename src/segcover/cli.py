@@ -45,6 +45,9 @@ class RunRecord:
     (the union-find for ``greedy`` and ``grasp-uf``, the bipartition for
     ``grasp-mst``); ``solve_ms`` the piece solves; ``merge_ms`` the merges of
     piece covers.  ``wall_ms`` also counts lifting and validation.
+    ``parse_ms``, outside ``wall_ms``, is the reading and parsing of the
+    instance file, shared by the bench cells of one instance; it stays 0 for
+    an instance that was not read from a file.
     """
 
     instance: str
@@ -55,6 +58,7 @@ class RunRecord:
     bks: Optional[int] = None
     rpd: Optional[float] = None
     rpd_star: Optional[float] = None
+    parse_ms: float = 0.0
     preprocess_ms: float = 0.0
     segment_ms: float = 0.0
     solve_ms: float = 0.0
@@ -113,13 +117,17 @@ def _thread_counts(value: str) -> List[int]:
 _thread_counts.__name__ = "int"
 
 
-def _parse_file(path: Path, fmt: str, rail_layout: str) -> Instance:
+def _parse_file(path: Path, fmt: str, rail_layout: str) -> Tuple[Instance, float]:
+    """The instance in ``path`` and the ms that reading and parsing it took."""
+    start = time.perf_counter()
     data = path.read_bytes()
     if fmt == "scp":
-        return parse_scp(data)
-    if fmt == "rail":
-        return parse_rail(data, layout=rail_layout)
-    return parse_auto(data, rail_layout)
+        inst = parse_scp(data)
+    elif fmt == "rail":
+        inst = parse_rail(data, layout=rail_layout)
+    else:
+        inst = parse_auto(data, rail_layout)
+    return inst, (time.perf_counter() - start) * 1e3
 
 
 def run_algorithm(
@@ -216,11 +224,12 @@ def _emit(records: Sequence[RunRecord], output: str, out=None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    inst = _parse_file(path, args.format, args.rail_layout)
+    inst, parse_ms = _parse_file(path, args.format, args.rail_layout)
     record, _ = run_algorithm(
         inst, path.name, args.algorithm, threads=args.threads, bks=args.bks,
         **_run_options(args),
     )
+    record.parse_ms = parse_ms
     _emit([record], args.output)
     return EXIT_OK
 
@@ -327,12 +336,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         bks = int(entry["bks"]) if "bks" in entry else None
         fmt = entry.get("format", args.format)
         try:
-            inst = _parse_file(inst_path, fmt, args.rail_layout)
+            inst, parse_ms = _parse_file(inst_path, fmt, args.rail_layout)
         except (OSError, ParseError) as exc:
             print(f"warning: skipping {name}: {exc}", file=sys.stderr)
             records += [_refused(name, a, t, args.seed, exc) for a, t in cells]
             continue
-        records += sweep(inst, name, cells, bks=bks, **_run_options(args))
+        rows = sweep(inst, name, cells, bks=bks, **_run_options(args))
+        for record in rows:
+            record.parse_ms = parse_ms
+        records += rows
     _emit(records, args.output)
     return EXIT_OK
 

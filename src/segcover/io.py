@@ -17,12 +17,17 @@ about ``_CHUNK`` bytes; each chunk is split and converted with ``map(int,
 ...)``, and the chunks are chained into one iterator, so no token list
 spans the file.  A record (the header, the scp costs, one scp row or one
 rail column) is taken with ``islice``, its count first where it has one,
-and checked with ``min``/``max``.  A record that fails a check, is cut
-short, or holds a token that ``int`` rejects is read again token
-by token with a regex from its first token, which raises the first fault in
-token order with its message and byte offset.  The record's first byte
-offset is found from its token index: each chunk's end offset and running
-token count are kept, so the search scans one chunk.
+and its count and length are checked.  A rail column's row ids are checked
+at the ends of the column, sorted as read.  An scp row's column ids are
+checked by the indexing that files each row under its columns, with
+``min`` only for data that holds a minus sign; a row that names a column
+twice is found afterwards, by the bit count of the range-local masks.  A
+record that fails a check, is cut short, or holds a token that ``int``
+rejects is read again token by token with a regex from its first token,
+which raises the first fault in token order with its message and byte
+offset.  The record's first byte offset is found from its token index:
+each chunk's end offset and running token count are kept, so the search
+scans one chunk.
 """
 from __future__ import annotations
 
@@ -230,6 +235,12 @@ def parse_scp(data: bytes) -> Instance:
         ints.replay(2, _read_costs, m)
     members: List[List[int]] = [[] for _ in range(m + 1)]  # by 1-based column id
     add = [ms.append for ms in members]
+    # Column ids are checked by the indexing: an id above ``m`` raises
+    # IndexError at ``add``, and id 0 appends to ``bad``.  A negative id
+    # would wrap onto a real column, so ``min`` runs only when the data
+    # holds a minus sign.
+    bad = members[0]
+    signed = b"-" in data
     # A record can hold no more tokens than the data has bytes; a larger
     # count is a fault, found without reading the rest of the data.
     most = len(data)
@@ -242,23 +253,36 @@ def parse_scp(data: bytes) -> Instance:
             if not 0 < count <= most:
                 raise ValueError
             cols = list(islice(values, count))
-            if len(cols) < count or min(cols) < 1 or max(cols) > m:
+            if len(cols) < count or signed and min(cols) < 1:
                 raise ValueError
             for col in cols:
                 add[col](row)
+            if bad:
+                raise ValueError
             taken += 1 + count
-    except ValueError:  # a non-integer token, or a record that failed a check
+    except (ValueError, IndexError):  # a non-integer token, or a failed check
         ints.replay(start, _read_scp_row, m, row)
     ints.expect_end(taken)
-    del members[0]
-    masks = [index_mask(ms, ms[0], ms[-1]) if ms else 0 for ms in members]
+    del members[0], add
     # Rows are read in order, so each list ascends; it is distinct unless a
-    # row named a column twice, and then the masks hold fewer bits than
-    # the rows named columns.
-    if sum(map(int.bit_count, masks)) != taken - 2 - m - n:
+    # row named a column twice, and then its range-local mask holds fewer
+    # bits than the list has entries.
+    masks = []
+    distinct = True
+    for ms in members:
+        if ms:
+            lo = ms[0]
+            bits = 0
+            for i in ms:
+                bits |= 1 << (i - lo)
+            distinct = distinct and bits.bit_count() == len(ms)
+            masks.append(bits << lo)
+        else:
+            masks.append(0)
+    if not distinct:
         members = [list(dict.fromkeys(ms)) for ms in members]
     flat = member_arrays(members)
-    del members, add
+    del members
     return _build_instance(n, masks, ints, taken, flat)
 
 

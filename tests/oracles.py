@@ -842,8 +842,12 @@ def write_rail_count_first(inst: Instance) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-# Replacement tokens: valid, signed, underscored and non-integer ones.
-MUTANT_TOKENS = (b"0", b"1", b"2", b"3", b"9", b"-1", b"+2", b"1_0", b"007", b"x", b"1.5", b"\xff")
+# Replacement tokens: valid, signed, underscored and non-integer ones.  An
+# scp column id of -1 would wrap onto column ``m`` under list indexing, and
+# -9, below ``-m``, past the front of the list.
+MUTANT_TOKENS = (
+    b"0", b"1", b"2", b"3", b"9", b"-1", b"-9", b"+2", b"1_0", b"007", b"x", b"1.5", b"\xff"
+)
 # Every byte that ends a token, alone and in runs.
 MUTANT_SPACES = (b" ", b"\n", b"\t", b"\r", b"\x0b", b"\x0c", b" \r\n")
 

@@ -126,7 +126,7 @@ class TestSolve:
         assert code == EXIT_OK
         assert out.strip().splitlines()[1].split(",")[4] != ""
 
-    def test_json_output_mirrors_record_fields(self, capsys):
+    def test_json_output_mirrors_record_fields(self, tmp_path, capsys):
         code, out, _ = run(
             capsys, "solve", "--input", FIXTURE, "--format", "scp",
             "--algorithm", "greedy", "--output", "json",
@@ -135,8 +135,8 @@ class TestSolve:
         record = json.loads(out.strip())
         assert {
             "instance", "algorithm", "seed", "threads", "cardinality", "bks",
-            "rpd", "rpd_star", "preprocess_ms", "segment_ms", "solve_ms",
-            "merge_ms", "wall_ms",
+            "rpd", "rpd_star", "parse_ms", "preprocess_ms", "segment_ms",
+            "solve_ms", "merge_ms", "wall_ms",
         } <= set(record)
         # reduction fixes one subset and leaves an 8x5 residual that greedy
         # covers with two picks, so the lifted cover has three subsets
@@ -145,6 +145,23 @@ class TestSolve:
                   ("preprocess_ms", "segment_ms", "solve_ms", "merge_ms")]
         assert all(v >= 0.0 for v in phases)
         assert sum(phases) <= record["wall_ms"]
+        assert record["parse_ms"] > 0.0  # outside wall_ms
+
+        # bench: the cells of one instance share its parse; CSV rows keep
+        # the fixed header
+        manifest = tmp_path / "bench.manifest"
+        manifest.write_text(f"{FIXTURE} name=a format=scp\n{FIXTURE} name=b format=scp\n")
+        argv = ["bench", "--manifest", str(manifest), "--algorithms", "greedy,grasp-uf",
+                "--iterations", "2"]
+        code, out, _ = run(capsys, *argv, "--output", "json")
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert [r["instance"] for r in records] == ["a", "a", "b", "b"]
+        for cells in (records[:2], records[2:]):
+            assert {r["parse_ms"] for r in cells} == {cells[0]["parse_ms"]}
+            assert cells[0]["parse_ms"] > 0.0
+        _, out, _ = run(capsys, *argv)
+        assert out.splitlines()[0] == ",".join(CSV_HEADER)
 
     def test_grasp_cover_independent_of_threads(self, capsys):
         rows = []

@@ -171,6 +171,14 @@ def test_parsers_match_reference_on_mutated_bytes(chunk, seed):
         b"1 1 1 1 1 junk",
         b"3 2\n1 2 1 2\n1 99999999999999999999 2 3\n",
         b"3 2\n1 2 1 2\n1 2 2 3\n" + b"1" * 5000,
+        # scp column ids: 0 in the last row, m + 1, -(m + 1), -1, which
+        # indexing alone would take for column m, and a negative cost with
+        # valid ids, which must parse.
+        b"3 2\n1 1\n1 1\n1 2\n2 2 0\n",
+        b"2 2\n1 1\n1 1\n2 2 3\n",
+        b"2 2\n1 1\n1 1\n2 2 -3\n",
+        b"2 2\n1 1\n2 1 2\n1 -1\n",
+        b"2 2\n-1 1\n2 1 2\n1 2\n",
     ],
 )
 def test_parsers_match_reference_on_edge_bytes(data):
@@ -185,6 +193,17 @@ def test_fault_offset_found_in_a_late_chunk():
     with pytest.raises(ParseError, match="row id 4 out of range 1..3") as err:
         parse_rail(data)
     assert err.value.offset == len(data) - 2
+
+
+@pytest.mark.parametrize("col", [b"0", b"4", b"-1"])
+def test_scp_column_fault_found_in_a_late_chunk(col):
+    rows = [f"2 {r % 3 + 1} {(r + 1) % 3 + 1}" for r in range(30_000)]
+    data = ("30001 3\n1 1 1\n" + "\n".join(rows) + "\n2 1 ").encode() + col + b"\n"
+    offset = len(data) - 1 - len(col)
+    assert offset - 4 > 2 * io._CHUNK  # the faulty row starts in the third chunk
+    message = f"column id {int(col)} out of range 1..3 (byte offset {offset})"
+    assert _outcome(reference_parse_scp, data) == (message, offset)
+    assert _outcome(parse_scp, data) == (message, offset)
 
 
 @pytest.mark.parametrize(
