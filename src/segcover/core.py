@@ -250,19 +250,39 @@ class Cover:
         return f"Cover(size={len(self.chosen)}, covered={self.covered.bit_count()})"
 
 
+def chosen_masks(c: Cover, inst: Instance) -> List[int]:
+    """The masks of ``c.chosen`` in order, read from ``inst`` by id, never
+    from ``c.covered``.  An id outside ``inst`` raises, naming the first
+    such id in ``c.chosen``."""
+    masks = inst.masks
+    m = len(masks)
+    chosen = c.chosen
+    if chosen and not (0 <= min(chosen) and max(chosen) < m):
+        sid = next(sid for sid in chosen if not 0 <= sid < m)
+        raise ValueError(f"unknown subset id {sid} for instance with m={m}")
+    return list(map(masks.__getitem__, chosen))
+
+
+def multiplicity(masks: Iterable[int]) -> Tuple[int, int]:
+    """``(once, twice)``: the elements held by at least one and by at least
+    two of ``masks``, found word-parallel in one pass.  ``once & ~twice``
+    is the elements that exactly one of them holds."""
+    once = twice = 0
+    for b in masks:
+        twice |= once & b
+        once |= b
+    return once, twice
+
+
 def cover_is_feasible(c: Cover, inst: Instance) -> bool:
     """True iff the chosen subsets of ``inst`` together cover its universe.
 
-    The masks are read from ``inst`` by id, never from ``c.covered``, so a
-    cover whose own mask overstates its coverage is still caught.
+    The masks are read from ``inst`` by id (``chosen_masks``), so a cover
+    whose own mask overstates its coverage is still caught.
     """
-    masks = inst.masks
-    m = len(masks)
     union = 0
-    for sid in c.chosen:
-        if not 0 <= sid < m:
-            raise ValueError(f"unknown subset id {sid} for instance with m={m}")
-        union |= masks[sid]
+    for b in chosen_masks(c, inst):
+        union |= b
     return union.bit_count() == inst.n
 
 

@@ -11,9 +11,12 @@ The improvement loop repeatedly deletes a random fraction of the incumbent,
 rebuilds with the construction, prunes redundant picks, and keeps the result
 when it is no larger than the incumbent, so equal-size covers replace it
 (plateau moves); the deletion sample is the loop's only randomness.
-Pruning tests each subset against the union of the kept subsets before it
-and of every subset after it (a suffix OR), so it costs O(k) big-int
-operations for a k-subset cover.
+Pruning first counts the cover word-parallel (``core.multiplicity``): that
+is the feasibility test, and when every chosen subset holds an element no
+other one holds, which is most rounds, nothing can be dropped and the cover
+is returned as it is.  Otherwise it tests each subset against the union of
+the kept subsets before it and of every subset after it (a suffix OR), so
+it costs O(k) big-int operations for a k-subset cover.
 
 The paper's construction draws one of four score functions per pick and,
 after a round that did not improve, draws the candidate weighted by that
@@ -28,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import Cover, Instance, cover_is_feasible, index_mask
+from .core import Cover, Instance, chosen_masks, index_mask, multiplicity
 
 
 @dataclass(frozen=True)
@@ -150,13 +153,18 @@ def remove_redundant_sets(c: Cover, inst: Instance) -> Cover:
     higher id), so large sets get evicted first; the result is 1-minimal.
     When a subset's turn comes the cover holds the subsets kept before it and
     every subset after it, so it is dropped iff it lies inside their union.
+    A subset that alone holds some element of the cover is never dropped,
+    so when every chosen subset does, the cover is returned as it is,
+    without the scan.
     """
-    if not cover_is_feasible(c, inst):
+    picked = chosen_masks(c, inst)
+    once, twice = multiplicity(picked)
+    if once.bit_count() != inst.n:
         raise ValueError("cover must be feasible before redundancy removal")
-    masks = sorted(
-        ((inst.masks[sid], sid) for sid in c.chosen),
-        key=lambda pair: (-pair[0].bit_count(), -pair[1]),
-    )
+    private = once & ~twice
+    if all(b & private for b in picked):
+        return Cover(c.chosen, once)
+    masks = sorted(zip(picked, c.chosen), key=lambda pair: (-pair[0].bit_count(), -pair[1]))
     suffix = [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i][0]

@@ -15,7 +15,12 @@ are 1-based and converted to 0-based at this boundary.
 Parsing is streamed.  The bytes are cut into whitespace-aligned chunks of
 about ``_CHUNK`` bytes; each chunk is split and converted with ``map(int,
 ...)``, and the chunks are chained into one iterator, so no token list
-spans the file.  A record (the header, the scp costs, one scp row or one
+spans the file.  A rail file names only its ``n`` rows, so once
+``parse_rail`` has read the header, the chunks after the header's are
+converted by a lookup from the canonical decimal tokens ``0..n`` to their
+ints (when the table is small against the data); any other token, bad ones
+included, still goes to ``int``.  ``parse_scp``, whose ids run up to ``m``,
+keeps ``int``.  A record (the header, the scp costs, one scp row or one
 rail column) is taken with ``islice``, its count first where it has one,
 and its count and length are checked.  A rail column's row ids are checked
 at the ends of the column, sorted as read.  An scp row's column ids are
@@ -108,6 +113,16 @@ class _Tokens:
             raise ParseError(f"unexpected trailing token {match.group()!r}", match.start())
 
 
+class _Table(dict):
+    """Tokens to their ints: a key is a canonical decimal token, and any
+    other token converts with ``int``, which raises for a bad one."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: bytes) -> int:
+        return int(token)
+
+
 class _Ints:
     """The integers of ``data`` as one iterator, ``values``, converted in C
     one whitespace-aligned chunk of about ``_CHUNK`` bytes at a time; no
@@ -122,7 +137,25 @@ class _Ints:
         self.data = data
         self._starts = [0]
         self._firsts = [0]
-        self.values = chain.from_iterable(map(int, tokens) for tokens in self._chunks())
+        self._most = -1
+        self.values = chain.from_iterable(self._converted())
+
+    def tabulate(self, most: int) -> None:
+        """Convert the chunks after the current one through a ``_Table`` of
+        the tokens ``0..most``, if it is small against the data: a file that
+        names few distinct ids names each of them many times, and a lookup
+        is cheaper than ``int``, but a miss costs a Python call."""
+        if most + 1 <= len(self.data) >> 4:
+            self._most = most
+
+    def _converted(self) -> Iterator[Iterator[int]]:
+        convert = int
+        for tokens in self._chunks():
+            if self._most >= 0 and convert is int:
+                # Built at the first chunk it converts, so bytes that fault
+                # before then never pay for it.
+                convert = _Table((b"%d" % i, i) for i in range(self._most + 1)).__getitem__
+            yield map(convert, tokens)
 
     def _chunks(self) -> Iterator[List[bytes]]:
         data = self.data
@@ -297,6 +330,7 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
     ints = _Ints(data)
     values = ints.values
     n, m = ints.header()
+    ints.tabulate(n)
     costed = layout == "cost-first"
     lead = 2 if costed else 1
     masks: List[int] = []

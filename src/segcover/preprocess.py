@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import Cover, Instance, iter_bits, lift, restrict
+from .core import Cover, Instance, iter_bits, lift, multiplicity, restrict
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,7 @@ def force(inst: Instance, excluded: Iterable[int] = ()) -> ReductionReport:
     renumbered past the covered elements.
     """
     bits = inst.masks
-    once = twice = 0
-    for b in bits:
-        twice |= once & b
-        once |= b
+    once, twice = multiplicity(bits)
     unique = once & ~twice
     firsts = []
     if unique:

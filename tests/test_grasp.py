@@ -22,6 +22,7 @@ from segcover.io import GeneratorConfig, generate_segmentable
 from conftest import make_instance
 from oracles import (
     REFERENCE_EVAL_FUNCTIONS,
+    members_of,
     random_covering_family,
     reference_find_best_candidate,
     reference_grasp_solve,
@@ -202,6 +203,15 @@ def _regular_family(rng):
     return to_instance(n, subsets)
 
 
+def _unprivate(inst, chosen):
+    """The picks of ``chosen`` that hold no element alone among them."""
+    subsets = members_of(inst)
+    return [
+        sid for sid in chosen
+        if subsets[sid] <= set().union(*(subsets[o] for o in chosen if o != sid))
+    ]
+
+
 def _random_partial(rng, inst):
     """About a third of the subsets, and the elements they leave uncovered."""
     partial = [sid for sid in range(inst.m) if rng.random() < 0.3]
@@ -276,6 +286,67 @@ class TestMatchesReference:
         new = remove_redundant_sets(cover, inst)
         old = reference_remove_redundant_sets(cover, inst)
         assert (new.chosen, new.covered) == (old.chosen, old.covered)
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=300, deadline=None)
+    def test_remove_redundant_sets_near_minimal(self, seed):
+        # The whole family as the cover almost never has a private element
+        # in every pick; a 1-minimal cover always does, and one more subset
+        # that leaves every pick a private element is its one redundant pick.
+        rng, inst = _family(seed)
+        order = list(range(inst.m))
+        rng.shuffle(order)
+        minimal = reference_remove_redundant_sets(Cover(order, 0), inst).chosen
+        rng.shuffle(minimal)
+        covers = [minimal]
+        for extra in rng.sample(order, inst.m):
+            chosen = minimal[:]
+            chosen.insert(rng.randint(0, len(chosen)), extra)
+            if extra not in minimal and _unprivate(inst, chosen) == [extra]:
+                covers.append(chosen)
+                break
+        for chosen in covers:
+            new = remove_redundant_sets(Cover(chosen, 0), inst)
+            old = reference_remove_redundant_sets(Cover(chosen, 0), inst)
+            assert (new.chosen, new.covered) == (old.chosen, old.covered)
+            assert new.chosen == minimal
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_remove_redundant_sets_on_improvement_rounds(self, seed):
+        rng = random.Random(seed)
+        inst = generate_segmentable(GeneratorConfig(
+            n=rng.randint(20, 120), m=rng.randint(20, 90), groups=1,
+            density=rng.choice((0.05, 0.1, 0.3)), seed=seed,
+        ))
+        pruned = []
+
+        def both(c, sub):
+            new = remove_redundant_sets(c, sub)
+            old = reference_remove_redundant_sets(c, sub)
+            assert (new.chosen, new.covered) == (old.chosen, old.covered)
+            pruned.append(new)
+            return new
+
+        with mock.patch.object(grasp, "remove_redundant_sets", both):
+            grasp_solve(inst, GraspParams(num_iter=20, seed=seed))
+        assert len(pruned) == 21  # the first construction's prune, then one per round
+
+    @pytest.mark.parametrize(
+        "chosen, message",
+        [
+            ([0, 99, -1], "unknown subset id 99 for instance with m=7"),
+            ([0, -1, 99], "unknown subset id -1 for instance with m=7"),
+            ([7, 0, 1, 5], "unknown subset id 7 for instance with m=7"),
+            ([0, 1], "cover must be feasible before redundancy removal"),
+            ([], "cover must be feasible before redundancy removal"),
+        ],
+    )
+    def test_remove_redundant_sets_errors(self, twelve, chosen, message):
+        for prune in (remove_redundant_sets, reference_remove_redundant_sets):
+            with pytest.raises(ValueError) as err:
+                prune(Cover(chosen, (1 << twelve.n) - 1), twelve)
+            assert str(err.value) == message
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)

@@ -27,6 +27,7 @@ from segcover.preprocess import reduce
 from segcover.segmentation import find_groups
 
 from oracles import (
+    MUTANT_TOKENS,
     assert_members_are_the_mask_bits,
     bfs_components,
     member_lists,
@@ -204,6 +205,86 @@ def test_scp_column_fault_found_in_a_late_chunk(col):
     message = f"column id {int(col)} out of range 1..3 (byte offset {offset})"
     assert _outcome(reference_parse_scp, data) == (message, offset)
     assert _outcome(parse_scp, data) == (message, offset)
+
+
+def _rail_columns(n, count, costed, seed=0):
+    """``count`` rail columns of 20 random rows of ``1..n`` each, as token
+    lists; the first column holds every row."""
+    rng = random.Random(seed)
+    lead = [b"1"] if costed else []
+    rows = [range(1, n + 1)] + [sorted(rng.sample(range(1, n + 1), 20)) for _ in range(count - 1)]
+    return [lead + [b"%d" % len(r)] + [b"%d" % e for e in r] for r in rows]
+
+
+def _rail_file(n, columns):
+    return b"%d %d\n" % (n, len(columns)) + b"\n".join(map(b" ".join, columns)) + b"\n"
+
+
+def _counting_tables():
+    return mock.patch.object(io, "_Table", side_effect=io._Table)
+
+
+@pytest.mark.parametrize("costed", [True, False])
+@pytest.mark.parametrize("token", MUTANT_TOKENS)
+def test_rail_token_in_a_late_chunk_matches_reference(token, costed):
+    # Past the header's chunk, rail tokens convert through the table; each
+    # mutant token, substituted in turn for a cost, a count or a row id, or
+    # inserted before a row id, parses as the token-by-token reference does.
+    layout = "cost-first" if costed else "count-first"
+    columns = _rail_columns(500, 1800, costed)
+    late = len(columns) - 3
+    assert sum(map(len, map(b" ".join, columns[:late]))) > 2 * io._CHUNK
+    slot = MUTANT_TOKENS.index(token) % (3 if costed else 2)
+    for edit in ("substitute", "insert"):
+        mutated = [c[:] for c in columns]
+        if edit == "substitute":
+            mutated[late][slot] = token
+        else:
+            mutated[late].insert(len(mutated[late]) - 1, token)
+        data = _rail_file(500, mutated)
+        with _counting_tables() as built:
+            outcome = _outcome(partial(parse_rail, layout=layout), data)
+        assert built.call_count == 1
+        assert outcome == _outcome(partial(reference_parse_rail, layout=layout), data)
+
+
+def test_table_converts_every_token_as_int_does():
+    n = 500
+    tokens = [b"007", b"+2", b"1_0", b"-0", b"00", b"0", b"500", b"501", b"-3", b"10" * 15]
+    body = tokens * 2000
+    data = b"%d 1\n" % n + b" ".join(body)
+    ints = io._Ints(data)
+    assert ints.header() == (n, 1)
+    ints.tabulate(n)
+    with _counting_tables() as built:
+        assert list(ints.values) == list(map(int, body))
+    assert built.call_count == 1
+    for bad in (b"x", b"1.5", b"\xff", b"1__0"):
+        at = len(body) - 5
+        ints = io._Ints(b"%d 1\n" % n + b" ".join(body[:at] + [bad] + body[at:]))
+        ints.header()
+        ints.tabulate(n)
+        taken = []
+        with pytest.raises(ValueError) as err:
+            taken.extend(ints.values)
+        assert taken == list(map(int, body[:at]))
+        with pytest.raises(ValueError) as expected:
+            int(bad)
+        assert str(err.value) == str(expected.value)
+
+
+def test_no_table_for_bytes_that_fault_early_or_declare_too_many_rows():
+    # scp bytes read as rail fault inside the first chunk, as W1's do.
+    inst = generate_segmentable(GeneratorConfig(n=2000, m=4000, groups=4, density=0.02, seed=3))
+    scp = write_scp(inst)
+    assert len(scp) > 2 * io._CHUNK and inst.n + 1 <= len(scp) >> 4
+    # a row count beyond the data's sixteenth takes no table either
+    rail = _rail_file(10**5, _rail_columns(500, 1800, True))
+    with _counting_tables() as built:
+        assert parse_auto(scp) == inst
+        with pytest.raises(ParseError, match="does not cover element 500 "):
+            parse_rail(rail)
+    assert built.call_count == 0
 
 
 @pytest.mark.parametrize(
