@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from .core import Cover, Instance, cover_is_feasible
 from .grasp import GraspParams
-from .grasp_su import ALGORITHMS, SuParams, rpd, rpd_star, solve_restarts, split
+from .grasp_su import ALGORITHMS, SuParams, rpd, rpd_star, run_components, split
 from .greedy import greedy_solve
 from .io import ParseError, emit_results_csv, parse_auto, parse_rail, parse_scp
 from .io import GeneratorConfig, generate_segmentable, write_scp
@@ -150,7 +150,8 @@ def run_algorithm(
     once per run, solve the pieces, merge each restart's piece covers.
     Only the piece solver differs: ``greedy`` is deterministic, so it runs
     ``greedy_solve`` once per piece, in-process, for one restart; every
-    other algorithm runs its restarts through ``solve_restarts``.
+    other algorithm runs all its restarts in one ``run_components`` call,
+    whose restart-major covers are cut into each restart's piece covers.
 
     The instance is reduced by the forcing sweep alone (``preprocess.force``,
     skipped with ``preprocess=False``); ``reduce``'s dominance pass is for
@@ -176,7 +177,9 @@ def run_algorithm(
     if algorithm == "greedy":
         partials = [[greedy_solve(piece) for piece in pieces]]
     else:
-        partials = list(solve_restarts(pieces, params, restarts))
+        count = len(pieces)
+        solved = run_components(pieces, params, restarts)
+        partials = [solved[k * count:(k + 1) * count] for k in range(restarts)]
     t2 = time.perf_counter()
     covers = [merge(piece_covers) for piece_covers in partials]
     record.preprocess_ms = (t0 - wall_start) * 1e3

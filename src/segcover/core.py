@@ -40,12 +40,12 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits >>= step
 
 
-def index_mask(indices: Iterable[int], lo: int, hi: int) -> int:
-    """The bitmask with bit ``i`` set for each ``i`` in ``indices``, all of
-    which lie in ``lo..hi``.
+def index_mask(indices: Iterable[int], lo: int) -> int:
+    """The bitmask with bit ``i`` set for each ``i`` in ``indices``, none of
+    which is below ``lo``.
 
-    Each member is one shift and one OR on an int no wider than the range,
-    never as wide as the universe; the result is shifted up by ``lo`` once.
+    Each member is one shift and one OR on an int no wider than the indices'
+    span from ``lo``, not the universe; the result is shifted up by ``lo`` once.
     """
     bits = 0
     for i in indices:
@@ -206,7 +206,7 @@ def restrict(inst: Instance, family: Sequence[int], element_ids: Sequence[int]) 
         out.extend([j for j in map(keep, ids[starts[sid]:starts[sid + 1]]) if j is not None])
         cuts.append(len(out))
     spans = zip(cuts, islice(cuts, 1, None))
-    masks = [index_mask(out[s:t], out[s], out[t - 1]) for s, t in spans]
+    masks = [index_mask(out[s:t], out[s]) for s, t in spans]
     return Instance(size, masks, (cuts, out))
 
 

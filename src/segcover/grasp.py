@@ -78,7 +78,7 @@ def create_row_map(inst: Instance) -> RowMap:
     for e, ids in enumerate(coverers):
         by_degree.setdefault(len(ids), []).append(e)
     levels = tuple(
-        index_mask(elements, elements[0], elements[-1])
+        index_mask(elements, elements[0])
         for _, elements in sorted(by_degree.items())
     )
     return RowMap(instance=inst, levels=levels, coverers=tuple(map(tuple, coverers)))

@@ -4,9 +4,9 @@
 how their covers merge back: ``grasp`` keeps the instance whole, ``greedy``
 and ``grasp-uf`` split it into co-occurrence components, ``grasp-mst`` into
 the two sides of a forced bipartition; an empty instance has no pieces.
-``solve_restarts`` is the one GRASP restart path: it yields each restart's
-piece covers, for the caller to merge.  Restarts run in batches on
-``run_components``, which dispatches the pieces of every restart in a batch
+``run_components`` is the one GRASP restart path: it returns every
+restart's piece covers, restart-major, for the caller to merge.  It runs the
+restarts in batches, dispatching the pieces of every restart in a batch
 longest-family-first to one worker pool, with RNG streams derived as
 ``(master_seed + restart) XOR piece index``, so results are identical for
 any worker count or scheduling order.  Workers are processes (CPython's
@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance
 from .grasp import GraspParams, _grasp_run
@@ -70,37 +70,43 @@ def run_components(
     params: SuParams,
     restarts: int = 1,
 ) -> List[Cover]:
-    """Solve ``restarts`` independent runs of every subinstance on one pool.
+    """Solve ``restarts`` independent runs of every subinstance.
 
     Restart ``k`` of component ``i`` gets seed ``(params.grasp.seed + k) ^ i``
     and its cover is result ``k * len(subinstances) + i`` (restart-major), so
     the covers do not depend on the worker count or the scheduling order.
-    Tasks are dispatched largest family first (long jobs first shortens the
-    critical path) to ``min(params.threads, tasks)`` workers, which receive
-    the subinstances once, at start-up; with one worker the tasks run
-    in-process.
+    Restarts run in batches of ``ceil(threads / pieces)``, so a pool has work
+    for every worker even when there are fewer pieces than workers, and
+    restarts beyond one batch start one pool per batch.  Each
+    batch's tasks are dispatched largest family first (long jobs first
+    shortens the critical path) to one pool of ``min(params.threads, tasks)``
+    workers, which receive the subinstances once, at start-up; a batch with
+    one worker runs in-process.
     """
     global _subinstances
     count = len(subinstances)
-    tasks = [
-        (k * count + i, i, replace(params.grasp, seed=(params.grasp.seed + k) ^ i))
-        for k in range(restarts)
-        for i in range(count)
-    ]
-    tasks.sort(key=lambda t: (-subinstances[t[1]].m, t[0]))
-    workers = min(params.threads, len(tasks))
-    if workers <= 1:
-        _subinstances = subinstances
-        try:
-            results = dict(map(_solve_component, tasks))
-        finally:
-            _subinstances = ()
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_receive, initargs=(subinstances,)
-        ) as pool:
-            results = dict(pool.map(_solve_component, tasks))
-    return [results[index] for index in range(len(tasks))]
+    batch = -(-params.threads // max(count, 1))
+    results: Dict[int, Cover] = {}
+    for first in range(0, restarts, batch):
+        tasks = [
+            (k * count + i, i, replace(params.grasp, seed=(params.grasp.seed + k) ^ i))
+            for k in range(first, min(first + batch, restarts))
+            for i in range(count)
+        ]
+        tasks.sort(key=lambda t: (-subinstances[t[1]].m, t[0]))
+        workers = min(params.threads, len(tasks))
+        if workers <= 1:
+            _subinstances = subinstances
+            try:
+                results.update(map(_solve_component, tasks))
+            finally:
+                _subinstances = ()
+        else:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_receive, initargs=(subinstances,)
+            ) as pool:
+                results.update(pool.map(_solve_component, tasks))
+    return [results[index] for index in range(restarts * count)]
 
 
 def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
@@ -127,26 +133,6 @@ def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
     return [c.subinstance for c in seg.components], partial(merge, seg)
 
 
-def solve_restarts(
-    subinstances: Sequence[Instance], params: SuParams, restarts: int
-) -> Iterator[List[Cover]]:
-    """Yield each restart's piece covers, in restart and piece order.
-
-    Restart ``k`` runs with seed ``params.grasp.seed + k``.  Restarts go to
-    ``run_components`` in batches of ``ceil(threads / pieces)``, so a pool
-    has work for every worker even when there are fewer pieces than
-    workers.
-    """
-    count = len(subinstances)
-    batch = -(-params.threads // max(count, 1))
-    for first in range(0, restarts, batch):
-        size = min(batch, restarts - first)
-        grasp = replace(params.grasp, seed=params.grasp.seed + first)
-        partials = run_components(subinstances, replace(params, grasp=grasp), size)
-        for k in range(size):
-            yield partials[k * count:(k + 1) * count]
-
-
 def grasp_su_solve(inst: Instance, params: Optional[SuParams] = None) -> Cover:
     """Segment, solve each component concurrently, merge: one restart.
 
@@ -155,8 +141,7 @@ def grasp_su_solve(inst: Instance, params: Optional[SuParams] = None) -> Cover:
     is a 1-minimal cover.
     """
     pieces, merge = split(inst, "grasp-uf")
-    [partials] = solve_restarts(pieces, params if params is not None else SuParams(), 1)
-    return merge(partials)
+    return merge(run_components(pieces, params if params is not None else SuParams()))
 
 
 def rpd(card: int, bks: int) -> float:

@@ -354,8 +354,8 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
                 raise ValueError
             if hi > most:  # then n > most as well: see below
                 rows = [r for r in rows if r <= most]
-                lo, hi = (rows[0], rows[-1]) if rows else (1, 1)
-            masks.append(index_mask(rows, lo, hi) >> 1)
+                lo = rows[0] if rows else 1
+            masks.append(index_mask(rows, lo) >> 1)
             ids.extend(rows)
             taken += lead + count
     except ValueError:  # a non-integer token, or a record that failed a check
@@ -519,7 +519,7 @@ def generate_segmentable(cfg: GeneratorConfig) -> Instance:
         if repaired:
             member_lists[b] = sorted(member_lists[b] + repaired)
 
-    masks = [index_mask(ms, ms[0], ms[-1]) for ms in member_lists]
+    masks = [index_mask(ms, ms[0]) for ms in member_lists]
     return Instance(cfg.n, masks, member_arrays(member_lists))
 
 

@@ -57,7 +57,7 @@ def build_cograph(inst: Instance) -> WeightedCoGraph:
 
 def _side_component(inst: Instance, elements: List[int]) -> Component:
     """Restrict the family to one side; empty restrictions are dropped."""
-    side = index_mask(elements, 0, inst.n - 1)
+    side = index_mask(elements, 0)
     family = [sid for sid, b in enumerate(inst.masks) if b & side]
     return Component(
         subfamily=tuple(family),

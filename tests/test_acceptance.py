@@ -145,8 +145,8 @@ def test_criterion_05_oracle_equivalence():
             cap = rng.randint(1, 400)
         xs = set(rng.sample(range(cap), rng.randint(0, min(cap, 200))))
         ys = set(rng.sample(range(cap), rng.randint(0, min(cap, 200))))
-        a = index_mask(xs, 0, cap - 1)
-        b = index_mask(ys, 0, cap - 1)
+        a = index_mask(xs, 0)
+        b = index_mask(ys, 0)
         assert list(iter_bits(a | b)) == sorted(xs | ys)
         assert list(iter_bits(a & b)) == sorted(xs & ys)
         assert list(iter_bits(a & ~b)) == sorted(xs - ys)

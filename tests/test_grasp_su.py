@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segcover import grasp
+from segcover import grasp, grasp_su
 from segcover.core import Cover, Instance, cover_is_feasible
 from segcover.grasp import GraspParams, grasp_solve
 from segcover.grasp_su import (
@@ -62,6 +63,52 @@ def test_merged_cardinality_is_component_sum_before_pruning():
     partials = run_components([c.subinstance for c in seg.components], params)
     merged = merge_partial_covers(seg, partials)
     assert len(merged) == sum(len(p) for p in partials)
+
+
+@pytest.mark.parametrize(
+    "groups, threads, restarts, pools",
+    [
+        (1, 1, 1, []),
+        (1, 1, 3, []),
+        (1, 2, 1, []),
+        (1, 2, 3, [2]),
+        (1, 4, 1, []),
+        (1, 4, 3, [3]),
+        (3, 1, 1, []),
+        (3, 1, 3, []),
+        (3, 2, 1, [2]),
+        (3, 2, 3, [2, 2, 2]),
+        (3, 4, 1, [3]),
+        (3, 4, 3, [4, 3]),
+    ],
+)
+def test_restarts_match_one_restart_calls(monkeypatch, groups, threads, restarts, pools):
+    """Restart ``k`` of every piece equals a one-restart, one-worker call
+    with seed ``seed + k``.  Restarts run in batches of ceil(threads / pieces),
+    one pool per batch that has more than one worker; ``pools`` lists each
+    pool's worker count."""
+    inst = generate_segmentable(
+        GeneratorConfig(n=40 * groups, m=30 * groups, groups=groups, density=0.15, seed=7)
+    )
+    pieces = [c.subinstance for c in find_groups(inst).components]
+    assert len(pieces) == groups
+    base = GraspParams(num_iter=2, seed=11)
+    want = [
+        cover.chosen
+        for k in range(restarts)
+        for cover in run_components(pieces, SuParams(grasp=replace(base, seed=base.seed + k)))
+    ]
+    spawned = []
+
+    class CountedPool(grasp_su.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            spawned.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(grasp_su, "ProcessPoolExecutor", CountedPool)
+    got = run_components(pieces, SuParams(grasp=base, threads=threads), restarts)
+    assert [cover.chosen for cover in got] == want
+    assert spawned == pools
 
 
 @given(st.integers(0, 100_000))
