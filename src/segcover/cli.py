@@ -37,17 +37,18 @@ MANIFEST_KEYS = ("name", "bks", "format")
 @dataclass
 class RunRecord:
     """One benchmark cell; ``rpd`` is present iff ``bks`` is, and a cell
-    the solver refused carries only its ``error``.
+    the solver refused carries only its ``error``.  ``seed`` is the run's
+    seed: restart ``k`` ran on ``seed + k``.
 
     The phases are ``run_algorithm``'s, the same steps for every algorithm:
     ``preprocess_ms`` is the forcing sweep (``preprocess.force``; dominance
     is not on the run path); ``segment_ms`` the ``split`` into pieces
     (the union-find for ``greedy`` and ``grasp-uf``, the bipartition for
-    ``grasp-mst``); ``solve_ms`` the piece solves; ``merge_ms`` the merges of
-    piece covers.  ``wall_ms`` also counts lifting and validation.
-    ``parse_ms``, outside ``wall_ms``, is the reading and parsing of the
-    instance file, shared by the bench cells of one instance; it stays 0 for
-    an instance that was not read from a file.
+    ``grasp-mst``); ``solve_ms`` the piece solves; ``merge_ms`` the merge of
+    piece covers, which picks among restarts.  ``wall_ms`` also counts
+    lifting and validation.  ``parse_ms``, outside ``wall_ms``, is the
+    reading and parsing of the instance file, shared by the bench cells of
+    one instance; it stays 0 for an instance that was not read from a file.
     """
 
     instance: str
@@ -146,20 +147,16 @@ def run_algorithm(
 ) -> Tuple[RunRecord, Cover]:
     """Solve with independent restarts, validate, and build a run record.
 
-    Every algorithm runs one sequence: ``split`` the residual into pieces
-    once per run, solve the pieces, merge each restart's piece covers.
-    Only the piece solver differs: ``greedy`` is deterministic, so it runs
-    ``greedy_solve`` once per piece, in-process, for one restart; every
-    other algorithm runs all its restarts in one ``run_components`` call,
-    whose restart-major covers are cut into each restart's piece covers.
-
-    The instance is reduced by the forcing sweep alone (``preprocess.force``,
-    skipped with ``preprocess=False``); ``reduce``'s dominance pass is for
-    library callers.  The one clock of a run: ``preprocess_ms`` times the
-    forcing sweep, ``segment_ms`` the ``split``, ``solve_ms`` the piece
-    solves and ``merge_ms`` the merges.  Lifting and validating each
-    restart's cover count only in ``wall_ms``.  Restart ``k`` runs with seed ``seed + k``;
-    the first strictly smallest cover is kept.
+    Every algorithm runs one sequence, once per run: ``split`` the residual
+    into pieces, solve them, ``merge`` their covers into one cover, then
+    lift and validate it.  Only the piece solver differs: ``greedy`` is
+    deterministic, so it runs ``greedy_solve`` once per piece, in-process;
+    every other algorithm runs all its restarts, restart ``k`` on seed
+    ``seed + k``, in one ``run_components`` call, and ``split``'s merge
+    picks among them.  The instance is reduced by the forcing sweep alone
+    (``preprocess.force``, skipped with ``preprocess=False``); ``reduce``'s
+    dominance pass is for library callers.  ``RunRecord`` names the phases
+    that this one clock of a run times.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -175,33 +172,27 @@ def run_algorithm(
     pieces, merge = split(work, algorithm)
     t1 = time.perf_counter()
     if algorithm == "greedy":
-        partials = [[greedy_solve(piece) for piece in pieces]]
+        covers = [greedy_solve(piece) for piece in pieces]
     else:
-        count = len(pieces)
-        solved = run_components(pieces, params, restarts)
-        partials = [solved[k * count:(k + 1) * count] for k in range(restarts)]
+        covers = run_components(pieces, params, restarts)
     t2 = time.perf_counter()
-    covers = [merge(piece_covers) for piece_covers in partials]
+    cover = merge(covers)
     record.preprocess_ms = (t0 - wall_start) * 1e3
     record.segment_ms = (t1 - t0) * 1e3
     record.solve_ms = (t2 - t1) * 1e3
     record.merge_ms = (time.perf_counter() - t2) * 1e3
 
-    best_cover: Optional[Cover] = None
-    for run_seed, cover in enumerate(covers, seed):
-        full = report.lift_cover(cover) if report is not None else cover
-        if not cover_is_feasible(full, inst):
-            raise RuntimeError(f"{algorithm} produced an infeasible cover on {name}")
-        if best_cover is None or len(full) < len(best_cover):
-            best_cover, record.seed = full, run_seed
+    full = report.lift_cover(cover) if report is not None else cover
+    if not cover_is_feasible(full, inst):
+        raise RuntimeError(f"{algorithm} produced an infeasible cover on {name}")
     record.wall_ms = (time.perf_counter() - wall_start) * 1e3
 
-    record.cardinality = len(best_cover)
+    record.cardinality = len(full)
     if bks is not None:
         record.rpd = rpd(record.cardinality, bks)
     if greedy_baseline is not None:
         record.rpd_star = rpd_star(record.cardinality, greedy_baseline)
-    return record, best_cover
+    return record, full
 
 
 def _run_options(args: argparse.Namespace) -> Dict[str, object]:

@@ -1,16 +1,16 @@
 """Segmented GRASP: split an instance into independent pieces, solve, merge.
 
 ``split`` is the one place that decides the pieces of every algorithm and
-how their covers merge back: ``grasp`` keeps the instance whole, ``greedy``
-and ``grasp-uf`` split it into co-occurrence components, ``grasp-mst`` into
-the two sides of a forced bipartition; an empty instance has no pieces.
-``run_components`` is the one GRASP restart path: it returns every
-restart's piece covers, restart-major, for the caller to merge.  It runs the
-restarts in batches, dispatching the pieces of every restart in a batch
-longest-family-first to one worker pool, with RNG streams derived as
-``(master_seed + restart) XOR piece index``, so results are identical for
-any worker count or scheduling order.  Workers are processes (CPython's
-route to CPU parallelism); the ``threads`` knob caps the pool size.
+how their covers, restarts included, merge back: ``grasp`` keeps the
+instance whole, ``greedy`` and ``grasp-uf`` split it into co-occurrence
+components that each keep their best restart, ``grasp-mst`` into the two
+sides of a forced bipartition.  ``run_components`` is the one GRASP restart
+path: it returns every restart's piece covers, restart-major, for that
+merge.  It runs the restarts in batches, dispatching the pieces of every
+restart in a batch longest-family-first to one worker pool, with RNG
+streams derived as ``(master_seed + restart) XOR piece index``, so results
+are identical for any worker count or scheduling order.  Workers are
+processes (CPython's route to CPU parallelism); ``threads`` caps the pool.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import Cover, Instance
@@ -112,25 +111,34 @@ def run_components(
 def split(work: Instance, algorithm: str) -> Tuple[List[Instance], Merge]:
     """The pieces ``algorithm`` solves ``work`` as, and how their covers merge.
 
-    ``grasp``: ``[work]`` itself, merged by taking its cover.  ``greedy``
-    and ``grasp-uf``: the ``find_groups`` components, merged by
-    ``greedy.interleave`` and ``merge_partial_covers``.  ``grasp-mst``: the
-    two sides of ``mst_bipartition``, merged by ``merge_sides``; a
-    disconnected ``work`` raises its ValueError.  An empty ``work`` has no
-    pieces and merges to the empty cover, whatever the algorithm.
+    The merge takes every restart's piece covers, restart-major as
+    ``run_components`` returns them, and returns one cover; ties go to the
+    lowest restart.  ``grasp``: ``[work]``, merged by keeping the smallest.
+    ``greedy`` and ``grasp-uf``: the ``find_groups`` components, which share
+    no elements, so each keeps its smallest for ``greedy.interleave`` or
+    ``merge_partial_covers`` to join.  ``grasp-mst``: the two sides of
+    ``mst_bipartition``, which share cut subsets, merged by the smallest
+    ``merge_sides`` of a restart; a disconnected ``work`` raises its
+    ValueError.  An empty ``work`` has no pieces and merges to the empty cover.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"no split for algorithm {algorithm!r}")
     if work.n == 0:
         return [], lambda covers: Cover.empty()
     if algorithm == "grasp":
-        return [work], itemgetter(0)
+        return [work], partial(min, key=len)
     if algorithm == "grasp-mst":
         bip = mst_bipartition(build_cograph(work))
-        return [bip.side1.subinstance, bip.side2.subinstance], partial(merge_sides, work, bip)
+        join = partial(merge_sides, work, bip)
+        return [bip.side1.subinstance, bip.side2.subinstance], lambda covers: min(
+            map(join, zip(covers[0::2], covers[1::2])), key=len
+        )
     seg = find_groups(work)
-    merge = interleave if algorithm == "greedy" else merge_partial_covers
-    return [c.subinstance for c in seg.components], partial(merge, seg)
+    merge = partial(interleave if algorithm == "greedy" else merge_partial_covers, seg)
+    count = len(seg.components)
+    return [c.subinstance for c in seg.components], lambda covers: merge(
+        [min(covers[i::count], key=len) for i in range(count)]
+    )
 
 
 def grasp_su_solve(inst: Instance, params: Optional[SuParams] = None) -> Cover:

@@ -27,7 +27,6 @@ from segcover.grasp import (
     remove_redundant_sets,
     remove_sets,
 )
-from segcover.grasp_su import SuParams, grasp_su_solve
 from segcover.io import ParseError, write_rail, write_scp
 from segcover.mst import (
     Bipartition,
@@ -38,7 +37,7 @@ from segcover.mst import (
     mst_bipartition,
 )
 from segcover.preprocess import ReductionReport, force
-from segcover.segmentation import Component, Segmentation
+from segcover.segmentation import Component, Segmentation, find_groups, merge_partial_covers
 
 
 def harmonic(k: int) -> float:
@@ -785,40 +784,54 @@ def reference_run_restarts(
     iterations: int,
     max_rm: float = 0.5,
     seed: int = 0,
-    threads: int = 1,
     restarts: int = 1,
     preprocess: bool = True,
-) -> Tuple[int, Cover]:
-    """The restart loop ``cli.run_algorithm`` ran before restarts were
-    batched, for ``grasp``, ``grasp-uf`` and ``grasp-mst``: one solve per
-    restart, back to back, on the forcing sweep's residual.  ``grasp-mst``
-    is built from its primitives (the bipartition, one ``_grasp_run`` per
-    side on stream ``(seed + k) ^ side``, ``merge_sides``), not through
-    ``split``.  Returns the seed and the lifted cover of the first strictly
-    smallest restart."""
+) -> Cover:
+    """The restart rule of ``cli.run_algorithm`` for ``grasp``, ``grasp-uf``
+    and ``grasp-mst``, one solve after another on the forcing sweep's
+    residual, built from primitives rather than through ``split`` or
+    ``run_components``.  Restart ``k`` runs on seed ``seed + k``, piece ``i``
+    of it on stream ``(seed + k) ^ i``, and every tie goes to the lowest
+    restart.  ``grasp`` keeps the smallest ``grasp_solve`` cover;
+    ``grasp-uf`` keeps each ``find_groups`` component's smallest
+    ``_grasp_run`` cover and merges those with ``merge_partial_covers``;
+    ``grasp-mst`` merges each restart's two sides with ``merge_sides`` and
+    keeps the smallest result.  Returns the lifted cover."""
     report = force(inst) if preprocess else None
     work = report.residual if report is not None else inst
-    best_seed, best = seed, None
-    for k in range(restarts):
-        params = GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed + k)
-        if work.n == 0:
-            cover = Cover.empty()
-        elif algorithm == "grasp":
-            cover = grasp_solve(work, params)
-        elif algorithm == "grasp-mst":
-            bip = mst_bipartition(build_cograph(work))
-            sides = [bip.side1.subinstance, bip.side2.subinstance]
-            partials = [
-                _grasp_run(side, replace(params, seed=(seed + k) ^ i))
-                for i, side in enumerate(sides)
+    runs = [
+        GraspParams(num_iter=iterations, max_rm=max_rm, seed=seed + k) for k in range(restarts)
+    ]
+
+    def smallest(covers: Iterable[Cover]) -> Cover:
+        best = None
+        for cover in covers:
+            if best is None or len(cover) < len(best):
+                best = cover
+        return best
+
+    def per_restart(pieces: Sequence[Instance]) -> List[List[Cover]]:
+        return [
+            [
+                _grasp_run(piece, replace(params, seed=params.seed ^ i))
+                for i, piece in enumerate(pieces)
             ]
-            cover = merge_sides(work, bip, partials)
-        else:
-            cover = grasp_su_solve(work, SuParams(grasp=params, threads=threads))
-        full = report.lift_cover(cover) if report is not None else cover
-        if best is None or len(full) < len(best):
-            best_seed, best = seed + k, full
-    return best_seed, best
+            for params in runs
+        ]
+
+    if work.n == 0:
+        cover = Cover.empty()
+    elif algorithm == "grasp":
+        cover = smallest(grasp_solve(work, params) for params in runs)
+    elif algorithm == "grasp-mst":
+        bip = mst_bipartition(build_cograph(work))
+        sides = [bip.side1.subinstance, bip.side2.subinstance]
+        cover = smallest(merge_sides(work, bip, pair) for pair in per_restart(sides))
+    else:
+        seg = find_groups(work)
+        solved = per_restart([c.subinstance for c in seg.components])
+        cover = merge_partial_covers(seg, [smallest(piece) for piece in zip(*solved)])
+    return report.lift_cover(cover) if report is not None else cover
 
 
 def reference_from_indices(capacity: int, indices) -> int:

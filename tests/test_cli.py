@@ -618,9 +618,10 @@ def test_solve_on_arbitrary_bytes_exits_0_or_2(seed):
 @settings(max_examples=2, deadline=None)
 def test_batched_restarts_match_reference_loop(seed, preprocess):
     """Every (algorithm, threads, components, restarts) cell of the grid gives
-    the old back-to-back restart loop's best cover and seed, or, for a
-    grasp-mst cell whose residual is disconnected or has fewer than two
-    elements, the same error."""
+    the restart rule's cover, one solve after another, and records the seed
+    it was given, or, for a grasp-mst cell whose residual is disconnected or
+    has fewer than two elements, the same error.  A grasp-uf cover is no
+    larger than any whole restart's."""
     for groups in (1, 2, 3, 5):
         # One improvement iteration on 40-element blocks: a later restart is
         # the best one in about two runs of five, so restart seeds matter.
@@ -631,21 +632,28 @@ def test_batched_restarts_match_reference_loop(seed, preprocess):
         for algorithm, threads, restarts in itertools.product(
             ("grasp", "grasp-uf", "grasp-mst"), (1, 2, 3, 4), (1, 2, 3)
         ):
-            kwargs = dict(iterations=1, seed=seed, threads=threads, restarts=restarts,
-                          preprocess=preprocess)
+            kwargs = dict(iterations=1, seed=seed, restarts=restarts, preprocess=preprocess)
             cell = (algorithm, threads, groups, restarts)
             try:
-                best_seed, best = reference_run_restarts(inst, algorithm, **kwargs)
+                best = reference_run_restarts(inst, algorithm, **kwargs)
             except ValueError as exc:
                 assert algorithm == "grasp-mst", cell
                 with pytest.raises(ValueError) as raised:
-                    cli.run_algorithm(inst, "gen", algorithm, **kwargs)
+                    cli.run_algorithm(inst, "gen", algorithm, threads=threads, **kwargs)
                 assert str(raised.value) == str(exc), cell
                 continue
-            record, cover = cli.run_algorithm(inst, "gen", algorithm, **kwargs)
+            record, cover = cli.run_algorithm(inst, "gen", algorithm, threads=threads, **kwargs)
             assert cover.chosen == best.chosen, cell
             assert record.cardinality == len(best), cell
-            assert record.seed == best_seed, cell
+            assert record.seed == seed, cell
+            if algorithm == "grasp-uf":
+                # Whole restart k is the one-restart run on seed + k; both
+                # covers are lifted by the same forced subsets.
+                for k in range(restarts):
+                    whole = reference_run_restarts(
+                        inst, algorithm, **{**kwargs, "seed": seed + k, "restarts": 1}
+                    )
+                    assert len(cover) <= len(whole), (cell, k)
 
 
 @pytest.mark.parametrize(
