@@ -26,13 +26,15 @@ and its count and length are checked.  A rail column's row ids are checked
 at the ends of the column, sorted as read.  An scp row's column ids are
 checked by the indexing that files each row under its columns, with
 ``min`` only for data that holds a minus sign; a row that names a column
-twice is found afterwards, by the bit count of the range-local masks.  A
-record that fails a check, is cut short, or holds a token that ``int``
-rejects is read again token by token with a regex from its first token,
-which raises the first fault in token order with its message and byte
-offset.  The record's first byte offset is found from its token index:
-each chunk's end offset and running token count are kept, so the search
-scans one chunk.
+twice is found afterwards, by the bit count of the range-local masks.
+
+A fault stops this fast read, which keeps no position.  The parser then
+reads the data again token by token with a regex from byte 0 (``_read_scp``,
+``_read_rail``), which raises the first fault in token order with its
+message and byte offset.  A fault of the instance itself, such as a row no
+column covers, shows only once every token has passed; its message is
+raised at the last token.  ``parse_auto`` runs the fast reads alone, so an
+attempt it throws away is never read token by token.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ import io as _io
 import random
 import re
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Iterator, List, NoReturn, Tuple
@@ -83,17 +84,22 @@ _SPACE = re.compile(rb"\s")
 _CHUNK = 1 << 16
 
 
-class _Tokens:
-    """Token-by-token reader with byte offsets, from byte ``pos`` on.
+class _Fault(Exception):
+    """A fast read failed a check.  A fault of the instance itself, which a
+    token-by-token read cannot see, carries its message as ``args[0]``."""
 
-    Only a record that fails a check is read this way: it finds the record's
-    first fault in token order and names it with its byte offset.
+
+class _Tokens:
+    """Token-by-token reader with byte offsets, from byte 0.
+
+    Only data that failed a fast read is read this way: it finds the first
+    fault in token order and names it with its byte offset.
     """
 
-    def __init__(self, data: bytes, pos: int = 0) -> None:
-        self._iter = _TOKEN.finditer(data, pos)
+    def __init__(self, data: bytes) -> None:
+        self._iter = _TOKEN.finditer(data)
         self._end = len(data)
-        self.last_offset = pos
+        self.last_offset = 0
 
     def next_int(self, what: str) -> int:
         match = next(self._iter, None)
@@ -123,20 +129,28 @@ class _Table(dict):
         return int(token)
 
 
+def _chunks(data: bytes) -> Iterator[List[bytes]]:
+    """The tokens of ``data``, one whitespace-aligned chunk of about
+    ``_CHUNK`` bytes at a time."""
+    size = len(data)
+    start = 0
+    while start < size:
+        end = start + _CHUNK
+        if end < size:
+            space = _SPACE.search(data, end)
+            end = space.start() if space else size
+        else:
+            end = size
+        yield data[start:end].split()
+        start = end
+
+
 class _Ints:
     """The integers of ``data`` as one iterator, ``values``, converted in C
-    one whitespace-aligned chunk of about ``_CHUNK`` bytes at a time; no
-    token list spans the file.
-
-    Callers count the tokens they take.  Each chunk's end offset and running
-    token count are kept, so finding the byte offset of a token by its
-    index scans one chunk.
-    """
+    one chunk at a time; no token list spans the file."""
 
     def __init__(self, data: bytes) -> None:
         self.data = data
-        self._starts = [0]
-        self._firsts = [0]
         self._most = -1
         self.values = chain.from_iterable(self._converted())
 
@@ -150,138 +164,101 @@ class _Ints:
 
     def _converted(self) -> Iterator[Iterator[int]]:
         convert = int
-        for tokens in self._chunks():
+        for tokens in _chunks(self.data):
             if self._most >= 0 and convert is int:
                 # Built at the first chunk it converts, so bytes that fault
                 # before then never pay for it.
                 convert = _Table((b"%d" % i, i) for i in range(self._most + 1)).__getitem__
             yield map(convert, tokens)
 
-    def _chunks(self) -> Iterator[List[bytes]]:
-        data = self.data
-        size = len(data)
-        start = 0
-        while start < size:
-            end = start + _CHUNK
-            if end < size:
-                space = _SPACE.search(data, end)
-                end = space.start() if space else size
-            else:
-                end = size
-            tokens = data[start:end].split()
-            self._starts.append(end)
-            self._firsts.append(self._firsts[-1] + len(tokens))
-            yield tokens
-            start = end
-
-    def offset(self, index: int) -> int:
-        """Byte offset of token ``index``; the data's length if there is none."""
-        c = bisect_right(self._firsts, index) - 1
-        matches = _TOKEN.finditer(self.data, self._starts[c])
-        match = next(islice(matches, index - self._firsts[c], None), None)
-        return match.start() if match is not None else len(self.data)
-
-    def replay(self, index: int, read: Callable[..., object], *args: object) -> NoReturn:
-        """Re-read the faulty record that starts at token ``index`` with
-        ``read(tokens, *args)``, which raises the fault's ParseError."""
-        read(_Tokens(self.data, self.offset(index)), *args)
-        raise RuntimeError(f"record at token {index} failed a check but reads cleanly")
-
     def header(self) -> Tuple[int, int]:
-        """The row and column counts: tokens 0 and 1."""
-        try:
-            head = list(islice(self.values, 2))
-        except ValueError:
-            head = []
-        if len(head) < 2 or min(head) < 0:
-            self.replay(0, _read_header)
-        return head[0], head[1]
-
-    def expect_end(self, taken: int) -> None:
-        """Fail if a token follows the ``taken`` ones the records used."""
-        try:
-            trailing = next(self.values, None) is not None
-        except ValueError:
-            trailing = True
-        if trailing:
-            self.replay(taken, _Tokens.expect_end)
+        """The row and column counts: tokens 0 and 1.  Raises ValueError
+        when either is missing, not an integer or negative."""
+        n, m = islice(self.values, 2)
+        if n < 0 or m < 0:
+            raise ValueError
+        return n, m
 
 
-# The token-by-token readers of each record kind, used only by ``replay``.
+# The token-by-token readers of each format, used only to locate a fault.
 
-def _read_header(tokens: _Tokens) -> None:
+def _read_header(tokens: _Tokens) -> Tuple[int, int]:
     n = tokens.next_int("row count")
     m = tokens.next_int("column count")
     if n < 0 or m < 0:
         raise ParseError("negative count in header", tokens.last_offset)
+    return n, m
 
 
-def _read_costs(tokens: _Tokens, m: int) -> None:
+def _read_scp(tokens: _Tokens) -> None:
+    n, m = _read_header(tokens)
     for _ in range(m):
         tokens.next_int("column cost")
+    for row in range(1, n + 1):
+        count = tokens.next_int(f"cover count of row {row}")
+        if count <= 0:
+            raise ParseError(f"row {row} has zero covering columns", tokens.last_offset)
+        what = f"column id covering row {row}"
+        for _ in range(count):
+            col = tokens.next_int(what)
+            if not 1 <= col <= m:
+                raise ParseError(f"column id {col} out of range 1..{m}", tokens.last_offset)
 
 
-def _read_scp_row(tokens: _Tokens, m: int, row: int) -> None:
-    count = tokens.next_int(f"cover count of row {row + 1}")
-    if count <= 0:
-        raise ParseError(f"row {row + 1} has zero covering columns", tokens.last_offset)
-    for _ in range(count):
-        col = tokens.next_int(f"column id covering row {row + 1}")
-        if not 1 <= col <= m:
-            raise ParseError(f"column id {col} out of range 1..{m}", tokens.last_offset)
+def _read_rail(tokens: _Tokens, layout: str) -> None:
+    n, m = _read_header(tokens)
+    for col in range(1, m + 1):
+        if layout == "cost-first":
+            tokens.next_int(f"cost of column {col}")
+        count = tokens.next_int(f"row count of column {col}")
+        if count <= 0:
+            raise ParseError(f"column {col} covers zero rows", tokens.last_offset)
+        what = f"row id in column {col}"
+        for _ in range(count):
+            row = tokens.next_int(what)
+            if not 1 <= row <= n:
+                raise ParseError(f"row id {row} out of range 1..{n}", tokens.last_offset)
 
 
-def _read_rail_column(tokens: _Tokens, n: int, col: int, layout: str) -> None:
-    if layout == "cost-first":
-        tokens.next_int(f"cost of column {col + 1}")
-    count = tokens.next_int(f"row count of column {col + 1}")
-    if count <= 0:
-        raise ParseError(f"column {col + 1} covers zero rows", tokens.last_offset)
-    for _ in range(count):
-        row = tokens.next_int(f"row id in column {col + 1}")
-        if not 1 <= row <= n:
-            raise ParseError(f"row id {row} out of range 1..{n}", tokens.last_offset)
+def _locate(data: bytes, fault: _Fault, read: Callable[..., None], *args: object) -> NoReturn:
+    """Read ``data`` token by token with ``read(tokens, *args)``, which
+    raises the first fault in token order; if every token passes, raise the
+    instance fault that ``fault`` carries at the last token."""
+    tokens = _Tokens(data)
+    read(tokens, *args)
+    tokens.expect_end()
+    if not fault.args:
+        raise RuntimeError("a fast read failed a check but the data reads cleanly")
+    raise ParseError(fault.args[0], tokens.last_offset)
 
 
-def _build_instance(
-    n: int, masks: List[int], ints: _Ints, taken: int, members: Members
-) -> Instance:
+def _instance(n: int, masks: List[int], members: Members) -> Instance:
     try:
         return Instance(n, masks, members)
     except ValueError as exc:
-        raise ParseError(str(exc), ints.offset(taken - 1)) from None
+        raise _Fault(str(exc)) from None
 
 
-def parse_scp(data: bytes) -> Instance:
-    """Parse a row-major set-cover file; rows are elements, columns subsets.
-
-    The instance keeps each column's distinct rows as its ``members`` arrays.
-    """
+def _scp(data: bytes) -> Instance:
+    """``parse_scp``'s fast read; raises ``_Fault`` at any fault."""
     ints = _Ints(data)
     values = ints.values
-    n, m = ints.header()
-    try:
-        costs_read = len(list(islice(values, m))) == m
-    except ValueError:
-        costs_read = False
-    if not costs_read:
-        ints.replay(2, _read_costs, m)
-    members: List[List[int]] = [[] for _ in range(m + 1)]  # by 1-based column id
-    add = [ms.append for ms in members]
-    # Column ids are checked by the indexing: an id above ``m`` raises
-    # IndexError at ``add``, and id 0 appends to ``bad``.  A negative id
-    # would wrap onto a real column, so ``min`` runs only when the data
-    # holds a minus sign.
-    bad = members[0]
-    signed = b"-" in data
     # A record can hold no more tokens than the data has bytes; a larger
     # count is a fault, found without reading the rest of the data.
     most = len(data)
-    row = 0
-    start = taken = 2 + m
     try:
+        n, m = ints.header()
+        if len(list(islice(values, m))) < m:
+            raise ValueError
+        members: List[List[int]] = [[] for _ in range(m + 1)]  # by 1-based column id
+        add = [ms.append for ms in members]
+        # Column ids are checked by the indexing: an id above ``m`` raises
+        # IndexError at ``add``, and id 0 appends to ``bad``.  A negative id
+        # would wrap onto a real column, so ``min`` runs only when the data
+        # holds a minus sign.
+        bad = members[0]
+        signed = b"-" in data
         for row in range(n):
-            start = taken
             count = next(values, 0)
             if not 0 < count <= most:
                 raise ValueError
@@ -292,10 +269,10 @@ def parse_scp(data: bytes) -> Instance:
                 add[col](row)
             if bad:
                 raise ValueError
-            taken += 1 + count
+        if next(values, None) is not None:
+            raise ValueError
     except (ValueError, IndexError):  # a non-integer token, or a failed check
-        ints.replay(start, _read_scp_row, m, row)
-    ints.expect_end(taken)
+        raise _Fault from None
     del members[0], add
     # Rows are read in order, so each list ascends; it is distinct unless a
     # row named a column twice, and then its range-local mask holds fewer
@@ -316,31 +293,23 @@ def parse_scp(data: bytes) -> Instance:
         members = [list(dict.fromkeys(ms)) for ms in members]
     flat = member_arrays(members)
     del members
-    return _build_instance(n, masks, ints, taken, flat)
+    return _instance(n, masks, flat)
 
 
-def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
-    """Parse a column-major set-cover file; one record per column (subset).
-
-    Each column's rows are sorted as they are read, which also gives their
-    range; the instance keeps the distinct ones as its ``members`` arrays.
-    """
+def _rail(data: bytes, layout: str) -> Instance:
+    """``parse_rail``'s fast read; raises ``_Fault`` at any fault."""
     if layout not in ("cost-first", "count-first"):
         raise ValueError(f"unknown rail layout {layout!r}")
     ints = _Ints(data)
     values = ints.values
-    n, m = ints.header()
-    ints.tabulate(n)
     costed = layout == "cost-first"
-    lead = 2 if costed else 1
     masks: List[int] = []
     ids = array("I")  # 1-based rows, as read
-    most = len(data)  # as in parse_scp: no record holds more tokens
-    col = 0
-    start = taken = 2
+    most = len(data)  # as in _scp: no record holds more tokens
     try:
-        for col in range(m):
-            start = taken
+        n, m = ints.header()
+        ints.tabulate(n)
+        for _ in range(m):
             if costed:
                 next(values, None)
             count = next(values, 0)
@@ -357,10 +326,10 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
                 lo = rows[0] if rows else 1
             masks.append(index_mask(rows, lo) >> 1)
             ids.extend(rows)
-            taken += lead + count
-    except ValueError:  # a non-integer token, or a record that failed a check
-        ints.replay(start, _read_rail_column, n, col, layout)
-    ints.expect_end(taken)
+        if next(values, None) is not None:
+            raise ValueError
+    except ValueError:  # a non-integer token, or a failed check
+        raise _Fault from None
     if n > most:
         # More rows than the data has tokens, so some row is uncovered, the
         # lowest of them below ``most``: rows above it were left out of the
@@ -368,7 +337,7 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
         union = 0
         for bits in masks:
             union |= bits
-        raise ParseError(uncovered_message(union), ints.offset(taken - 1))
+        raise _Fault(uncovered_message(union))
     # A column's mask holds one bit per row it names, unless it names a row
     # twice; then the masks hold fewer bits than the columns named rows, and
     # each column's distinct rows are its mask's bits.
@@ -377,7 +346,30 @@ def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
         ids = lower_ids(ids, 1)
     else:
         ids = array("I", chain.from_iterable(map(iter_bits, masks)))
-    return _build_instance(n, masks, ints, taken, (starts, ids))
+    return _instance(n, masks, (starts, ids))
+
+
+def parse_scp(data: bytes) -> Instance:
+    """Parse a row-major set-cover file; rows are elements, columns subsets.
+
+    The instance keeps each column's distinct rows as its ``members`` arrays.
+    """
+    try:
+        return _scp(data)
+    except _Fault as fault:
+        _locate(data, fault, _read_scp)
+
+
+def parse_rail(data: bytes, layout: str = "cost-first") -> Instance:
+    """Parse a column-major set-cover file; one record per column (subset).
+
+    Each column's rows are sorted as they are read, which also gives their
+    range; the instance keeps the distinct ones as its ``members`` arrays.
+    """
+    try:
+        return _rail(data, layout)
+    except _Fault as fault:
+        _locate(data, fault, _read_rail, layout)
 
 
 def _scp_shaped(data: bytes) -> bool:
@@ -388,7 +380,7 @@ def _scp_shaped(data: bytes) -> bool:
     Only the header and the row counts are converted to ints; the other
     tokens are skipped in C as they were split, and no mask is built.
     """
-    tokens = chain.from_iterable(_Ints(data)._chunks())
+    tokens = chain.from_iterable(_chunks(data))
     try:
         head = list(map(int, islice(tokens, 2)))
         if len(head) < 2:
@@ -413,16 +405,17 @@ def parse_auto(data: bytes, layout: str = "cost-first") -> Instance:
     Small files can be valid in both layouts while describing different
     instances; those are rejected rather than guessed.  Bytes that parse as
     rail are parsed as scp too only when their records have scp's shape.
+    Only a fault of the scp read, the format reported then, is located.
     """
     try:
-        rail = parse_rail(data, layout)
-    except ParseError:
+        rail = _rail(data, layout)
+    except _Fault:
         return parse_scp(data)
     if not _scp_shaped(data):
         return rail
     try:
-        scp = parse_scp(data)
-    except ParseError:
+        scp = _scp(data)
+    except _Fault:
         return rail
     if scp != rail:
         raise ParseError(

@@ -229,13 +229,6 @@ def to_instance(n: int, subsets: Sequence[Set[int]]) -> Instance:
     return Instance(n, [mask_of(s) for s in subsets])
 
 
-def random_instance(rng: random.Random, n_max: int = 12, m_max: int = 8) -> Tuple[Instance, int, List[Set[int]]]:
-    n = rng.randint(1, n_max)
-    m = rng.randint(1, m_max)
-    subsets = random_covering_family(rng, n, m)
-    return to_instance(n, subsets), n, subsets
-
-
 def reference_greedy(inst: Instance) -> Cover:
     """The full-rescan greedy that ``greedy_solve`` replaced.
 

@@ -30,7 +30,12 @@ from segcover.io import CSV_HEADER, GeneratorConfig, generate_segmentable, parse
 from segcover.preprocess import force, reduce
 
 from conftest import DATA_DIR, make_instance
-from oracles import mutated_file, reference_run_restarts
+from oracles import (
+    mutated_file,
+    random_covering_family,
+    reference_run_restarts,
+    to_instance,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -654,6 +659,21 @@ def test_batched_restarts_match_reference_loop(seed, preprocess):
                         inst, algorithm, **{**kwargs, "seed": seed + k, "restarts": 1}
                     )
                     assert len(cover) <= len(whole), (cell, k)
+
+
+def test_grasp_mst_keeps_the_smallest_whole_restart():
+    """grasp-mst's two sides share cut subsets and ``merge_sides`` prunes,
+    so the run keeps the smallest merged restart; pairing each side's own
+    smallest cover gives a larger cover on some of these connected families
+    at 4 restarts of 5 rounds."""
+    rng = random.Random(30)
+    for case in range(40):
+        n = rng.randint(40, 100)
+        inst = to_instance(n, random_covering_family(rng, n, rng.randint(20, 60)))
+        kwargs = dict(iterations=5, seed=case, restarts=4, preprocess=False)
+        best = reference_run_restarts(inst, "grasp-mst", **kwargs)
+        _, cover = cli.run_algorithm(inst, "gen", "grasp-mst", threads=1, **kwargs)
+        assert cover.chosen == best.chosen, case
 
 
 @pytest.mark.parametrize(

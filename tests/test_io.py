@@ -405,6 +405,23 @@ def test_auto_reads_rail_bytes_without_building_scp_masks():
     assert built.call_count == inst.m  # one per rail column, none for scp
 
 
+def test_auto_locates_only_the_fault_it_reports():
+    # A fault is located by a token-by-token read of the whole file, one
+    # ``_Tokens`` each; parse_auto's attempts run the fast reads alone.
+    inst = generate_segmentable(GeneratorConfig(n=300, m=900, groups=3, seed=5))
+    scp, rail = write_scp(inst), write_rail(inst)
+    with pytest.raises(ParseError):
+        parse_rail(scp)
+    for data in (scp, rail):
+        with mock.patch.object(io, "_Tokens", side_effect=io._Tokens) as built:
+            assert parse_auto(data) == inst
+        assert built.call_count == 0
+    with mock.patch.object(io, "_Tokens", side_effect=io._Tokens) as built:
+        with pytest.raises(ParseError, match="unexpected trailing token b'7'"):
+            parse_auto(scp + b"7\n")
+    assert built.call_count == 1
+
+
 @given(family_strategy)
 @settings(max_examples=300, deadline=None)
 def test_every_scp_file_has_the_scp_shape(seed):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,3 +35,20 @@ def test_soak_rail_prints_one_json_line_of_layer_times():
     assert record["cardinality"] >= 1
     for key in ("parse_ms", "preprocess_ms", "segment_ms", "solve_ms", "wall_ms", "peak_rss_mb"):
         assert record[key] > 0
+
+
+def test_bench_pairs_reports_each_end_to_end_metric():
+    if not (ROOT / ".git").exists():
+        pytest.skip("bench_pairs.py compares git revisions")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+         "--base", "HEAD", "--pairs", "1", "--workloads", "rail", "--seconds", "1"],
+        capture_output=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.decode().splitlines()[-1])
+    rail = report["workloads"]["rail"]
+    assert rail["failed"] == {"base": 0, "change": 0}
+    for name in ("wall_s", "setup_s", "cardinality", "peak_rss_mb"):
+        assert len(rail[name]["per_pair"]) == 1
+        assert rail[name]["change_better"] + rail[name]["change_worse"] <= 1
+    assert rail["cardinality"]["base"]["median"] == rail["cardinality"]["change"]["median"]
